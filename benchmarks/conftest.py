@@ -6,16 +6,18 @@ paper reports.  `run_once` wraps ``benchmark.pedantic`` so each experiment
 executes exactly once per benchmark (these are end-to-end experiments, not
 micro-benchmarks).
 
-Two timing registries are flushed to JSON at session end so future PRs have
-a performance trajectory to compare against:
+The per-domain timing registries are flushed at session end to
+``.bench_out/pytest/BENCH_<domain>.json`` (untracked; a test run never
+rewrites a tracked file), for example:
 
-* ``stage_timings`` -> ``benchmarks/BENCH_features.json`` — per-stage
-  feature-engine wall-clock (extraction, fit, ablation);
-* ``runtime_timings`` -> ``benchmarks/BENCH_runtime.json`` — per-backend
-  wall-clock of the parallel training runtime (forest fit, 5-fold CV,
-  11-configuration ablation) plus the measured speedups.
+* ``stage_timings`` -> ``BENCH_features.json`` — per-stage feature-engine
+  wall-clock (extraction, fit, ablation);
+* ``runtime_timings`` -> ``BENCH_runtime.json`` — per-backend wall-clock of
+  the parallel training runtime (forest fit, 5-fold CV, 11-configuration
+  ablation) plus the measured speedups.
 
-Both payloads carry the machine context needed to interpret the numbers:
+The end-to-end performance trajectory is ``perfbench/``.  Every payload
+carries the machine context needed to interpret the numbers:
 Python version, architecture, ``os.cpu_count()`` and the active
 ``REPRO_RUNTIME`` backend (the runtime benchmark pins backends explicitly;
 everything else runs on the environment default).
@@ -38,22 +40,11 @@ _STAGE_TIMINGS: dict[str, float] = {}
 #: Measurement name -> value, populated through `runtime_timings`.
 _RUNTIME_TIMINGS: dict[str, float] = {}
 
-BENCH_FEATURES_PATH = Path(__file__).resolve().parent / "BENCH_features.json"
-BENCH_RUNTIME_PATH = Path(__file__).resolve().parent / "BENCH_runtime.json"
-BENCH_SERVE_PATH = Path(__file__).resolve().parent / "BENCH_serve.json"
-BENCH_KERNELS_PATH = Path(__file__).resolve().parent / "BENCH_kernels.json"
-BENCH_STREAM_PATH = Path(__file__).resolve().parent / "BENCH_stream.json"
-BENCH_MEMORY_PATH = Path(__file__).resolve().parent / "BENCH_memory.json"
-BENCH_FAULTS_PATH = Path(__file__).resolve().parent / "BENCH_faults.json"
-BENCH_SHARD_PATH = Path(__file__).resolve().parent / "BENCH_shard.json"
-BENCH_INGEST_PATH = Path(__file__).resolve().parent / "BENCH_ingest.json"
-BENCH_OBS_PATH = Path(__file__).resolve().parent / "BENCH_obs.json"
+#: Untracked directory the session hook writes the registries to.
+BENCH_OUT_DIR = Path(__file__).resolve().parent.parent / ".bench_out" / "pytest"
 
 #: Measurement name -> value, populated through `serve_timings`.
 _SERVE_TIMINGS: dict[str, float] = {}
-
-#: Measurement name -> value, populated through `kernel_timings`.
-_KERNEL_TIMINGS: dict[str, float] = {}
 
 #: Measurement name -> value, populated through `stream_timings`.
 _STREAM_TIMINGS: dict[str, float] = {}
@@ -136,12 +127,6 @@ def serve_timings() -> dict[str, float]:
 
 
 @pytest.fixture(scope="session")
-def kernel_timings() -> dict[str, float]:
-    """Mutable registry of fast-vs-oracle kernel timings, flushed at session end."""
-    return _KERNEL_TIMINGS
-
-
-@pytest.fixture(scope="session")
 def stream_timings() -> dict[str, float]:
     """Mutable registry of streaming-layer timings, flushed at session end."""
     return _STREAM_TIMINGS
@@ -177,7 +162,7 @@ def obs_timings() -> dict[str, float]:
     return _OBS_TIMINGS
 
 
-def _flush_timings(registry: dict[str, float], key: str, path: Path) -> None:
+def _flush_timings(registry: dict[str, float], key: str, domain: str) -> None:
     if not registry:
         return
     payload = {
@@ -185,20 +170,20 @@ def _flush_timings(registry: dict[str, float], key: str, path: Path) -> None:
         **_machine_metadata(),
         key: {name: round(value, 4) for name, value in sorted(registry.items())},
     }
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+    BENCH_OUT_DIR.mkdir(parents=True, exist_ok=True)
+    (BENCH_OUT_DIR / f"BENCH_{domain}.json").write_text(json.dumps(payload, indent=2) + "\n")
 
 
 def pytest_sessionfinish(session, exitstatus):
-    """Persist the benchmark timing registries for future perf trajectories."""
+    """Persist the benchmark timing registries under ``.bench_out/pytest``."""
     if exitstatus != 0:
         return
-    _flush_timings(_STAGE_TIMINGS, "stages_seconds", BENCH_FEATURES_PATH)
-    _flush_timings(_RUNTIME_TIMINGS, "measurements", BENCH_RUNTIME_PATH)
-    _flush_timings(_SERVE_TIMINGS, "measurements", BENCH_SERVE_PATH)
-    _flush_timings(_KERNEL_TIMINGS, "measurements", BENCH_KERNELS_PATH)
-    _flush_timings(_STREAM_TIMINGS, "measurements", BENCH_STREAM_PATH)
-    _flush_timings(_MEMORY_TIMINGS, "measurements", BENCH_MEMORY_PATH)
-    _flush_timings(_FAULT_TIMINGS, "measurements", BENCH_FAULTS_PATH)
-    _flush_timings(_SHARD_TIMINGS, "measurements", BENCH_SHARD_PATH)
-    _flush_timings(_INGEST_TIMINGS, "measurements", BENCH_INGEST_PATH)
-    _flush_timings(_OBS_TIMINGS, "measurements", BENCH_OBS_PATH)
+    _flush_timings(_STAGE_TIMINGS, "stages_seconds", "features")
+    _flush_timings(_RUNTIME_TIMINGS, "measurements", "runtime")
+    _flush_timings(_SERVE_TIMINGS, "measurements", "serve")
+    _flush_timings(_STREAM_TIMINGS, "measurements", "stream")
+    _flush_timings(_MEMORY_TIMINGS, "measurements", "memory")
+    _flush_timings(_FAULT_TIMINGS, "measurements", "faults")
+    _flush_timings(_SHARD_TIMINGS, "measurements", "shard")
+    _flush_timings(_INGEST_TIMINGS, "measurements", "ingest")
+    _flush_timings(_OBS_TIMINGS, "measurements", "obs")

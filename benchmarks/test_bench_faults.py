@@ -16,7 +16,7 @@ in production and the chaos guarantees are theoretical.  Two measurements:
   ``worker.death`` plan: wall-clock to completion recorded ungated, with
   the bitwise-equivalence and zero-leak invariants asserted on every run.
 
-All numbers land in ``benchmarks/BENCH_faults.json`` via the session
+All numbers land in ``.bench_out/pytest/BENCH_faults.json`` via the session
 hook, alongside the fault-plan metadata every benchmark JSON now carries.
 """
 

@@ -6,15 +6,17 @@ Times the 11-configuration Table III ablation twice over the same split:
   profile: per-matcher scalar extraction (one pipeline pass per matcher, so
   the neural sets predict one sample at a time), no feature-block cache
   (every configuration re-extracts and refits everything) and the
-  historical scalar split search in the tree-based classifiers;
+  historical scalar split search (``tests/oracles/ml.py``, installed with
+  ``monkeypatch``) in the tree-based classifiers;
 * **cached engine** — batched extraction, one shared
-  :class:`FeatureBlockCache` and the vectorized split search (the defaults
-  everywhere in the code base).
+  :class:`FeatureBlockCache` and the vectorized split search (the only
+  production path).
 
 Both runs must produce bitwise-identical accuracy rows, and the cached
 engine must be at least 2x faster.  Per-stage timings (offline extraction,
 full pipeline fit, both ablation runs) are recorded into
-``benchmarks/BENCH_features.json`` via the session hook in ``conftest.py``.
+``.bench_out/pytest/BENCH_features.json`` via the session hook in
+``conftest.py``.
 """
 
 import time
@@ -26,7 +28,9 @@ from repro.core.characterizer import MExICharacterizer, MExIVariant, default_cla
 from repro.core.expert_model import characterize_population, labels_matrix
 from repro.core.features import FeatureBlockCache, FeaturePipeline
 from repro.ml.model_selection import train_test_split
+from repro.ml.tree import DecisionTreeClassifier
 from repro.simulation.dataset import build_dataset
+from tests.oracles.ml import best_split_scalar
 
 
 class _PerMatcherPipeline(FeaturePipeline):
@@ -62,9 +66,7 @@ def _run_seed_equivalent(train, train_labels, test, test_labels, bench_config):
         model = MExICharacterizer(
             variant=MExIVariant.SUB_50,
             pipeline=pipeline,
-            classifier_bank=lambda: default_classifier_bank(
-                bench_config.random_state, split_search="scalar"
-            ),
+            classifier_bank=lambda: default_classifier_bank(bench_config.random_state),
             random_state=bench_config.random_state,
         )
         model.fit(train, train_labels)
@@ -73,7 +75,7 @@ def _run_seed_equivalent(train, train_labels, test, test_labels, bench_config):
     return rows
 
 
-def test_bench_features_engine(bench_config, stage_timings):
+def test_bench_features_engine(bench_config, stage_timings, monkeypatch):
     dataset = build_dataset(
         n_po_matchers=bench_config.n_po_matchers,
         n_oaei_matchers=2,
@@ -111,9 +113,11 @@ def test_bench_features_engine(bench_config, stage_timings):
     test_labels = labels_matrix(test_profiles)
 
     # Stage: the 11-configuration ablation, seed-equivalent baseline.
-    start = time.perf_counter()
-    seed_rows = _run_seed_equivalent(train, train_labels, test, test_labels, bench_config)
-    seed_seconds = time.perf_counter() - start
+    with monkeypatch.context() as patch:
+        patch.setattr(DecisionTreeClassifier, "_best_split", best_split_scalar)
+        start = time.perf_counter()
+        seed_rows = _run_seed_equivalent(train, train_labels, test, test_labels, bench_config)
+        seed_seconds = time.perf_counter() - start
     stage_timings["ablation_seed_equivalent"] = seed_seconds
 
     # Stage: the same ablation on the cached batch-first engine.

@@ -16,7 +16,7 @@ so its two costs are what decide whether anyone runs it screened:
   cohort file, screened end to end: throughput recorded ungated, the
   exact-count and survivor-fingerprint invariants asserted always.
 
-Numbers land in ``benchmarks/BENCH_ingest.json`` via the session hook,
+Numbers land in ``.bench_out/pytest/BENCH_ingest.json`` via the session hook,
 with the usual machine + fault-plan metadata.
 """
 

@@ -26,7 +26,7 @@ fan-out-shaped gate, on ``cpu_count >= 2`` hosts (like the runtime
 gates); the tier-1 job still runs this module for the equivalence
 assertions, so correctness is checked on every push while wall-clock
 flakiness cannot break the build.  All numbers land in
-``benchmarks/BENCH_memory.json`` via the session hook.
+``.bench_out/pytest/BENCH_memory.json`` via the session hook.
 """
 
 import os

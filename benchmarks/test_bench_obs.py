@@ -1,6 +1,6 @@
 """Telemetry-plane overhead benchmark: replay with obs on vs off.
 
-One end-to-end measurement, recorded into ``benchmarks/BENCH_obs.json``:
+One end-to-end measurement, recorded into ``.bench_out/pytest/BENCH_obs.json``:
 the same seeded streaming replay (:class:`~repro.shard.ReplayDriver`
 over a :class:`~repro.stream.SessionManager`) runs twice — once with the
 telemetry plane enabled (metrics + spans recording into a fresh registry

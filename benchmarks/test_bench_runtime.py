@@ -9,7 +9,7 @@ Times the three training-layer hot loops under every TaskRunner backend:
 Outputs must be **bitwise identical** on every backend — serial is the
 oracle — and on a multi-core machine the ``process`` backend must beat the
 serial ablation by at least 1.5x.  All wall-clock numbers (and the derived
-speedups) are recorded into ``benchmarks/BENCH_runtime.json`` via the
+speedups) are recorded into ``.bench_out/pytest/BENCH_runtime.json`` via the
 session hook in ``conftest.py``.
 """
 

@@ -10,7 +10,7 @@ Times the serving life-cycle at the reduced benchmark scale:
 
 Determinism is asserted alongside the timings: the loaded model and the
 service must reproduce the in-memory predictions bitwise.  All numbers
-are recorded into ``benchmarks/BENCH_serve.json`` via the session hook
+are recorded into ``.bench_out/pytest/BENCH_serve.json`` via the session hook
 in ``conftest.py``.
 """
 

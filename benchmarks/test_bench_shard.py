@@ -1,6 +1,6 @@
 """Sharded serving benchmark: fleet-scale replay, latency, chaos, determinism.
 
-One end-to-end measurement, recorded into ``benchmarks/BENCH_shard.json``:
+One end-to-end measurement, recorded into ``.bench_out/pytest/BENCH_shard.json``:
 a seeded synthetic workload is replayed through a multi-shard
 :class:`~repro.shard.ShardFleet` — including **one injected shard death
 with a checkpoint restore mid-replay** — and through a single

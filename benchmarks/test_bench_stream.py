@@ -1,6 +1,6 @@
 """Streaming-layer benchmark: ingest throughput, live re-characterization.
 
-Three measurements, recorded into ``benchmarks/BENCH_stream.json``:
+Three measurements, recorded into ``.bench_out/pytest/BENCH_stream.json``:
 
 * **sustained ingest** — events/second streamed through a
   :class:`SessionManager` (chunked arrivals into many concurrent

@@ -26,8 +26,8 @@ together with every substrate it depends on:
 * :mod:`repro.stream` -- the streaming session layer: incremental event
   ingestion, online feature maintenance, live multi-session
   characterization, checkpoints, and the ``replay`` CLI.
-* :mod:`repro.kernels` -- fast-vs-oracle selection for the vectorized
-  hot-path kernels (``REPRO_KERNELS`` / :func:`repro.kernels.use_kernels`).
+* :mod:`repro.kernels` -- the kernel set reported in run provenance
+  (always ``"fast"``; the scalar reference loops live in ``tests/oracles``).
 
 Quickstart
 ----------

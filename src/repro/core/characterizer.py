@@ -58,22 +58,13 @@ class MExIVariant(enum.Enum):
         return MEXI_70
 
 
-def default_classifier_bank(
-    random_state: int = 0, split_search: str = "vectorized"
-) -> list[BaseClassifier]:
-    """The candidate classifiers MExI selects from, per characteristic.
-
-    ``split_search`` is forwarded to the tree-based candidates; passing
-    ``"scalar"`` reproduces the seed implementation's selection cost exactly
-    (benchmark baseline) while selecting bitwise-identical classifiers.
-    """
+def default_classifier_bank(random_state: int = 0) -> list[BaseClassifier]:
+    """The candidate classifiers MExI selects from, per characteristic."""
     return [
-        RandomForestClassifier(
-            n_estimators=30, max_depth=6, random_state=random_state, split_search=split_search
-        ),
+        RandomForestClassifier(n_estimators=30, max_depth=6, random_state=random_state),
         LogisticRegression(n_iterations=200),
         LinearSVC(n_iterations=200),
-        DecisionTreeClassifier(max_depth=5, random_state=random_state, split_search=split_search),
+        DecisionTreeClassifier(max_depth=5, random_state=random_state),
         GaussianNB(),
     ]
 

@@ -1,68 +1,14 @@
-"""Fast-vs-oracle kernel selection for the vectorized hot paths.
+"""The kernel set the vectorized hot paths run on, for run provenance.
 
-Several inner kernels keep two implementations around:
-
-* a **fast** NumPy-vectorized path (im2col convolution, fused-gate LSTM
-  stepping, bincount heat maps, masked structural predictors), and
-* the original **oracle** scalar loop, retained as the reference the fast
-  path is asserted against (mirroring the ``split_search="scalar"`` and
-  ``resample="loop"`` precedents of earlier PRs).
-
-The active implementation is chosen through the ``REPRO_KERNELS``
-environment variable (``fast`` — the default — or ``oracle``).  Using the
-environment rather than module state means the choice survives into
-:class:`~repro.runtime.TaskRunner` process workers, so equivalence can be
-asserted on every backend.  :func:`use_kernels` scopes a temporary switch::
-
-    with use_kernels("oracle"):
-        reference = layer.forward(batch)
-    fast = layer.forward(batch)
-    np.testing.assert_array_equal(fast, reference)
+Every numeric kernel (im2col convolution, fused-gate LSTM stepping,
+bincount heat maps, masked structural predictors, vectorized split search)
+has exactly one production implementation.  The scalar reference loops
+they are asserted against live in the test suite (``tests/oracles``).
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from typing import Iterator
-
-#: Environment variable selecting the kernel implementation set.
-KERNELS_ENV_VAR = "REPRO_KERNELS"
-
-#: Recognised implementation sets.
-KERNEL_IMPLS: tuple[str, ...] = ("fast", "oracle")
-
 
 def active_kernels() -> str:
-    """The active kernel implementation set (``"fast"`` unless overridden)."""
-    value = os.environ.get(KERNELS_ENV_VAR, "fast") or "fast"
-    if value not in KERNEL_IMPLS:
-        raise ValueError(
-            f"{KERNELS_ENV_VAR}={value!r} is not a known kernel set {KERNEL_IMPLS}"
-        )
-    return value
-
-
-def oracle_active() -> bool:
-    """Whether the retained scalar-loop oracles are the active kernels."""
-    return active_kernels() == "oracle"
-
-
-@contextmanager
-def use_kernels(impl: str) -> Iterator[None]:
-    """Temporarily select a kernel implementation set (process-worker safe).
-
-    The switch is written to ``os.environ`` so TaskRunner process workers
-    created inside the block inherit it.
-    """
-    if impl not in KERNEL_IMPLS:
-        raise ValueError(f"unknown kernel set {impl!r}; choose from {KERNEL_IMPLS}")
-    previous = os.environ.get(KERNELS_ENV_VAR)
-    os.environ[KERNELS_ENV_VAR] = impl
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(KERNELS_ENV_VAR, None)
-        else:
-            os.environ[KERNELS_ENV_VAR] = previous
+    """The kernel implementation set: always ``"fast"``."""
+    return "fast"

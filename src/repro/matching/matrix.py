@@ -147,9 +147,9 @@ class MatchingMatrix:
     def top_1_per_row(self) -> "MatchingMatrix":
         """Keep only the maximal entry per row (ties keep the first).
 
-        Vectorized whole-matrix argmax; bitwise-identical to the retained
-        row-loop oracle (:meth:`_top_1_per_row_loop`) — the kept values are
-        the same array elements, argmax shares the loop's first-tie rule.
+        Vectorized whole-matrix argmax; bitwise-identical to a row-by-row
+        loop — the kept values are the same array elements, and argmax
+        shares the loop's first-tie rule.
         """
         new_values = np.zeros_like(self._values)
         if self._values.shape[0] and self._values.shape[1]:
@@ -157,16 +157,6 @@ class MatchingMatrix:
             best_col = np.argmax(self._values, axis=1)
             keep = row_max > 0
             new_values[np.flatnonzero(keep), best_col[keep]] = row_max[keep]
-        return MatchingMatrix(new_values, pair=self.pair)
-
-    def _top_1_per_row_loop(self) -> "MatchingMatrix":
-        """Original row-by-row implementation (retained oracle)."""
-        new_values = np.zeros_like(self._values)
-        for i in range(self.n_rows):
-            row = self._values[i]
-            if row.max() > 0:
-                j = int(np.argmax(row))
-                new_values[i, j] = row[j]
         return MatchingMatrix(new_values, pair=self.pair)
 
     def copy(self) -> "MatchingMatrix":

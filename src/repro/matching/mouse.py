@@ -20,7 +20,6 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from repro.kernels import oracle_active
 from repro.matching import events as _events
 from repro.matching.events import EventArray
 
@@ -85,14 +84,12 @@ class HeatMap:
 
         Vectorized via ``np.add.reduceat`` over the bin edges; the counts
         are visit frequencies (integer-valued), so the pooled sums are
-        bitwise-identical to the retained double-loop oracle for divisible
+        bitwise-identical to a per-target-cell double loop for divisible
         and non-divisible shapes alike.
         """
         target_rows, target_cols = shape
         if target_rows <= 0 or target_cols <= 0:
             raise ValueError("target shape must be positive")
-        if oracle_active():
-            return HeatMap(self._downscale_loop(shape))
         rows, cols = self.shape
         if rows == 0 or cols == 0:
             return HeatMap(np.zeros(shape, dtype=float))
@@ -108,21 +105,6 @@ class HeatMap:
         if empty_cols.any():
             pooled[:, empty_cols] = 0.0
         return HeatMap(pooled)
-
-    def _downscale_loop(self, shape: tuple[int, int]) -> np.ndarray:
-        """The original per-target-cell pooling loop (retained oracle)."""
-        target_rows, target_cols = shape
-        rows, cols = self.shape
-        row_edges = np.linspace(0, rows, target_rows + 1).astype(int)
-        col_edges = np.linspace(0, cols, target_cols + 1).astype(int)
-        pooled = np.zeros(shape, dtype=float)
-        for i in range(target_rows):
-            for j in range(target_cols):
-                block = self._counts[
-                    row_edges[i] : row_edges[i + 1], col_edges[j] : col_edges[j + 1]
-                ]
-                pooled[i, j] = block.sum()
-        return pooled
 
     def region_mass(self, row_slice: slice, col_slice: slice) -> float:
         """Fraction of the total mass falling in a screen region."""
@@ -221,10 +203,7 @@ class MovementMap:
         return [e for e in self.events if e.event_type == event_type]
 
     def count_by_type(self) -> dict[MouseEventType, int]:
-        if oracle_active():
-            counts = self._data.counts_by_code_loop()
-        else:
-            counts = self._data.counts_by_code()
+        counts = self._data.counts_by_code()
         return {
             event_type: int(counts[_events.EVENT_CODES[event_type.value]])
             for event_type in MouseEventType
@@ -270,15 +249,11 @@ class MovementMap:
         Positions are clipped to the screen, then binned onto a grid of
         ``shape`` (defaults to the full screen resolution).  The fast path
         is one ``bincount``; counts are integers, so it is bitwise-identical
-        to the retained event-by-event oracle.
+        to event-by-event binning.
         """
         grid = shape if shape is not None else self.screen
         code = None if event_type is None else _events.EVENT_CODES[event_type.value]
-        if oracle_active():
-            counts = self._data.heat_map_counts_loop(self.screen, grid, code=code)
-        else:
-            counts = self._data.heat_map_counts(self.screen, grid, code=code)
-        return HeatMap(counts)
+        return HeatMap(self._data.heat_map_counts(self.screen, grid, code=code))
 
     def heat_maps_by_type(self, shape: Optional[tuple[int, int]] = None) -> dict[MouseEventType, HeatMap]:
         """The four heat maps the paper's CNN consumes: move/left/right/scroll."""

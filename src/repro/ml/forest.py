@@ -47,7 +47,6 @@ class RandomForestClassifier(BaseClassifier):
         max_features: Optional[int | str] = "sqrt",
         bootstrap: bool = True,
         random_state: Optional[int] = None,
-        split_search: str = "vectorized",
         runtime: RuntimeSpec = None,
     ) -> None:
         super().__init__()
@@ -60,7 +59,6 @@ class RandomForestClassifier(BaseClassifier):
         self.max_features = max_features
         self.bootstrap = bootstrap
         self.random_state = random_state
-        self.split_search = split_search
         self.runtime = runtime
         self.estimators_: list[DecisionTreeClassifier] = []
         self.feature_importances_: np.ndarray | None = None
@@ -86,7 +84,6 @@ class RandomForestClassifier(BaseClassifier):
             min_samples_split=self.min_samples_split,
             min_samples_leaf=self.min_samples_leaf,
             max_features=self.max_features,
-            split_search=self.split_search,
         )
         self.estimators_ = resolve_runner(self.runtime).map(
             _fit_tree_task, draws, context=(params, X, y)

@@ -55,12 +55,6 @@ class DecisionTreeClassifier(BaseClassifier):
         ``"sqrt"``, or an integer.  Random forests use ``"sqrt"``.
     random_state:
         Seed for the per-split feature sub-sampling.
-    split_search:
-        ``"vectorized"`` (default) evaluates all candidate thresholds of a
-        feature in one NumPy pass; ``"scalar"`` keeps the historical
-        per-threshold Python loop.  Both produce bitwise-identical trees;
-        the scalar path is retained as an equivalence oracle for tests and
-        as the seed-implementation baseline for benchmarks.
     """
 
     def __init__(
@@ -70,17 +64,13 @@ class DecisionTreeClassifier(BaseClassifier):
         min_samples_leaf: int = 1,
         max_features: Optional[int | str] = None,
         random_state: Optional[int] = None,
-        split_search: str = "vectorized",
     ) -> None:
         super().__init__()
-        if split_search not in ("vectorized", "scalar"):
-            raise ValueError(f"unsupported split_search value {split_search!r}")
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self.random_state = random_state
-        self.split_search = split_search
         self._root: Optional[_TreeNode] = None
         self._rng = np.random.default_rng(random_state)
         self.feature_importances_: np.ndarray | None = None
@@ -102,47 +92,6 @@ class DecisionTreeClassifier(BaseClassifier):
         assert self.classes_ is not None
         return np.bincount(y_encoded, minlength=self.classes_.size).astype(float)
 
-    def _best_split_scalar(
-        self, X: np.ndarray, y_encoded: np.ndarray
-    ) -> Optional[tuple[int, float, np.ndarray]]:
-        """The historical per-threshold scan (kept as an equivalence oracle)."""
-        n_samples, n_features = X.shape
-        parent_counts = self._class_counts(y_encoded)
-        parent_impurity = _gini(parent_counts)
-        if parent_impurity == 0.0:
-            return None
-
-        candidate_features = self._rng.choice(
-            n_features, size=self._n_split_features(n_features), replace=False
-        )
-        best: Optional[tuple[int, float, np.ndarray]] = None
-        best_score = parent_impurity - 1e-12
-
-        for feature in candidate_features:
-            order = np.argsort(X[:, feature], kind="stable")
-            values = X[order, feature]
-            labels = y_encoded[order]
-            left_counts = np.zeros_like(parent_counts)
-            right_counts = parent_counts.copy()
-            for split_index in range(1, n_samples):
-                label = labels[split_index - 1]
-                left_counts[label] += 1
-                right_counts[label] -= 1
-                if values[split_index] == values[split_index - 1]:
-                    continue
-                n_left = split_index
-                n_right = n_samples - split_index
-                if n_left < self.min_samples_leaf or n_right < self.min_samples_leaf:
-                    continue
-                weighted = (
-                    n_left * _gini(left_counts) + n_right * _gini(right_counts)
-                ) / n_samples
-                if weighted < best_score:
-                    best_score = weighted
-                    threshold = (values[split_index] + values[split_index - 1]) / 2.0
-                    best = (int(feature), float(threshold), left_counts.copy())
-        return best
-
     def _best_split(
         self, X: np.ndarray, y_encoded: np.ndarray
     ) -> Optional[tuple[int, float, np.ndarray]]:
@@ -152,11 +101,9 @@ class DecisionTreeClassifier(BaseClassifier):
         feature, cumulative class counts give every left/right Gini in one
         shot.  Selection order (feature order, first index achieving the
         minimum, strict improvement over the running best) matches the
-        scalar scan exactly, so fitted trees are bitwise identical to the
-        historical implementation.
+        historical per-threshold scan exactly, so fitted trees are bitwise
+        identical to it (``tests/oracles/ml.py`` keeps that scan).
         """
-        if self.split_search == "scalar":
-            return self._best_split_scalar(X, y_encoded)
         n_samples, n_features = X.shape
         parent_counts = self._class_counts(y_encoded)
         parent_impurity = _gini(parent_counts)
@@ -188,7 +135,7 @@ class DecisionTreeClassifier(BaseClassifier):
         weighted = (n_left[:, None] * gini_left + n_right[:, None] * gini_right) / n_samples
         weighted[~valid] = np.inf
 
-        # Selection order matches the scalar scan: features in candidate
+        # Selection order matches the per-threshold scan: features in candidate
         # order, first index achieving each feature's minimum, strict
         # improvement over the running best.
         best: Optional[tuple[int, float, np.ndarray]] = None

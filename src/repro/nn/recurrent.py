@@ -11,10 +11,9 @@ matrix multiply per timestep (the four gate weight matrices concatenated
 into one ``(features + hidden, 4 * hidden)`` operand), instead of four
 separate per-gate products; the backward pass mirrors this with one fused
 pre-activation gradient product per timestep.  The original per-gate
-implementation is retained as the oracle (``REPRO_KERNELS=oracle``) and the
-two are asserted equivalent to tight tolerance (fusing the GEMM operands
-may reassociate floating-point accumulation) in
-``tests/nn/test_kernel_equivalence.py``.
+implementation lives in ``tests/oracles/nn.py``; the two are asserted
+equivalent to tight tolerance (fusing the GEMM operands may reassociate
+floating-point accumulation) in ``tests/nn/test_kernel_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.kernels import oracle_active
 from repro.nn.layers import Layer
 
 # Fused operand layout: the three sigmoid gates first so one sigmoid
@@ -78,21 +76,6 @@ class LSTM(Layer):
             raise ValueError(
                 f"LSTM expected {self.input_dim} input features, got {x.shape[2]}"
             )
-        if oracle_active():
-            return self._forward_gates(x)
-        return self._forward_fused(x)
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        assert self._cache is not None
-        if self._cache["impl"] == "gates":
-            return self._backward_gates(grad)
-        return self._backward_fused(grad)
-
-    # ------------------------------------------------------------------ #
-    # Fast path: one fused-gate GEMM per timestep over the whole batch
-    # ------------------------------------------------------------------ #
-
-    def _forward_fused(self, x: np.ndarray) -> np.ndarray:
         batch, time_steps, _ = x.shape
         hidden = self.hidden_dim
         weights, biases = self._fused_weights()
@@ -111,10 +94,11 @@ class LSTM(Layer):
             c = f * c_prev + i * c_hat
             h = o * np.tanh(c)
             steps.append((concat, f, i, c_hat, o, c, c_prev))
-        self._cache = {"impl": "fused", "x": x, "steps": steps, "weights": weights}
+        self._cache = {"x": x, "steps": steps, "weights": weights}
         return h
 
-    def _backward_fused(self, grad: np.ndarray) -> np.ndarray:
+    def backward(self, grad: np.ndarray) -> np.ndarray:
+        assert self._cache is not None
         cache = self._cache
         x = cache["x"]
         batch, time_steps, _ = x.shape
@@ -151,80 +135,6 @@ class LSTM(Layer):
         for index, gate in enumerate(_GATES):
             self.grads[f"W_{gate}"] = d_weights[:, index * hidden : (index + 1) * hidden].copy()
             self.grads[f"b_{gate}"] = d_biases[index * hidden : (index + 1) * hidden].copy()
-        return grad_input
-
-    # ------------------------------------------------------------------ #
-    # Retained oracle: per-gate products (the original implementation)
-    # ------------------------------------------------------------------ #
-
-    def _forward_gates(self, x: np.ndarray) -> np.ndarray:
-        batch, time_steps, _ = x.shape
-        h = np.zeros((batch, self.hidden_dim))
-        c = np.zeros((batch, self.hidden_dim))
-        steps = []
-        for t in range(time_steps):
-            concat = np.concatenate([x[:, t, :], h], axis=1)
-            f = _sigmoid(concat @ self.params["W_f"] + self.params["b_f"])
-            i = _sigmoid(concat @ self.params["W_i"] + self.params["b_i"])
-            c_hat = np.tanh(concat @ self.params["W_c"] + self.params["b_c"])
-            o = _sigmoid(concat @ self.params["W_o"] + self.params["b_o"])
-            c_prev = c
-            c = f * c_prev + i * c_hat
-            h = o * np.tanh(c)
-            steps.append(
-                {"concat": concat, "f": f, "i": i, "c_hat": c_hat, "o": o, "c": c, "c_prev": c_prev}
-            )
-        self._cache = {"impl": "gates", "x": x, "steps": steps}
-        return h
-
-    def _backward_gates(self, grad: np.ndarray) -> np.ndarray:
-        x = self._cache["x"]
-        steps = self._cache["steps"]
-        batch, time_steps, _ = x.shape
-
-        for key in self.grads:
-            self.grads[key] = np.zeros_like(self.params[key])
-
-        grad_input = np.zeros_like(x)
-        dh_next = grad
-        dc_next = np.zeros((batch, self.hidden_dim))
-
-        for t in reversed(range(time_steps)):
-            step = steps[t]
-            tanh_c = np.tanh(step["c"])
-            do = dh_next * tanh_c
-            dc = dh_next * step["o"] * (1.0 - tanh_c**2) + dc_next
-            df = dc * step["c_prev"]
-            di = dc * step["c_hat"]
-            dc_hat = dc * step["i"]
-            dc_prev = dc * step["f"]
-
-            # Pre-activation gradients.
-            do_pre = do * step["o"] * (1.0 - step["o"])
-            df_pre = df * step["f"] * (1.0 - step["f"])
-            di_pre = di * step["i"] * (1.0 - step["i"])
-            dc_hat_pre = dc_hat * (1.0 - step["c_hat"] ** 2)
-
-            concat = step["concat"]
-            self.grads["W_f"] += concat.T @ df_pre
-            self.grads["W_i"] += concat.T @ di_pre
-            self.grads["W_c"] += concat.T @ dc_hat_pre
-            self.grads["W_o"] += concat.T @ do_pre
-            self.grads["b_f"] += df_pre.sum(axis=0)
-            self.grads["b_i"] += di_pre.sum(axis=0)
-            self.grads["b_c"] += dc_hat_pre.sum(axis=0)
-            self.grads["b_o"] += do_pre.sum(axis=0)
-
-            d_concat = (
-                df_pre @ self.params["W_f"].T
-                + di_pre @ self.params["W_i"].T
-                + dc_hat_pre @ self.params["W_c"].T
-                + do_pre @ self.params["W_o"].T
-            )
-            grad_input[:, t, :] = d_concat[:, : self.input_dim]
-            dh_next = d_concat[:, self.input_dim :]
-            dc_next = dc_prev
-
         return grad_input
 
     def output_dim(self, input_dim):

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels import oracle_active
 from repro.matching.matrix import MatchingMatrix
 from repro.predictors.base import MatchingPredictor
 
@@ -51,17 +50,11 @@ class RowEntropyPredictor(MatchingPredictor):
         if values.size == 0 or values.shape[1] <= 1:
             return 0.0
         max_entropy = np.log2(values.shape[1])
-        if oracle_active():
-            entropies = [
-                _entropy(values[i]) / max_entropy if max_entropy > 0 else 0.0
-                for i in range(values.shape[0])
-            ]
-            return float(np.mean(entropies))
         if max_entropy <= 0:
             return 0.0
         # Whole-matrix row entropies; zero terms contribute exactly 0.0, so
-        # the fast path matches the retained per-row oracle to float
-        # reassociation (asserted at tight tolerance in the tests).
+        # this matches a per-row ``_entropy`` loop to float reassociation
+        # (asserted at tight tolerance in the tests).
         totals = values.sum(axis=1)
         safe_totals = np.where(totals > 0, totals, 1.0)
         p = values / safe_totals[:, None]

@@ -10,14 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels import oracle_active
 from repro.matching.matrix import MatchingMatrix
 from repro.predictors.base import MatchingPredictor
-
-
-def _nonzero(matrix: MatchingMatrix) -> np.ndarray:
-    values = matrix.values
-    return values[values > 0]
 
 
 def _dominant_mask(values: np.ndarray) -> np.ndarray:
@@ -32,9 +26,9 @@ class DominantsPredictor(MatchingPredictor):
 
     A dominant entry holds the maximal confidence of its row *and* its
     column; a high proportion of dominants indicates a decisive, precise
-    match (the ``dom`` feature of Table IV).  The fast path is a boolean
-    mask over the whole matrix; counts are integers, so it is
-    bitwise-identical to the retained entry-loop oracle.
+    match (the ``dom`` feature of Table IV).  One boolean mask over the
+    whole matrix; counts are integers, so it is bitwise-identical to an
+    entry-by-entry loop.
     """
 
     name = "dom"
@@ -42,18 +36,6 @@ class DominantsPredictor(MatchingPredictor):
 
     def __call__(self, matrix: MatchingMatrix) -> float:
         values = matrix.values
-        if oracle_active():
-            nonzero = matrix.nonzero_entries()
-            if not nonzero:
-                return 0.0
-            row_max = values.max(axis=1)
-            col_max = values.max(axis=0)
-            dominants = sum(
-                1
-                for (i, j) in nonzero
-                if values[i, j] >= row_max[i] and values[i, j] >= col_max[j]
-            )
-            return dominants / len(nonzero)
         n_nonzero = int(np.count_nonzero(values))
         if not n_nonzero:
             return 0.0
@@ -63,9 +45,9 @@ class DominantsPredictor(MatchingPredictor):
 class MutualDominancePredictor(MatchingPredictor):
     """Average confidence of mutually dominant entries (0 when none exist).
 
-    The fast path extracts the dominant entries with one mask (row-major
-    order, exactly the retained double-loop oracle's visit order), so the
-    averaged values — and hence the mean — are bitwise identical.
+    One mask extracts the dominant entries in row-major order, exactly a
+    double loop's visit order, so the averaged values — and hence the
+    mean — are bitwise identical to the loop's.
     """
 
     name = "mcd"
@@ -75,18 +57,6 @@ class MutualDominancePredictor(MatchingPredictor):
         values = matrix.values
         if values.size == 0:
             return 0.0
-        if oracle_active():
-            row_max = values.max(axis=1)
-            col_max = values.max(axis=0)
-            dominant_values = [
-                values[i, j]
-                for i in range(values.shape[0])
-                for j in range(values.shape[1])
-                if values[i, j] > 0 and values[i, j] >= row_max[i] and values[i, j] >= col_max[j]
-            ]
-            if not dominant_values:
-                return 0.0
-            return float(np.mean(dominant_values))
         dominant_values = values[_dominant_mask(values)]
         if not dominant_values.size:
             return 0.0

@@ -5,9 +5,7 @@ tasks: the forest grows its trees one at a time, cross-validation visits its
 folds serially, the Table III ablation runs eleven configurations
 back-to-back and the bootstrap test draws thousands of resamples.
 :class:`TaskRunner` fans such loops out across cores while keeping the
-results **bitwise identical** to the serial loop, which stays the oracle
-(mirroring the ``split_search="scalar"`` precedent of the vectorized split
-search).
+results **bitwise identical** to the serial loop, which stays the oracle.
 
 The determinism contract rests on two rules:
 
@@ -857,13 +855,24 @@ class TaskRunner:
                 )
                 try:
                     futures = {}
-                    for index in current:
+                    for position, index in enumerate(current):
                         wrapper = _SupervisedCall(
                             function, index, attempts[index], plan,
                             with_context=context is not None, in_process_pool=True,
                         )
                         submitted = _ObsCall(wrapper, obs_parent) if telemetry else wrapper
-                        futures[executor.submit(submitted, items[index])] = index
+                        try:
+                            futures[executor.submit(submitted, items[index])] = index
+                        except BrokenExecutor as error:
+                            # A worker died (e.g. a failed initializer) before
+                            # the submit loop finished: the pool is broken, and
+                            # every task not yet submitted fails with it.
+                            pool_broken = True
+                            last_error = error
+                            for unsubmitted in current[position:]:
+                                errors[unsubmitted] = error
+                                failed.append(unsubmitted)
+                            break
                     unfinished = set(futures)
                     while unfinished:
                         completed, unfinished = wait(

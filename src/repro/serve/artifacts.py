@@ -44,6 +44,7 @@ caller's responsibility) — and the
 
 from __future__ import annotations
 
+import inspect
 import json
 from pathlib import Path
 from typing import Any, Callable, Optional, Union
@@ -236,6 +237,18 @@ def _runtime_spec(runtime: Any) -> Optional[str]:
 # --------------------------------------------------------------------- #
 
 
+def _construct(cls: type, params: dict):
+    """``cls(**params)``, minus the keyword arguments ``cls`` no longer takes.
+
+    Bundles from older versions may store retired constructor options
+    (the trees' former scalar/vectorized split-search selector).  Those
+    never changed the fitted model, so dropping them keeps such bundles
+    loadable with bitwise-identical predictions.
+    """
+    accepted = inspect.signature(cls).parameters
+    return cls(**{name: params[name] for name in params if name in accepted})
+
+
 @_codec("ml.decision_tree", DecisionTreeClassifier)
 class _DecisionTreeCodec:
     def encode(self, tree: DecisionTreeClassifier, encoder: _Encoder) -> dict:
@@ -247,7 +260,6 @@ class _DecisionTreeCodec:
                 "min_samples_leaf": tree.min_samples_leaf,
                 "max_features": tree.max_features,
                 "random_state": tree.random_state,
-                "split_search": tree.split_search,
             },
             **_classifier_state(tree, encoder),
             "importances": encoder.put_optional("importances", tree.feature_importances_),
@@ -258,7 +270,7 @@ class _DecisionTreeCodec:
         }
 
     def decode(self, spec: dict, decoder: _Decoder) -> DecisionTreeClassifier:
-        tree = DecisionTreeClassifier(**spec["params"])
+        tree = _construct(DecisionTreeClassifier, spec["params"])
         _restore_classifier_state(tree, spec, decoder)
         tree.feature_importances_ = decoder.get_optional(spec["importances"])
         tree.set_tree_arrays({name: decoder.get(ref) for name, ref in spec["nodes"].items()})
@@ -278,7 +290,6 @@ class _RandomForestCodec:
                 "max_features": forest.max_features,
                 "bootstrap": forest.bootstrap,
                 "random_state": forest.random_state,
-                "split_search": forest.split_search,
                 "runtime": _runtime_spec(forest.runtime),
             },
             **_classifier_state(forest, encoder),
@@ -287,7 +298,7 @@ class _RandomForestCodec:
         }
 
     def decode(self, spec: dict, decoder: _Decoder) -> RandomForestClassifier:
-        forest = RandomForestClassifier(**spec["params"])
+        forest = _construct(RandomForestClassifier, spec["params"])
         _restore_classifier_state(forest, spec, decoder)
         forest.feature_importances_ = decoder.get_optional(spec["importances"])
         forest.estimators_ = [decoder.decode(tree) for tree in spec["estimators"]]

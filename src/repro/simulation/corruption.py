@@ -156,7 +156,13 @@ def write_corrupted_trace(
 
     # Flatten the workload into per-line plans, tracking each row's
     # session, kind, and index-within-kind so damage is attributable.
+    # clock_skew eligibility: a same-kind predecessor exists and the
+    # rewound timestamp stays non-negative even at the maximum margin
+    # (2.0, matching the draw below) — a negative timestamp would land
+    # in schema_invalid instead and skew the expected counters.
     rows: list[tuple[str, str, int, dict]] = []
+    skew_eligible: list[bool] = []
+    previous_t: dict[tuple[str, str], float] = {}
     per_kind_counts: dict[tuple[str, str], int] = {}
     for trace in traces:
         for kind, record in iter_trace_records(trace):
@@ -168,34 +174,29 @@ def write_corrupted_trace(
             index = per_kind_counts.get(key, 0)
             per_kind_counts[key] = index + 1
             rows.append((trace.session_id, kind, index, record))
+            skew_eligible.append(
+                key in previous_t and previous_t[key] - clock_skew_tolerance - 2.0 > 0.0
+            )
+            previous_t[key] = record["t"]
     if not rows:
         raise ValueError("cannot corrupt an empty workload")
-
-    # clock_skew eligibility: a same-kind predecessor exists and the
-    # rewound timestamp stays non-negative even at the maximum margin
-    # (2.0, matching the draw below) — a negative timestamp would land
-    # in schema_invalid instead and skew the expected counters.
-    def skew_eligible(position: int) -> bool:
-        session_id, kind, index, record = rows[position]
-        if index < 1:
-            return False
-        previous = next(
-            row[3]["t"]
-            for row in reversed(rows[:position])
-            if row[0] == session_id and row[1] == kind
-        )
-        return previous - clock_skew_tolerance - 2.0 > 0.0
 
     n_damage = n_unparseable + n_schema_invalid + n_clock_skew + n_duplicate
     if n_damage > len(rows):
         raise ValueError(
             f"requested {n_damage} damaged rows but the workload has {len(rows)}"
         )
-    order = rng.permutation(len(rows))
-    skew_targets = [p for p in order.tolist() if skew_eligible(p)][:n_clock_skew]
+    order = rng.permutation(len(rows)).tolist()
+    skew_targets: list[int] = []
+    for position in order:
+        if len(skew_targets) == n_clock_skew:
+            break
+        if skew_eligible[position]:
+            skew_targets.append(position)
     if len(skew_targets) < n_clock_skew:
         raise ValueError("not enough clock_skew-eligible rows in the workload")
-    remaining = [p for p in order.tolist() if p not in set(skew_targets)]
+    skew_set = set(skew_targets)
+    remaining = [p for p in order if p not in skew_set]
     cursor = 0
 
     def take(count: int) -> list[int]:

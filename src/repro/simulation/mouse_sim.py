@@ -13,49 +13,34 @@ controls the fraction of scroll events (the paper's ablation singles out
 scrolling as an uncertainty signal).  Events are generated around each
 decision's timestamp so that decision pacing and mouse pacing agree.
 
-Engines
--------
-``columnar`` (the default, dataset version 2)
-    Pre-draws **all** randomness in a fixed block order (event counts,
-    per-event time fractions, region picks, positional jitter, event-type
-    rolls), then assembles the whole trace with vectorized NumPy and hands
-    the columns straight to :meth:`MovementMap.from_arrays` — no per-event
-    Python, no ``MouseEvent`` objects.
-``reference``
-    A retained scalar consumer of the **same pre-drawn blocks**: it walks
-    the events one at a time exactly as the columnar assembly defines them.
-    Given the same generator it is bitwise-identical to ``columnar`` (the
-    pre-drawn-randomness convention of the parallel runtime), making it the
-    equivalence oracle for the vectorized engine.
-``legacy``
-    The original event-by-event generator (dataset version 1), which
-    interleaves its draws per event.  Its stream order cannot be reproduced
-    by block pre-drawing, so datasets generated before the columnar engine
-    need ``engine="legacy"`` (or ``REPRO_SIM_ENGINE=legacy``) to be
-    regenerated bit-for-bit; see EXPERIMENTS.md for the version bump.
+The generator pre-draws **all** randomness in a fixed block order (event
+counts, per-event time fractions, region picks, positional jitter,
+event-type rolls), then assembles the whole trace with vectorized NumPy and
+hands the columns straight to :meth:`MovementMap.from_arrays` — no
+per-event Python, no ``MouseEvent`` objects.  A scalar consumer of the same
+pre-drawn blocks (``tests/oracles/simulation.py``) walks the events one at a
+time and is asserted bitwise-equal to it.
+
+Traces are dataset version 2 (:data:`MOUSE_TRACE_VERSION`).  Version 1
+came from an event-by-event generator that interleaved its draws per
+event; its stream order cannot be reproduced by block pre-drawing, so
+version-1 traces are regenerated from an older release (see
+EXPERIMENTS.md).
 """
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
 import numpy as np
 
 from repro.matching.events import EVENT_CODES
 from repro.matching.history import DecisionHistory
-from repro.matching.mouse import MouseEvent, MouseEventType, MovementMap
+from repro.matching.mouse import MouseEventType, MovementMap
 from repro.simulation.archetypes import BehavioralTraits
 
-#: Environment variable selecting the default trace engine.
-SIM_ENGINE_ENV_VAR = "REPRO_SIM_ENGINE"
-
-#: Known engines (see the module docstring).
-SIM_ENGINES: tuple[str, ...] = ("columnar", "reference", "legacy")
-
-#: Version of the simulated mouse-trace datasets produced by the default
-#: engine.  Bumped from 1 -> 2 with the columnar generator (new randomness
-#: stream order); ``engine="legacy"`` still produces version-1 traces.
+#: Version of the simulated mouse-trace datasets.  Bumped from 1 -> 2 with
+#: the columnar generator (new randomness stream order).
 MOUSE_TRACE_VERSION = 2
 
 #: Screen regions as (x_center, y_center) fractions of (width, height).
@@ -117,8 +102,8 @@ def _predraw(
 
     The blocks (event counts, time fractions, region picks, x/y jitter,
     event-type rolls) are the entire randomness of the trace; both the
-    vectorized assembly and the scalar reference consume them identically,
-    which is what makes the two engines bitwise-equal.
+    vectorized assembly and the scalar test oracle consume them
+    identically, which is what makes the two bitwise-equal.
     """
     n_decisions = len(history)
     n_events = np.maximum(3, rng.poisson(events_per_decision, size=n_decisions))
@@ -139,26 +124,8 @@ def simulate_movement(
     screen: tuple[int, int] = MovementMap.DEFAULT_SCREEN,
     events_per_decision: int = 9,
     rng: Optional[np.random.Generator] = None,
-    engine: Optional[str] = None,
 ) -> MovementMap:
-    """Simulate the mouse trace accompanying a decision history.
-
-    Args
-    ----
-    engine:
-        ``"columnar"`` (vectorized, the default), ``"reference"`` (scalar
-        consumer of the same pre-drawn randomness — the columnar engine's
-        bitwise oracle) or ``"legacy"`` (the original event-by-event
-        generator).  ``None`` defers to ``REPRO_SIM_ENGINE``, then
-        ``columnar``.
-    """
-    if engine is None:
-        engine = os.environ.get(SIM_ENGINE_ENV_VAR) or "columnar"
-    if engine not in SIM_ENGINES:
-        raise ValueError(f"unknown mouse-sim engine {engine!r}; choose from {SIM_ENGINES}")
-    if engine == "legacy":
-        return _simulate_movement_legacy(history, traits, screen, events_per_decision, rng)
-
+    """Simulate the mouse trace accompanying a decision history."""
     rng = rng or np.random.default_rng()
     traits = traits.clipped()
     if history.is_empty:
@@ -168,11 +135,6 @@ def simulate_movement(
     regions = _visited_regions(traits, rng)
     draws = _predraw(history, regions, events_per_decision, rng)
     starts, ends = _decision_windows(history)
-
-    if engine == "reference":
-        return _assemble_reference(
-            draws, starts, ends, regions, centers, traits, screen
-        )
     return _assemble_columnar(draws, starts, ends, regions, centers, traits, screen)
 
 
@@ -227,103 +189,3 @@ def _assemble_columnar(
     codes[is_last] = _LEFT
 
     return MovementMap.from_arrays(x, y, codes, timestamps, screen=screen, validate=False)
-
-
-def _assemble_reference(
-    draws: dict[str, np.ndarray],
-    starts: np.ndarray,
-    ends: np.ndarray,
-    regions: list[str],
-    centers: dict[str, tuple[float, float]],
-    traits: BehavioralTraits,
-    screen: tuple[int, int],
-) -> MovementMap:
-    """Scalar consumer of the pre-drawn blocks (the columnar oracle)."""
-    rows, cols = screen
-    spread_x = cols * 0.08
-    spread_y = rows * 0.07
-    scroll_cut = traits.scroll_tendency * 0.3
-    events: list[MouseEvent] = []
-    position = 0
-    for index, count in enumerate(draws["n_events"].tolist()):
-        start, end = starts[index], ends[index]
-        fractions = draws["time_fractions"][position : position + count]
-        times = np.sort(start + (end - start) * fractions)
-        for event_index in range(count):
-            flat = position + event_index
-            if event_index == count - 1:
-                region_center = centers["match_table"]
-            else:
-                region_center = centers[regions[int(draws["region_picks"][flat])]]
-            x = float(np.clip(region_center[0] + spread_x * draws["dx"][flat], 0, cols - 1))
-            y = float(np.clip(region_center[1] + spread_y * draws["dy"][flat], 0, rows - 1))
-            roll = draws["rolls"][flat]
-            if event_index == count - 1:
-                event_type = MouseEventType.LEFT_CLICK
-            elif roll < scroll_cut:
-                event_type = MouseEventType.SCROLL
-            elif roll < scroll_cut + 0.03:
-                event_type = MouseEventType.RIGHT_CLICK
-            else:
-                event_type = MouseEventType.MOVE
-            events.append(
-                MouseEvent(x=x, y=y, event_type=event_type, timestamp=float(times[event_index]))
-            )
-        position += count
-    return MovementMap(events, screen=screen)
-
-
-def _simulate_movement_legacy(
-    history: DecisionHistory,
-    traits: BehavioralTraits,
-    screen: tuple[int, int] = MovementMap.DEFAULT_SCREEN,
-    events_per_decision: int = 9,
-    rng: Optional[np.random.Generator] = None,
-) -> MovementMap:
-    """The original event-by-event generator (dataset version 1)."""
-    rng = rng or np.random.default_rng()
-    traits = traits.clipped()
-    rows, cols = screen
-    centers = _region_centers(screen)
-    regions = _visited_regions(traits, rng)
-
-    events: list[MouseEvent] = []
-    if history.is_empty:
-        return MovementMap(events, screen=screen)
-
-    spread_x = cols * 0.08
-    spread_y = rows * 0.07
-    previous_time = 0.0
-
-    for decision in history:
-        # Between the previous decision and this one the matcher wanders
-        # between its habitual regions and ends at the match table to commit.
-        start = previous_time
-        end = decision.timestamp
-        duration = max(end - start, 0.5)
-        n_events = max(3, int(rng.poisson(events_per_decision)))
-        times = np.sort(rng.uniform(start, end, size=n_events))
-
-        for index, timestamp in enumerate(times):
-            if index == n_events - 1:
-                region = "match_table"
-            else:
-                region = regions[int(rng.integers(0, len(regions)))]
-            center_x, center_y = centers[region]
-            x = float(np.clip(center_x + rng.normal(0, spread_x), 0, cols - 1))
-            y = float(np.clip(center_y + rng.normal(0, spread_y), 0, rows - 1))
-
-            roll = rng.random()
-            if index == n_events - 1:
-                event_type = MouseEventType.LEFT_CLICK
-            elif roll < traits.scroll_tendency * 0.3:
-                event_type = MouseEventType.SCROLL
-            elif roll < traits.scroll_tendency * 0.3 + 0.03:
-                event_type = MouseEventType.RIGHT_CLICK
-            else:
-                event_type = MouseEventType.MOVE
-            events.append(MouseEvent(x=x, y=y, event_type=event_type, timestamp=float(timestamp)))
-
-        previous_time = end + 0.01 * duration
-
-    return MovementMap(events, screen=screen)

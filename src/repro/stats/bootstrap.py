@@ -11,9 +11,6 @@ computed in whole-matrix NumPy operations.  Above a size threshold, the
 pre-drawn matrices are split row-wise across :class:`repro.runtime.TaskRunner`
 workers; row-wise means are independent of the chunking, so every backend
 and worker count produces bitwise-identical p-values (serial is the oracle).
-The seed implementation's per-iteration ``rng.choice`` loop is retained as
-``resample="loop"`` — it consumes the RNG stream in a different order, so
-its p-values differ from the matrix path for the same seed.
 """
 
 from __future__ import annotations
@@ -87,39 +84,12 @@ def _resample_means_blocked(
     return means
 
 
-def _count_extreme_loop(
-    a_null: np.ndarray,
-    b_null: np.ndarray,
-    n_bootstrap: int,
-    observed: float,
-    alternative: str,
-    rng: np.random.Generator,
-) -> int:
-    """The seed implementation's per-iteration resample loop (legacy oracle)."""
-    extreme = 0
-    for _ in range(n_bootstrap):
-        resample_a = rng.choice(a_null, size=a_null.size, replace=True)
-        resample_b = rng.choice(b_null, size=b_null.size, replace=True)
-        difference = resample_a.mean() - resample_b.mean()
-        if alternative == "greater":
-            if difference >= observed - 1e-12:
-                extreme += 1
-        elif alternative == "less":
-            if difference <= observed + 1e-12:
-                extreme += 1
-        else:
-            if abs(difference) >= abs(observed) - 1e-12:
-                extreme += 1
-    return extreme
-
-
 def two_sample_bootstrap_test(
     sample_a: Sequence[float],
     sample_b: Sequence[float],
     n_bootstrap: int = 2000,
     alternative: str = "greater",
     random_state: Optional[int] = None,
-    resample: str = "matrix",
     runtime: RuntimeSpec = None,
     parallel_threshold: int = PARALLEL_RESAMPLE_THRESHOLD,
 ) -> BootstrapTestResult:
@@ -135,26 +105,19 @@ def two_sample_bootstrap_test(
         ``"greater"`` (one-sided, a > b), ``"less"`` or ``"two-sided"``.
     random_state:
         Seed for reproducibility.
-    resample:
-        ``"matrix"`` (default) pre-draws all resample indices as two
-        matrices and vectorizes the bootstrap means; ``"loop"`` keeps the
-        historical per-iteration ``rng.choice`` loop (different RNG
-        consumption order, hence different p-values for the same seed).
     runtime:
         Runtime selection (:class:`~repro.runtime.TaskRunner`, spec string
-        or ``None`` for the ``REPRO_RUNTIME`` default).  Only the matrix
-        path parallelises, and only when the total work
+        or ``None`` for the ``REPRO_RUNTIME`` default).  The test
+        parallelises only when the total work
         (``n_bootstrap * (len(a) + len(b))`` matrix elements) reaches
         ``parallel_threshold``; p-values are bitwise identical to the
-        serial matrix path on every backend and worker count.
+        serial path on every backend and worker count.
     parallel_threshold:
         Minimum resample-matrix element count before a non-serial runtime
         fans out.
     """
     if alternative not in {"greater", "less", "two-sided"}:
         raise ValueError(f"unknown alternative {alternative!r}")
-    if resample not in {"matrix", "loop"}:
-        raise ValueError(f"unknown resample strategy {resample!r}")
     a = np.asarray(sample_a, dtype=float)
     b = np.asarray(sample_b, dtype=float)
     if a.size == 0 or b.size == 0:
@@ -168,37 +131,34 @@ def two_sample_bootstrap_test(
     b_null = b - b.mean() + pooled_mean
 
     rng = np.random.default_rng(random_state)
-    if resample == "loop":
-        extreme = _count_extreme_loop(a_null, b_null, n_bootstrap, observed, alternative, rng)
+    runner = resolve_runner(runtime)
+    total_elements = n_bootstrap * (a.size + b.size)
+    if runner.backend == "serial" or total_elements < parallel_threshold:
+        # Block-wise draws bound memory for arbitrarily large samples;
+        # the stream and the row means match the one-shot matrices
+        # bitwise, so serial stays the oracle for the parallel path.
+        a_means = _resample_means_blocked(rng, a_null, n_bootstrap)
+        b_means = _resample_means_blocked(rng, b_null, n_bootstrap)
+        extreme = _count_extreme(a_means - b_means, observed, alternative)
     else:
-        runner = resolve_runner(runtime)
-        total_elements = n_bootstrap * (a.size + b.size)
-        if runner.backend == "serial" or total_elements < parallel_threshold:
-            # Block-wise draws bound memory for arbitrarily large samples;
-            # the stream and the row means match the one-shot matrices
-            # bitwise, so serial stays the oracle for the parallel path.
-            a_means = _resample_means_blocked(rng, a_null, n_bootstrap)
-            b_means = _resample_means_blocked(rng, b_null, n_bootstrap)
-            extreme = _count_extreme(a_means - b_means, observed, alternative)
-        else:
-            # Pre-drawn randomness: the full index matrices come out of the
-            # seed stream (in the serial path's a-then-b order) before any
-            # fan-out, so workers never touch the generator.  This trades
-            # the serial path's bounded memory for cores.
-            index_a = rng.integers(0, a.size, size=(n_bootstrap, a.size))
-            index_b = rng.integers(0, b.size, size=(n_bootstrap, b.size))
-            shared = (a_null, b_null, observed, alternative)
-            # array_split returns row-range views — no second copy of the
-            # matrices — and the chunking cannot affect the counts.
-            tasks = [
-                (rows_a, rows_b)
-                for rows_a, rows_b in zip(
-                    np.array_split(index_a, runner.max_workers),
-                    np.array_split(index_b, runner.max_workers),
-                )
-                if rows_a.size
-            ]
-            extreme = sum(runner.map(_count_extreme_task, tasks, context=shared))
+        # Pre-drawn randomness: the full index matrices come out of the
+        # seed stream (in the serial path's a-then-b order) before any
+        # fan-out, so workers never touch the generator.  This trades
+        # the serial path's bounded memory for cores.
+        index_a = rng.integers(0, a.size, size=(n_bootstrap, a.size))
+        index_b = rng.integers(0, b.size, size=(n_bootstrap, b.size))
+        shared = (a_null, b_null, observed, alternative)
+        # array_split returns row-range views — no second copy of the
+        # matrices — and the chunking cannot affect the counts.
+        tasks = [
+            (rows_a, rows_b)
+            for rows_a, rows_b in zip(
+                np.array_split(index_a, runner.max_workers),
+                np.array_split(index_b, runner.max_workers),
+            )
+            if rows_a.size
+        ]
+        extreme = sum(runner.map(_count_extreme_task, tasks, context=shared))
 
     p_value = (extreme + 1) / (n_bootstrap + 1)
     return BootstrapTestResult(

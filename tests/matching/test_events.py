@@ -1,11 +1,11 @@
-"""Columnar event-store tests: EventArray vs the retained scalar oracles."""
+"""Columnar event-store tests: EventArray vs the loop oracles in ``tests/oracles``."""
 
 import numpy as np
 import pytest
 
-from repro.kernels import use_kernels
 from repro.matching.events import EVENT_CODES, EventArray, concatenate
 from repro.matching.mouse import HeatMap, MouseEvent, MouseEventType, MovementMap
+from tests.oracles.matching import counts_by_code_loop, downscale_loop, heat_map_counts_loop
 
 
 def _random_store(rng, n, screen=(120, 160)):
@@ -59,13 +59,13 @@ class TestEventArray:
         screen = (120, 160)
         for code in (None, 0, 3):
             fast = store.heat_map_counts(screen, shape, code=code)
-            loop = store.heat_map_counts_loop(screen, shape, code=code)
+            loop = heat_map_counts_loop(store, screen, shape, code=code)
             np.testing.assert_array_equal(fast, loop)
 
     def test_counts_bitwise_vs_loop(self):
         rng = np.random.default_rng(3)
         store = _random_store(rng, 50)
-        np.testing.assert_array_equal(store.counts_by_code(), store.counts_by_code_loop())
+        np.testing.assert_array_equal(store.counts_by_code(), counts_by_code_loop(store))
 
     def test_time_slicing_matches_object_filtering(self):
         rng = np.random.default_rng(4)
@@ -103,14 +103,17 @@ class TestMovementMapColumnarView:
         assert [e.x for e in events] == data.x.tolist()
         assert [EVENT_CODES[e.event_type.value] for e in events] == data.codes.tolist()
 
-    def test_oracle_mode_matches_fast_mode(self, simple_movement):
+    def test_heat_map_and_counts_match_loop_oracles(self, simple_movement):
         fast_heat = simple_movement.heat_map(shape=(16, 16))
         fast_counts = simple_movement.count_by_type()
-        with use_kernels("oracle"):
-            oracle_heat = simple_movement.heat_map(shape=(16, 16))
-            oracle_counts = simple_movement.count_by_type()
-        np.testing.assert_array_equal(fast_heat.counts, oracle_heat.counts)
-        assert fast_counts == oracle_counts
+        data = simple_movement.data
+        oracle_heat = heat_map_counts_loop(data, simple_movement.screen, (16, 16))
+        oracle_counts = counts_by_code_loop(data)
+        np.testing.assert_array_equal(fast_heat.counts, oracle_heat)
+        assert fast_counts == {
+            event_type: int(oracle_counts[EVENT_CODES[event_type.value]])
+            for event_type in MouseEventType
+        }
 
     def test_from_arrays_roundtrip(self):
         movement = MovementMap.from_arrays(
@@ -136,11 +139,7 @@ class TestDownscaleVectorized:
         counts = rng.integers(0, 9, size=source).astype(float)
         heat_map = HeatMap(counts)
         fast = heat_map.downscale(target)
-        loop = HeatMap(counts)._downscale_loop(target)
-        np.testing.assert_array_equal(fast.counts, loop)
-        with use_kernels("oracle"):
-            oracle = heat_map.downscale(target)
-        np.testing.assert_array_equal(oracle.counts, loop)
+        np.testing.assert_array_equal(fast.counts, downscale_loop(counts, target))
 
     def test_mass_preserved_on_downscale(self):
         rng = np.random.default_rng(9)

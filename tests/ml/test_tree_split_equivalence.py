@@ -1,10 +1,10 @@
 """The vectorized split search must be bitwise-equivalent to the scalar scan.
 
 The scalar per-threshold loop is the seed implementation, kept as an
-equivalence oracle (and as the benchmark baseline); the vectorized default
-must select the same feature, threshold and class counts at every node so
-that fitted models — and every experiment built on them — are reproducible
-bit for bit across the two code paths.
+equivalence oracle in ``tests/oracles/ml.py``; the vectorized search must
+select the same feature, threshold and class counts at every node so that
+fitted models — and every experiment built on them — are reproducible bit
+for bit across the two code paths.
 """
 
 import numpy as np
@@ -12,6 +12,14 @@ import pytest
 
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.tree import DecisionTreeClassifier
+from tests.oracles.ml import best_split_scalar
+
+
+def _fit_scalar(monkeypatch, model, X, y):
+    """Fit ``model`` with every tree split found by the scalar scan."""
+    with monkeypatch.context() as patch:
+        patch.setattr(DecisionTreeClassifier, "_best_split", best_split_scalar)
+        return model.fit(X, y)
 
 
 def _trees_identical(left, right) -> bool:
@@ -41,13 +49,9 @@ def _random_problem(rng, n_classes=2):
 
 
 class TestSplitSearchEquivalence:
-    def test_invalid_split_search_rejected(self):
-        with pytest.raises(ValueError):
-            DecisionTreeClassifier(split_search="magic")
-
     @pytest.mark.parametrize("max_features", [None, "sqrt", 3])
     @pytest.mark.parametrize("n_classes", [2, 3])
-    def test_tree_bitwise_equivalence(self, max_features, n_classes):
+    def test_tree_bitwise_equivalence(self, max_features, n_classes, monkeypatch):
         rng = np.random.default_rng(hash((str(max_features), n_classes)) % 2**32)
         for trial in range(8):
             X, y = _random_problem(rng, n_classes)
@@ -57,8 +61,8 @@ class TestSplitSearchEquivalence:
                 max_features=max_features,
                 random_state=trial,
             )
-            scalar = DecisionTreeClassifier(split_search="scalar", **kwargs).fit(X, y)
-            vectorized = DecisionTreeClassifier(split_search="vectorized", **kwargs).fit(X, y)
+            scalar = _fit_scalar(monkeypatch, DecisionTreeClassifier(**kwargs), X, y)
+            vectorized = DecisionTreeClassifier(**kwargs).fit(X, y)
             assert _trees_identical(scalar._root, vectorized._root)
             X_test = rng.normal(size=(40, X.shape[1]))
             np.testing.assert_array_equal(
@@ -68,15 +72,16 @@ class TestSplitSearchEquivalence:
                 scalar.feature_importances_, vectorized.feature_importances_
             )
 
-    def test_forest_bitwise_equivalence(self):
+    def test_forest_bitwise_equivalence(self, monkeypatch):
         rng = np.random.default_rng(17)
         X, y = _random_problem(rng)
-        scalar = RandomForestClassifier(
-            n_estimators=10, max_depth=5, random_state=3, split_search="scalar"
-        ).fit(X, y)
-        vectorized = RandomForestClassifier(
-            n_estimators=10, max_depth=5, random_state=3, split_search="vectorized"
-        ).fit(X, y)
+        scalar = _fit_scalar(
+            monkeypatch,
+            RandomForestClassifier(n_estimators=10, max_depth=5, random_state=3, runtime="serial"),
+            X,
+            y,
+        )
+        vectorized = RandomForestClassifier(n_estimators=10, max_depth=5, random_state=3).fit(X, y)
         X_test = rng.normal(size=(30, X.shape[1]))
         np.testing.assert_array_equal(
             scalar.predict_proba(X_test), vectorized.predict_proba(X_test)

@@ -1,4 +1,4 @@
-"""Property-style equivalence tests: fast neural kernels vs retained oracles.
+"""Equivalence tests: fast neural kernels vs the loop oracles in ``tests/oracles``.
 
 The im2col convolution and the order-preserving col2im scatter are bitwise
 against the per-output-pixel loops (identical patch matrices feed identical
@@ -10,16 +10,26 @@ tolerance against both the per-gate oracle and a per-sequence scalar walk.
 import numpy as np
 import pytest
 
-from repro.kernels import active_kernels, use_kernels
-from repro.nn.conv import (
-    Conv2D,
-    MaxPool2D,
-    extract_patches,
+from repro.nn import conv
+from repro.nn.conv import Conv2D, MaxPool2D, extract_patches
+from repro.nn.recurrent import LSTM, pad_sequences, sequence_length_mask
+from tests.oracles.nn import (
     extract_patches_loop,
+    lstm_backward_gates,
+    lstm_forward_gates,
     maxpool_backward_loop,
     maxpool_forward_loop,
+    scatter_patch_grads_loop,
 )
-from repro.nn.recurrent import LSTM, pad_sequences, sequence_length_mask
+
+
+def _install_loop_kernels(patch) -> None:
+    """Route Conv2D/MaxPool2D through the loop oracles for one block."""
+    patch.setattr(conv, "extract_patches", extract_patches_loop)
+    patch.setattr(conv, "scatter_patch_grads", scatter_patch_grads_loop)
+    patch.setattr(conv, "maxpool_forward", maxpool_forward_loop)
+    patch.setattr(conv, "maxpool_backward", maxpool_backward_loop)
+
 
 # Odd shapes: 1x1 inputs, kernel == input size, non-square, multi-channel.
 CONV_CASES = [
@@ -29,24 +39,6 @@ CONV_CASES = [
     ((4, 24, 32, 1), 3, 4),
     ((2, 4, 9, 3), 4, 5),
 ]
-
-
-class TestKernelSwitch:
-    def test_default_is_fast(self):
-        assert active_kernels() == "fast"
-
-    def test_context_manager_scopes_and_restores(self):
-        with use_kernels("oracle"):
-            assert active_kernels() == "oracle"
-            with use_kernels("fast"):
-                assert active_kernels() == "fast"
-            assert active_kernels() == "oracle"
-        assert active_kernels() == "fast"
-
-    def test_rejects_unknown_impl(self):
-        with pytest.raises(ValueError):
-            with use_kernels("turbo"):
-                pass
 
 
 class TestConvEquivalence:
@@ -59,7 +51,7 @@ class TestConvEquivalence:
         )
 
     @pytest.mark.parametrize("shape,kernel_size,out_channels", CONV_CASES)
-    def test_forward_backward_bitwise(self, shape, kernel_size, out_channels):
+    def test_forward_backward_bitwise(self, shape, kernel_size, out_channels, monkeypatch):
         rng = np.random.default_rng(shape[1] * 100 + kernel_size)
         x = rng.normal(size=shape)
         layer = Conv2D(shape[3], out_channels, kernel_size=kernel_size, seed=7)
@@ -67,7 +59,8 @@ class TestConvEquivalence:
         out_w = shape[2] - kernel_size + 1
         grad = rng.normal(size=(shape[0], out_h, out_w, out_channels))
 
-        with use_kernels("oracle"):
+        with monkeypatch.context() as patch:
+            _install_loop_kernels(patch)
             out_oracle = layer.forward(x)
             grad_in_oracle = layer.backward(grad)
             grads_oracle = {key: value.copy() for key, value in layer.grads.items()}
@@ -81,7 +74,10 @@ class TestConvEquivalence:
 
 
 class TestMaxPoolEquivalence:
-    @pytest.mark.parametrize("shape,pool", [((1, 1, 1, 1), 1), ((2, 5, 7, 3), 2), ((3, 9, 9, 2), 3)])
+    @pytest.mark.parametrize(
+        "shape,pool",
+        [((1, 1, 1, 1), 1), ((2, 5, 7, 3), 2), ((3, 9, 9, 2), 3), ((1, 24, 32, 1), 2)],
+    )
     def test_forward_backward_bitwise(self, shape, pool):
         rng = np.random.default_rng(shape[1] + pool)
         x = rng.normal(size=shape)
@@ -100,12 +96,11 @@ class TestMaxPoolEquivalence:
     def test_tie_gradients_match(self):
         x = np.ones((1, 4, 4, 1))  # every window is a 4-way tie
         layer = MaxPool2D(pool_size=2)
-        layer.forward(x)
+        out_fast = layer.forward(x)
         back_fast = layer.backward(np.ones((1, 2, 2, 1)))
-        with use_kernels("oracle"):
-            layer.forward(x)
-            back_oracle = layer.backward(np.ones((1, 2, 2, 1)))
+        back_oracle = maxpool_backward_loop(x, out_fast, np.ones((1, 2, 2, 1)), 2)
         np.testing.assert_array_equal(back_fast, back_oracle)
+        np.testing.assert_array_equal(back_fast, np.ones((1, 4, 4, 1)))
 
 
 class TestLSTMEquivalence:
@@ -114,10 +109,8 @@ class TestLSTMEquivalence:
         x = rng.normal(size=(9, 13, 3))
         layer = LSTM(3, 11, seed=2)
         grad = rng.normal(size=(9, 11))
-        with use_kernels("oracle"):
-            hidden_oracle = layer.forward(x)
-            grad_in_oracle = layer.backward(grad)
-            grads_oracle = {key: value.copy() for key, value in layer.grads.items()}
+        hidden_oracle, steps = lstm_forward_gates(layer.params, x)
+        grad_in_oracle, grads_oracle = lstm_backward_gates(layer.params, x, steps, grad)
         hidden_fast = layer.forward(x)
         grad_in_fast = layer.backward(grad)
         np.testing.assert_allclose(hidden_fast, hidden_oracle, rtol=1e-10, atol=1e-12)
@@ -147,8 +140,8 @@ class TestLSTMEquivalence:
 
 
 class TestSpatialFitBitwise:
-    def test_phi_spa_fit_identical_across_kernel_impls(self, small_cohort):
-        """The CNN fit is bitwise-reproducible with fast or oracle kernels.
+    def test_phi_spa_fit_identical_across_kernel_impls(self, small_cohort, monkeypatch):
+        """The CNN fit is bitwise-reproducible on the fast or the loop kernels.
 
         Conv2D/MaxPool2D fast paths are bitwise against the loops and all
         randomness is pre-drawn from the seed streams, so the whole
@@ -169,7 +162,8 @@ class TestSpatialFitBitwise:
             extractor.fit(matchers, labels)
             return extractor.extract_batch(matchers).matrix
 
-        with use_kernels("oracle"):
-            oracle_block = fit_and_extract()
         fast_block = fit_and_extract()
+        with monkeypatch.context() as patch:
+            _install_loop_kernels(patch)
+            oracle_block = fit_and_extract()
         np.testing.assert_array_equal(fast_block, oracle_block)

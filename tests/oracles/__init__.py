@@ -1,0 +1,17 @@
+"""Scalar reference implementations ("oracles") of the vectorized kernels.
+
+Each production kernel has exactly one code path.  The loops it replaced
+live here and nowhere else: equivalence tests call them directly, and
+whole-fit checks install them with ``monkeypatch`` to run an entire fit on
+the reference path.
+
+* :mod:`tests.oracles.nn` -- per-pixel convolution/pooling loops and the
+  per-gate LSTM.
+* :mod:`tests.oracles.matching` -- event-by-event heat maps and counts,
+  per-cell heat-map pooling, the row-by-row top-1 filter.
+* :mod:`tests.oracles.predictors` -- entry-loop ``dom``/``mcd`` and the
+  per-row entropy.
+* :mod:`tests.oracles.ml` -- the per-threshold decision-tree split scan.
+* :mod:`tests.oracles.simulation` -- the scalar consumer of the mouse
+  simulator's pre-drawn randomness blocks.
+"""

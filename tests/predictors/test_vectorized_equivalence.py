@@ -1,14 +1,14 @@
-"""Fast-vs-oracle equivalence for the vectorized matching predictors."""
+"""Equivalence of the vectorized matching predictors and their loop oracles."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.kernels import use_kernels
 from repro.matching.matrix import MatchingMatrix
 from repro.predictors.entropy import RowEntropyPredictor
 from repro.predictors.structural import DominantsPredictor, MutualDominancePredictor
+from tests.oracles.predictors import dominants_loop, mutual_dominance_loop, row_entropy_loop
 
 
 @st.composite
@@ -30,8 +30,7 @@ class TestStructuralBitwise:
     def test_dominants_bitwise(self, values):
         matrix = MatchingMatrix(values)
         predictor = DominantsPredictor()
-        with use_kernels("oracle"):
-            reference = predictor(matrix)
+        reference = dominants_loop(matrix)
         assert predictor(matrix) == reference
 
     @given(sparse_unit_matrices())
@@ -41,8 +40,7 @@ class TestStructuralBitwise:
         the averaged values (and the mean) are bit-for-bit the loop's."""
         matrix = MatchingMatrix(values)
         predictor = MutualDominancePredictor()
-        with use_kernels("oracle"):
-            reference = predictor(matrix)
+        reference = mutual_dominance_loop(matrix)
         assert predictor(matrix) == reference
 
 
@@ -52,8 +50,7 @@ class TestRowEntropyTolerance:
     def test_row_entropy_tight_tolerance(self, values):
         matrix = MatchingMatrix(values)
         predictor = RowEntropyPredictor()
-        with use_kernels("oracle"):
-            reference = predictor(matrix)
+        reference = row_entropy_loop(matrix)
         np.testing.assert_allclose(predictor(matrix), reference, rtol=1e-12, atol=1e-15)
 
     def test_zero_rows_and_single_column(self):

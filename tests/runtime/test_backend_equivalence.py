@@ -139,18 +139,6 @@ class TestBootstrapEquivalence:
         blocked = two_sample_bootstrap_test(a, b, n_bootstrap=500, random_state=17)
         assert reference.p_value == blocked.p_value
 
-    def test_loop_resample_unchanged(self, samples):
-        # The legacy per-iteration loop stays available as the seed oracle.
-        a, b = samples
-        first = two_sample_bootstrap_test(a, b, n_bootstrap=200, random_state=3, resample="loop")
-        second = two_sample_bootstrap_test(a, b, n_bootstrap=200, random_state=3, resample="loop")
-        assert first.p_value == second.p_value
-
-    def test_unknown_resample_rejected(self, samples):
-        a, b = samples
-        with pytest.raises(ValueError):
-            two_sample_bootstrap_test(a, b, resample="magic")
-
 
 class TestAblationEquivalence:
     """Table III rows must be identical on every backend and worker count.

@@ -310,6 +310,45 @@ class TestProcessSupervision:
         assert result == [value * value for value in range(6)]
         assert leaked_segments() == []
 
+    @pytest.mark.parametrize("max_pool_rebuilds", [0, 1])
+    def test_submit_on_broken_pool_rebuilds_or_degrades(self, monkeypatch, max_pool_rebuilds):
+        """``submit`` itself raising BrokenProcessPool fails the unsubmitted tasks.
+
+        A worker that dies while the submit loop is still running breaks the
+        pool synchronously; the supervisor must treat that like any broken
+        pool — rebuild within budget, otherwise degrade — not leak the error.
+        """
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        submit = ProcessPoolExecutor.submit
+        calls = []
+
+        def submit_breaking_second_call(executor, *args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise BrokenProcessPool("worker died during submission")
+            return submit(executor, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", submit_breaking_second_call)
+        tasks = list(range(6))
+        oracle = TaskRunner("serial").map(_square, tasks)
+        runner = TaskRunner("process", max_workers=2)
+        supervision = Supervision(
+            max_retries=2, backoff_base=0.0, max_pool_rebuilds=max_pool_rebuilds
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = runner.map(_square, tasks, supervision=supervision)
+        degraded = [w for w in caught if issubclass(w.category, DegradedRuntimeWarning)]
+        if max_pool_rebuilds == 0:
+            assert degraded and "degrading to 'thread'" in str(degraded[0].message)
+        else:
+            assert not degraded
+            assert len(calls) > len(tasks)  # the rebuilt pool resubmitted
+        assert result == oracle
+        assert leaked_segments() == []
+
     def test_stall_timeout_rebuilds(self, tmp_path):
         sentinel = str(tmp_path / "slept-once")
         runner = TaskRunner("process", max_workers=1)

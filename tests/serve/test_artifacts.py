@@ -398,6 +398,46 @@ def test_load_wraps_inconsistent_spec_errors(classification_data, tmp_path):
         load_model(bundle)
 
 
+def _add_retired_split_param(spec) -> int:
+    """Stamp every tree/forest spec with the former ``split_search`` param."""
+    stamped = 0
+    if isinstance(spec, dict):
+        if spec.get("__type__") in ("ml.decision_tree", "ml.random_forest"):
+            spec["params"]["split_search"] = "vectorized"
+            stamped += 1
+        children = spec.values()
+    elif isinstance(spec, list):
+        children = spec
+    else:
+        return 0
+    return stamped + sum(_add_retired_split_param(child) for child in children)
+
+
+def test_bundle_with_retired_split_search_still_loads(classification_data, tmp_path):
+    """Tree and forest bundles that stored ``split_search`` load and predict bitwise."""
+    from repro.serve.artifacts import _content_fingerprint
+
+    X, y, X_new = classification_data
+    models = {
+        "tree": DecisionTreeClassifier(max_depth=4, random_state=0).fit(X, y),
+        "forest": RandomForestClassifier(n_estimators=6, max_depth=4, random_state=0).fit(X, y),
+    }
+    for name, model in models.items():
+        bundle = save_model(model, tmp_path / name, layout="npz-compressed")
+        manifest = json.loads((bundle / MANIFEST_NAME).read_text())
+        assert _add_retired_split_param(manifest["spec"]) >= 1
+        with np.load(bundle / ARRAYS_NAME, allow_pickle=False) as npz:
+            arrays = {key: np.array(npz[key]) for key in npz.files}
+        manifest["fingerprint"] = _content_fingerprint(
+            json.dumps(manifest["spec"], sort_keys=True), arrays
+        )
+        (bundle / MANIFEST_NAME).write_text(json.dumps(manifest))
+        loaded = load_model(bundle)
+        for data in (X, X_new):
+            assert np.array_equal(loaded.predict(data), model.predict(data))
+            assert np.array_equal(loaded.predict_proba(data), model.predict_proba(data))
+
+
 def test_tree_arrays_reject_cycles(classification_data):
     """Crafted node arrays with cycles are rejected instead of hanging predict."""
     X, y, _ = classification_data

@@ -1,21 +1,15 @@
-"""Mouse-trace engine tests: columnar vs reference (bitwise) vs legacy."""
-
-import os
+"""Mouse-trace generator tests: the vectorized generator vs its scalar oracle."""
 
 import numpy as np
 import pytest
 
 from repro.matching.history import DecisionHistory
 from repro.matching.mouse import MouseEventType
-from repro.simulation.archetypes import ARCHETYPE_LIBRARY, Archetype, BehavioralTraits
+from repro.simulation.archetypes import ARCHETYPE_LIBRARY, BehavioralTraits
 from repro.simulation.decisions import simulate_history
-from repro.simulation.mouse_sim import (
-    MOUSE_TRACE_VERSION,
-    SIM_ENGINE_ENV_VAR,
-    SIM_ENGINES,
-    simulate_movement,
-)
+from repro.simulation.mouse_sim import MOUSE_TRACE_VERSION, simulate_movement
 from repro.simulation.schemas import build_small_task
+from tests.oracles.simulation import simulate_movement_reference
 
 
 @pytest.fixture(scope="module")
@@ -36,11 +30,9 @@ class TestColumnarEngine:
         """The vectorized assembly consumes the pre-drawn randomness exactly
         like the retained scalar reference walk (the PR 2 convention)."""
         for seed, (history, traits) in enumerate(histories):
-            fast = simulate_movement(
-                history, traits, rng=np.random.default_rng(seed), engine="columnar"
-            )
-            scalar = simulate_movement(
-                history, traits, rng=np.random.default_rng(seed), engine="reference"
+            fast = simulate_movement(history, traits, rng=np.random.default_rng(seed))
+            scalar = simulate_movement_reference(
+                history, traits, rng=np.random.default_rng(seed)
             )
             np.testing.assert_array_equal(fast.data.x, scalar.data.x)
             np.testing.assert_array_equal(fast.data.y, scalar.data.y)
@@ -72,67 +64,9 @@ class TestColumnarEngine:
         assert (np.diff(data.t) >= 0).all()
 
     def test_empty_history_gives_empty_movement(self):
-        for engine in SIM_ENGINES:
-            movement = simulate_movement(
-                DecisionHistory(shape=(2, 2)), BehavioralTraits(), engine=engine
-            )
+        for simulate in (simulate_movement, simulate_movement_reference):
+            movement = simulate(DecisionHistory(shape=(2, 2)), BehavioralTraits())
             assert movement.is_empty
-
-
-class TestEngineSelection:
-    def test_unknown_engine_rejected(self, histories):
-        history, traits = histories[0]
-        with pytest.raises(ValueError):
-            simulate_movement(history, traits, engine="quantum")
-
-    def test_env_var_selects_legacy(self, histories):
-        history, traits = histories[0]
-        explicit = simulate_movement(
-            history, traits, rng=np.random.default_rng(3), engine="legacy"
-        )
-        previous = os.environ.get(SIM_ENGINE_ENV_VAR)
-        os.environ[SIM_ENGINE_ENV_VAR] = "legacy"
-        try:
-            from_env = simulate_movement(history, traits, rng=np.random.default_rng(3))
-        finally:
-            if previous is None:
-                os.environ.pop(SIM_ENGINE_ENV_VAR, None)
-            else:
-                os.environ[SIM_ENGINE_ENV_VAR] = previous
-        np.testing.assert_array_equal(from_env.data.x, explicit.data.x)
-        np.testing.assert_array_equal(from_env.data.t, explicit.data.t)
-
-    def test_legacy_engine_still_produces_version_1_traces(self, histories):
-        """The legacy generator remains selectable and statistically sane."""
-        history, traits = histories[3]
-        movement = simulate_movement(
-            history, traits, rng=np.random.default_rng(4), engine="legacy"
-        )
-        counts = movement.count_by_type()
-        assert counts[MouseEventType.LEFT_CLICK] >= len(history)
-        assert len(movement) >= 3 * len(history)
 
     def test_trace_version_bumped(self):
         assert MOUSE_TRACE_VERSION == 2
-
-
-class TestEngineStatisticsAgree:
-    def test_columnar_and_legacy_have_matching_distributions(self, histories):
-        """Both engines model the same behaviour: event volumes, click
-        counts and scroll fractions agree in aggregate (different streams,
-        same distribution)."""
-        history, traits = histories[4]
-        scroller = BehavioralTraits(exploration=0.8, scroll_tendency=1.0)
-        totals = {"columnar": [], "legacy": []}
-        scrolls = {"columnar": [], "legacy": []}
-        for seed in range(12):
-            for engine in ("columnar", "legacy"):
-                movement = simulate_movement(
-                    history, scroller, rng=np.random.default_rng(seed), engine=engine
-                )
-                totals[engine].append(len(movement))
-                scrolls[engine].append(
-                    movement.count_by_type()[MouseEventType.SCROLL] / len(movement)
-                )
-        assert abs(np.mean(totals["columnar"]) - np.mean(totals["legacy"])) < 15
-        assert abs(np.mean(scrolls["columnar"]) - np.mean(scrolls["legacy"])) < 0.08
