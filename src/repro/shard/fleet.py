@@ -3,7 +3,9 @@
 A fleet is N :class:`~repro.shard.worker.ShardWorker`\\ s behind one
 :class:`~repro.shard.router.ShardRouter`: session ids are
 consistent-hash partitioned, every dispatch goes through a bounded
-per-shard queue with explicit backpressure, each shard checkpoints into
+per-shard write-behind queue with explicit backpressure (drained once
+per delivery round, or when a read touches the shard, so reads always
+see every accepted write), each shard checkpoints into
 its own :class:`~repro.stream.CheckpointStore`, and a killed shard is
 restored from its latest-good checkpoint and continues bitwise
 identically.
@@ -78,6 +80,13 @@ from repro.stream.session import MatcherSession
 #: Name of the fleet-level manifest written next to the per-shard stores.
 FLEET_MANIFEST_NAME = "fleet.json"
 
+_DISPATCH_BATCHES = obs.MetricHandle(
+    "counter",
+    "repro_shard_dispatch_batches_total",
+    "Dispatch batches offered to shard queues, by outcome.",
+    labelnames=("outcome",),
+)
+
 
 class ShardDispatchError(RuntimeError):
     """A dispatch could not be enqueued within the retry budget."""
@@ -124,7 +133,9 @@ class ShardFleet:
     queue_slots:
         Per-shard dispatch-queue capacity, in batches; a full queue
         rejects the batch with exact counters (explicit backpressure,
-        never a silent drop).
+        never a silent drop).  Queues are write-behind, so a queue
+        smaller than one delivery round's dispatches to its shard makes
+        the replay driver flush early, not lose work.
     reorder_window / screen / idle_timeout / quarantine:
         Forwarded to every shard's :class:`~repro.stream.SessionManager`.
         ``quarantine`` additionally accepts ``True`` — give every shard
@@ -312,16 +323,15 @@ class ShardFleet:
         )
 
     def __contains__(self, session_id: str) -> bool:
-        worker = self._workers[self.router.route(session_id)]
-        if not worker.alive and self.auto_restore:
-            # Membership must reflect what a restore would bring back —
-            # otherwise a caller could "re-open" a session the next
-            # operation's auto-restore resurrects from the checkpoint.
-            worker.restore()
+        # Membership must reflect what a restore would bring back —
+        # otherwise a caller could "re-open" a session the next
+        # operation's auto-restore resurrects from the checkpoint.
+        worker = self._read(self.router.route(session_id))
         return worker.alive and session_id in worker.manager
 
     def session_ids(self) -> list[str]:
         """Every live session id, sorted (canonical fleet order)."""
+        self._drain_unpaused()
         ids: list[str] = []
         for worker in self._workers:
             if worker.alive:
@@ -337,7 +347,7 @@ class ShardFleet:
             If the session does not exist (evicted, or lost with a
             killed shard and not yet re-created by the replay layer).
         """
-        worker = self._ensure_alive(self.router.route(session_id))
+        worker = self._read(self.router.route(session_id))
         return worker.require_manager().session(session_id)
 
     def open(
@@ -389,42 +399,52 @@ class ShardFleet:
             if self.auto_restore:
                 worker.restore()
 
+    def _read(self, shard: int) -> ShardWorker:
+        """A shard about to be read: restored if dead, drained unless paused.
+
+        Draining before every read keeps write-behind invisible to
+        callers — a read sees every write the fleet accepted.
+        """
+        worker = self._ensure_alive(shard)
+        if worker.queue_depth and not worker.paused:
+            self._drain(worker)
+        return worker
+
+    def _drain_unpaused(self) -> None:
+        for worker in self._workers:
+            if worker.alive and worker.queue_depth and not worker.paused:
+                self._drain(worker)
+
     def _dispatch(self, kind: str, session_id: str, payload, n_events: int) -> bool:
         shard = self.router.route(session_id)
         worker = self._ensure_alive(shard)
+        worker.require_manager()
         sequence = self._dispatch_seq
         self._dispatch_seq += 1
-        telemetry = obs.obs_enabled()
-        started = time.perf_counter() if telemetry else 0.0
-        with obs.trace_span("shard.dispatch", shard=shard, kind=kind, events=n_events):
-            injector = active_injector()
-            attempt = 0
-            while injector is not None and injector.fires(
-                "shard.dispatch", key=f"{shard}@{sequence}", attempt=attempt
-            ):
-                self.dispatch_faults += 1
-                attempt += 1
-                if attempt > self.max_dispatch_retries:
-                    raise ShardDispatchError(
-                        f"dispatch {sequence} to shard {shard} failed "
-                        f"{attempt} times (fault seam 'shard.dispatch')"
-                    )
-            accepted = worker.submit((kind, session_id, payload), n_events)
-            if accepted and not worker.paused:
-                self._drain(worker)
-        if telemetry:
-            obs.histogram(
-                "repro_shard_dispatch_seconds",
-                "Dispatch wall-clock (routing through inline drain).",
-            ).observe(time.perf_counter() - started)
+        injector = active_injector()
+        attempt = 0
+        while injector is not None and injector.fires(
+            "shard.dispatch", key=f"{shard}@{sequence}", attempt=attempt
+        ):
+            self.dispatch_faults += 1
+            attempt += 1
+            if attempt > self.max_dispatch_retries:
+                raise ShardDispatchError(
+                    f"dispatch {sequence} to shard {shard} failed "
+                    f"{attempt} times (fault seam 'shard.dispatch')"
+                )
+        accepted = worker.submit((kind, session_id, payload), n_events)
+        if obs.obs_enabled():
+            _DISPATCH_BATCHES().inc(outcome="accepted" if accepted else "rejected")
         return accepted
 
     def ingest_events(self, session_id: str, x, y, codes, t) -> bool:
-        """Route a column batch of mouse events to its shard.
+        """Route a column batch of mouse events to its shard's queue.
 
         Returns ``True`` when the batch was accepted (enqueued exactly
-        once) and ``False`` when backpressure rejected it whole — the
-        caller retries later; nothing was partially applied.
+        once; applied at the shard's next drain) and ``False`` when
+        backpressure rejected it whole — the caller retries later,
+        typically after :meth:`flush`; nothing was partially applied.
         """
         t = np.asarray(t)
         return self._dispatch("events", session_id, (x, y, codes, t), int(t.size))
@@ -438,7 +458,11 @@ class ShardFleet:
         )
 
     def flush(self) -> int:
-        """Drain every shard's queue (paused shards included); events applied."""
+        """Drain every shard's queue (paused shards included); events applied.
+
+        The replay driver calls this once per delivery round, so each
+        shard pays one drain per window rather than one per dispatch.
+        """
         applied = 0
         for worker in self._workers:
             if not worker.alive:
@@ -450,7 +474,7 @@ class ShardFleet:
         return applied
 
     def pause(self, shard: int) -> None:
-        """Stop inline drains for a shard (its queue fills; dispatch rejects)."""
+        """Stop read-triggered drains for a shard (its queue fills; dispatch rejects)."""
         self._workers[shard].paused = True
 
     def resume(self, shard: int) -> None:
@@ -592,6 +616,7 @@ class ShardFleet:
 
     def scores(self) -> dict[str, dict[str, np.ndarray]]:
         """Latest characterization per scored session, sorted by id."""
+        self._drain_unpaused()
         merged: dict[str, dict[str, np.ndarray]] = {}
         for worker in self._workers:
             if worker.alive:
@@ -757,6 +782,7 @@ class ShardFleet:
 
     def stats(self) -> dict:
         """Fleet-wide counters plus per-shard detail (the ops surface payload)."""
+        self._drain_unpaused()
         latency = None
         if self._latency.count():
             # Bucket-interpolated quantile estimates from the fleet's own

@@ -14,16 +14,20 @@ At-least-once delivery, cursor deduplication
 --------------------------------------------
 Delivery is **cursor-based**: for each session the driver's progress is
 not a counter it trusts but the target's own state — ``len(buffer)``
-committed+pending events and ``len(decisions)`` decisions.  Each window
-pass delivers ``trace[cursor:goal]`` where ``goal`` is
-``searchsorted(trace.t, window_end, "right")``.  When a shard dies and
-restores from an older checkpoint, the session's lengths *rewind*, the
-cursors rewind with them, and the next pass re-delivers exactly the
-lost tail — at-least-once with exact-once application, with no
-timestamp comparisons (so duplicate timestamps in a trace are safe).
-A window pass repeats until a verification pass finds every cursor at
-its goal (a death during the pass can wipe earlier deliveries), bounded
-by ``max_redelivery_rounds``.
+committed+pending events and ``len(decisions)`` decisions.  Each
+delivery round reads every cursor, dispatches ``trace[cursor:goal]``
+(``goal`` is ``searchsorted(trace.t, window_end, "right")``) for every
+trace, then flushes the fleet — so each shard drains its write-behind
+queue once per round, and no cursor is read while a dispatch of the
+round is still queued.  When a shard dies and restores from an older
+checkpoint, the session's lengths *rewind*, the cursors rewind with
+them, and the next round re-delivers exactly the lost tail —
+at-least-once with exact-once application, with no timestamp
+comparisons (so duplicate timestamps in a trace are safe).  A window's
+rounds repeat until a round finds every cursor at its goal (a death
+during a round can wipe earlier deliveries), bounded by
+``max_redelivery_rounds``.  A backpressure rejection flushes early and
+re-reads the cursors of the traces the round has not reached yet.
 """
 
 from __future__ import annotations
@@ -168,18 +172,50 @@ class ReplayDriver:
     # Target adapters (fleet vs oracle)
     # ------------------------------------------------------------------ #
 
-    def _session(self, session_id: str):
-        return self.target.session(session_id)
+    def _cursors(self, index: int) -> tuple[int, int]:
+        """``(events, decisions)`` the target holds for a trace (opening it if missing)."""
+        trace = self.traces[index]
+        try:
+            session = self.target.session(trace.session_id)
+        except KeyError:
+            session = self.target.open(trace.session_id, trace.shape, screen=trace.screen)
+        return len(session.buffer), len(session.decisions)
 
-    def _ingest(self, session_id: str, x, y, codes, t) -> bool:
-        accepted = self.target.ingest_events(session_id, x, y, codes, t)
-        return True if accepted is None else bool(accepted)
+    def _send(
+        self, index: int, cursors: tuple[int, int], event_goal: int, decision_goal: int
+    ) -> tuple[bool, bool]:
+        """Dispatch one trace's missing slices; ``(sent anything, all accepted)``.
 
-    def _decide(self, session_id: str, row, col, confidence, timestamp) -> bool:
-        accepted = self.target.add_decision(
-            session_id, int(row), int(col), float(confidence), float(timestamp)
-        )
-        return True if accepted is None else bool(accepted)
+        Decisions go out as ``d_*[cursor:goal]`` in order and stop at the
+        first rejection, so the applied decisions stay a prefix.
+        """
+        trace = self.traces[index]
+        session_id = trace.session_id
+        event_cursor, decision_cursor = cursors
+        sent = False
+        if event_cursor < event_goal:
+            sent = True
+            window = slice(event_cursor, event_goal)
+            accepted = self.target.ingest_events(
+                session_id, trace.x[window], trace.y[window],
+                trace.codes[window], trace.t[window],
+            )
+            if accepted is not None and not accepted:
+                return sent, False
+            self.summary.delivered_events += event_goal - event_cursor
+        for position in range(decision_cursor, decision_goal):
+            sent = True
+            accepted = self.target.add_decision(
+                session_id,
+                int(trace.d_rows[position]),
+                int(trace.d_cols[position]),
+                float(trace.d_conf[position]),
+                float(trace.d_t[position]),
+            )
+            if accepted is not None and not accepted:
+                return sent, False
+            self.summary.delivered_decisions += 1
+        return sent, True
 
     def _recharacterize(self, *, force: bool = False) -> BatchScores:
         if self._is_fleet:
@@ -190,61 +226,55 @@ class ReplayDriver:
     # Delivery
     # ------------------------------------------------------------------ #
 
-    def _deliver_window(self, end: float) -> None:
-        """Deliver every trace's ``[cursor, goal)`` slice; repeat to converge.
+    def _deliver_round(self, event_goals: list[int], decision_goals: list[int]) -> bool:
+        """One delivery round; returns whether anything was dispatched.
 
-        A pass that delivered anything is followed by a verification
-        pass; a shard death (state rewind) or a backpressure rejection
-        simply leaves cursors short of their goals and the next pass
-        re-delivers the difference.
+        Three phases: read every cursor (opening missing sessions), issue
+        every dispatch, flush.  No read happens between the first and the
+        last dispatch, so no shard drains mid-round and no delivery is
+        computed from a cursor a shard death has since rewound.  A
+        rejected dispatch (full queue) flushes early — which empties
+        every queue, so the retry is accepted — and re-reads the cursors
+        of the traces not yet delivered before carrying on.
         """
-        for _ in range(self.max_redelivery_rounds):
-            delivered = False
-            for trace in self.traces:
-                session_id = trace.session_id
-                if session_id not in self.target:
-                    self.target.open(session_id, trace.shape, screen=trace.screen)
-                session = self._session(session_id)
-                event_goal = int(np.searchsorted(trace.t, end, side="right"))
-                event_cursor = len(session.buffer)
-                if event_cursor < event_goal:
-                    delivered = True
-                    if self._ingest(
-                        session_id,
-                        trace.x[event_cursor:event_goal],
-                        trace.y[event_cursor:event_goal],
-                        trace.codes[event_cursor:event_goal],
-                        trace.t[event_cursor:event_goal],
-                    ):
-                        self.summary.delivered_events += event_goal - event_cursor
-                decision_goal = int(np.searchsorted(trace.d_t, end, side="right"))
-                # Re-read the decision cursor before every delivery: a
-                # shard death during *this very loop* rewinds (or
-                # removes) the session, and appending past a rewound
-                # cursor would break the applied-decisions-are-a-prefix
-                # invariant the dedup depends on.
-                for _attempt in range(decision_goal + self.max_redelivery_rounds):
-                    if session_id not in self.target:
-                        self.target.open(session_id, trace.shape, screen=trace.screen)
-                    decision_cursor = len(self._session(session_id).decisions)
-                    if decision_cursor >= decision_goal:
-                        break
-                    delivered = True
-                    if self._decide(
-                        session_id,
-                        trace.d_rows[decision_cursor],
-                        trace.d_cols[decision_cursor],
-                        trace.d_conf[decision_cursor],
-                        trace.d_t[decision_cursor],
-                    ):
-                        self.summary.delivered_decisions += 1
-                    else:
-                        break  # rejected: keep order, retry next round
-            if not delivered:
-                return
-            self.summary.redelivery_rounds += 1
+        sent_any = False
+        start = 0
+        while start < len(self.traces):
+            cursors = [self._cursors(index) for index in range(start, len(self.traces))]
+            rejected_at = None
+            for index, cursor in enumerate(cursors, start=start):
+                sent, accepted = self._send(
+                    index, cursor, event_goals[index], decision_goals[index]
+                )
+                sent_any = sent_any or sent
+                if not accepted:
+                    rejected_at = index
+                    break
             if self._is_fleet:
                 self.target.flush()
+            if rejected_at is None:
+                break
+            start = rejected_at
+        return sent_any
+
+    def _deliver_window(self, end: float) -> None:
+        """Deliver every trace's ``[cursor, goal)`` slices; repeat to converge.
+
+        A round that dispatched anything is followed by another round
+        that re-reads the cursors; a shard death (state rewind) leaves
+        cursors short of their goals and the next round re-delivers the
+        difference.
+        """
+        event_goals = [
+            int(np.searchsorted(trace.t, end, side="right")) for trace in self.traces
+        ]
+        decision_goals = [
+            int(np.searchsorted(trace.d_t, end, side="right")) for trace in self.traces
+        ]
+        for _ in range(self.max_redelivery_rounds):
+            if not self._deliver_round(event_goals, decision_goals):
+                return
+            self.summary.redelivery_rounds += 1
         raise RuntimeError(
             f"window {end} did not converge within "
             f"{self.max_redelivery_rounds} delivery rounds"

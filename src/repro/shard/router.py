@@ -11,6 +11,9 @@ The ring is built from keyless blake2b points, so routing is a pure
 function of ``(seed, n_shards, replicas, session_id)``: every process,
 test and re-run agrees on the placement of every session with no shared
 state — the same determinism idiom as :mod:`repro.runtime.faults`.
+Because it is pure, each router memoizes its answers: a session id is
+hashed once per router, not once per dispatch.  Resizing builds a new
+router (with an empty memo), so a memoized route never goes stale.
 """
 
 from __future__ import annotations
@@ -60,14 +63,18 @@ class ShardRouter:
         points.sort()
         self._points = [point for point, _ in points]
         self._owners = [shard for _, shard in points]
+        self._routes: dict[str, int] = {}
 
     def route(self, session_id: str) -> int:
-        """The shard owning ``session_id`` (pure, stateless)."""
-        position = _point(self.seed, f"session:{session_id}")
-        index = bisect.bisect_right(self._points, position)
-        if index == len(self._points):
-            index = 0  # wrap: the ring is circular
-        return self._owners[index]
+        """The shard owning ``session_id`` (pure; memoized per router)."""
+        shard = self._routes.get(session_id)
+        if shard is None:
+            position = _point(self.seed, f"session:{session_id}")
+            index = bisect.bisect_right(self._points, position)
+            if index == len(self._points):
+                index = 0  # wrap: the ring is circular
+            shard = self._routes[session_id] = self._owners[index]
+        return shard
 
     def assignment(self, session_ids: Iterable[str]) -> dict[str, int]:
         """Route a whole universe at once (``{session_id: shard}``)."""

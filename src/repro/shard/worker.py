@@ -6,11 +6,13 @@ the fleet on shared-memory model columns — see
 :mod:`repro.shard.fleet`), plus the two things that make it a *fleet
 member* rather than a bare manager:
 
-* a **bounded dispatch queue** with explicit backpressure — a full
-  queue rejects the batch (``submit`` returns ``False``) and the fleet
-  counts the rejection exactly; accepted batches are applied exactly
-  once, in FIFO order, which ``tests/shard/test_backpressure.py`` pins
-  to :class:`~repro.stream.quarantine.QuarantineLog`-grade accounting;
+* a **bounded write-behind dispatch queue** with explicit backpressure
+  — a full queue rejects the batch (``submit`` returns ``False``) and
+  the fleet counts the rejection exactly; accepted batches wait in the
+  queue until the fleet drains it (once per delivery round, or when a
+  read touches the shard) and are then applied exactly once, in FIFO
+  order, which ``tests/shard/test_backpressure.py`` pins to
+  :class:`~repro.stream.quarantine.QuarantineLog`-grade accounting;
 * a **crash surface** — the ``shard.death`` fault seam fires at the top
   of a queue drain and discards the worker's entire in-memory state
   (sessions *and* queued batches), exactly what a killed worker process
@@ -24,20 +26,33 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import Optional
 
 from repro import obs
-from repro.core.features.base import FeatureBlock
-from repro.matching.matcher import HumanMatcher
 from repro.runtime.faults import ReproRuntimeWarning, active_injector
-from repro.serve.service import CharacterizationService, _chunked
+from repro.serve.service import CharacterizationService
 from repro.stream.checkpoint import CheckpointError, CheckpointStore
 from repro.stream.session import MatcherSession, SessionManager
 
 #: Default dispatch-queue capacity, in batches.
 DEFAULT_QUEUE_SLOTS = 256
+
+_DISPATCH_SECONDS = obs.MetricHandle(
+    "histogram",
+    "repro_shard_dispatch_seconds",
+    "Write-behind dispatch latency per drained queue (oldest batch to applied).",
+)
+_DRAIN_SECONDS = obs.MetricHandle(
+    "histogram",
+    "repro_shard_drain_seconds",
+    "Queue-drain wall-clock per shard drain call.",
+)
+_QUEUE_DEPTH = obs.MetricHandle(
+    "gauge",
+    "repro_shard_queue_depth",
+    "Batches each shard's dispatch queue held when it was last drained.",
+    labelnames=("shard",),
+)
 
 
 class ShardDeath(RuntimeError):
@@ -100,6 +115,7 @@ class ShardWorker:
         self.paused = False
         self._queue: deque = deque()
         self._queued_events = 0
+        self._oldest_enqueued = 0.0  # perf_counter of the head batch's submit
         self.counters = {
             "accepted_batches": 0,
             "accepted_events": 0,
@@ -158,33 +174,20 @@ class ShardWorker:
 
         A rejected batch is dropped *whole* — no partial application, so
         accepted-event accounting stays exact: every accepted event is
-        applied exactly once by :meth:`drain`.
+        applied exactly once by :meth:`drain`.  Submitting applies
+        nothing (write-behind): the fleet drains the queue once per
+        delivery round or when a read touches the shard.
         """
         if len(self._queue) >= self.queue_slots:
             self.counters["rejected_batches"] += 1
             self.counters["rejected_events"] += n_events
-            if obs.obs_enabled():
-                obs.counter(
-                    "repro_shard_dispatch_batches_total",
-                    "Dispatch batches offered to shard queues, by outcome.",
-                    labelnames=("outcome",),
-                ).inc(outcome="rejected")
             return False
+        if not self._queue:
+            self._oldest_enqueued = time.perf_counter()
         self._queue.append((item, n_events))
         self._queued_events += n_events
         self.counters["accepted_batches"] += 1
         self.counters["accepted_events"] += n_events
-        if obs.obs_enabled():
-            obs.counter(
-                "repro_shard_dispatch_batches_total",
-                "Dispatch batches offered to shard queues, by outcome.",
-                labelnames=("outcome",),
-            ).inc(outcome="accepted")
-            obs.gauge(
-                "repro_shard_queue_depth",
-                "Batches waiting in each shard's dispatch queue.",
-                labelnames=("shard",),
-            ).set(len(self._queue), shard=self.shard_id)
         return True
 
     def drain(self, clock: int = 0) -> int:
@@ -196,6 +199,10 @@ class ShardWorker:
         deterministic deaths over the whole run (``p=``).  When it
         fires, :class:`ShardDeath` propagates *before* any queued batch
         is applied; the fleet then discards this worker's state.
+
+        Telemetry is paid once per drained queue, not per batch: one
+        ``shard.dispatch`` span, one observation each of the dispatch
+        latency (oldest queued batch to applied) and the drain time.
         """
         injector = active_injector()
         if injector is not None and injector.fires(
@@ -203,34 +210,31 @@ class ShardWorker:
         ):
             raise ShardDeath(self.shard_id, clock)
         manager = self.require_manager()
-        applied = 0
+        depth, applied = len(self._queue), 0
         started = time.perf_counter()
-        while self._queue:
-            (kind, session_id, payload), n_events = self._queue.popleft()
-            self._queued_events -= n_events
-            if kind == "events":
-                x, y, codes, t = payload
-                manager.ingest_events(session_id, x, y, codes, t)
-            elif kind == "decision":
-                row, col, confidence, timestamp = payload
-                manager.add_decision(session_id, row, col, confidence, timestamp)
-            else:  # pragma: no cover - defensive: the fleet builds the items
-                raise ValueError(f"unknown dispatch item kind {kind!r}")
-            self.counters["processed_batches"] += 1
-            self.counters["processed_events"] += n_events
-            applied += n_events
-        elapsed = time.perf_counter() - started
-        self.drain_seconds += elapsed
-        if obs.obs_enabled():
-            obs.histogram(
-                "repro_shard_drain_seconds",
-                "Queue-drain wall-clock per shard drain call.",
-            ).observe(elapsed)
-            obs.gauge(
-                "repro_shard_queue_depth",
-                "Batches waiting in each shard's dispatch queue.",
-                labelnames=("shard",),
-            ).set(0, shard=self.shard_id)
+        with obs.trace_span(
+            "shard.dispatch", shard=self.shard_id, batches=depth, events=self._queued_events
+        ):
+            while self._queue:
+                (kind, session_id, payload), n_events = self._queue.popleft()
+                self._queued_events -= n_events
+                if kind == "events":
+                    x, y, codes, t = payload
+                    manager.ingest_events(session_id, x, y, codes, t)
+                elif kind == "decision":
+                    row, col, confidence, timestamp = payload
+                    manager.add_decision(session_id, row, col, confidence, timestamp)
+                else:  # pragma: no cover - defensive: the fleet builds the items
+                    raise ValueError(f"unknown dispatch item kind {kind!r}")
+                self.counters["processed_batches"] += 1
+                self.counters["processed_events"] += n_events
+                applied += n_events
+        finished = time.perf_counter()
+        self.drain_seconds += finished - started
+        if depth and obs.obs_enabled():
+            _DRAIN_SECONDS().observe(finished - started)
+            _DISPATCH_SECONDS().observe(finished - self._oldest_enqueued)
+            _QUEUE_DEPTH().set(depth, shard=self.shard_id)
         return applied
 
     # ------------------------------------------------------------------ #
@@ -324,35 +328,6 @@ class ShardWorker:
                 if manager.session(session_id).scoreable
             ]
         return manager.dirty_sessions()
-
-    def extract_blocks(
-        self, matchers: Sequence[HumanMatcher]
-    ) -> Optional[dict[str, FeatureBlock]]:
-        """Extract this shard's feature rows on its warm service.
-
-        Chunked by the service's chunk size with the serving layer's
-        no-singleton-chunk rule, so every row is bitwise identical to
-        extraction inside any other >= 2 grouping (the documented
-        chunk-equivalence contract).  Returns ``None`` for a singleton
-        population — the coordinator folds those matchers into another
-        shard's group (or the full batch) instead of extracting batch-1
-        rows that neural feature sets round differently.
-        """
-        matchers = list(matchers)
-        if len(matchers) < 2:
-            return None
-        pipeline = self.service.model.pipeline
-        chunks = _chunked(matchers, self.service.chunk_size)
-        parts = [pipeline.transform_blocks(chunk) for chunk in chunks]
-        for chunk, blocks in zip(chunks, parts):
-            pipeline.store_blocks(chunk, blocks)
-        return {
-            name: FeatureBlock(
-                parts[0][name].names,
-                np.vstack([part[name].matrix for part in parts]),
-            )
-            for name in pipeline.include
-        }
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -161,6 +161,10 @@ def save_checkpoint(
     probabilities = np.zeros((len(sessions), _N_LABELS), dtype=np.float64)
 
     for index, session in enumerate(sessions):
+        # Fold before snapshotting the buffer: its state includes the
+        # drain cursor, so a tail folded after it would be folded again
+        # on restore.
+        features = session.features
         state = session.buffer.state()
         for key in _BUFFER_KEYS:
             buffer_chunks[key].append(state[key])
@@ -171,9 +175,9 @@ def save_checkpoint(
                 dtype=np.float64,
             ).reshape(-1, 4)
         )
-        heat_grids[index] = session.features.heat.counts
-        type_counts[index] = session.features.type_counts.counts
-        motion_states[index] = session.features.motion.state()
+        heat_grids[index] = features.heat.counts
+        type_counts[index] = features.type_counts.counts
+        motion_states[index] = features.motion.state()
         shapes[index] = session.shape
         screens[index] = session.screen
         flags[index, 0] = 1.0 if session.dirty else 0.0
@@ -394,9 +398,12 @@ def load_checkpoint(
             state[key] = arrays[key][int(offsets[index]) : int(offsets[index + 1])]
         session.buffer = StreamingEventBuffer.from_state(state)
 
-        session.features.heat.counts = arrays["heat_grids"][index].copy()
-        session.features.type_counts.counts = arrays["type_counts"][index].copy()
-        session.features.motion = IncrementalMotionStats.from_state(
+        # Write the saved (folded) state directly: reading the features
+        # property here would fold against the restored drain cursor.
+        features = session._features
+        features.heat.counts = arrays["heat_grids"][index].copy()
+        features.type_counts.counts = arrays["type_counts"][index].copy()
+        features.motion = IncrementalMotionStats.from_state(
             arrays["motion_states"][index]
         )
 

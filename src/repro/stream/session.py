@@ -2,7 +2,7 @@
 
 :class:`SessionManager` is the control plane of the streaming layer: it
 tracks many concurrent matcher sessions, each one an append-friendly
-event buffer plus incrementally-maintained features and a growing
+event buffer plus incremental features (folded on read) and a growing
 decision history, and keeps their expertise characterizations current by
 re-scoring **only the sessions that changed** (dirty-flagged) in batches
 through the existing :class:`~repro.serve.CharacterizationService` — so
@@ -73,7 +73,7 @@ class MatcherSession:
         self.shape = (int(rows), int(cols))
         self.screen = (int(screen[0]), int(screen[1]))
         self.buffer = StreamingEventBuffer(reorder_window=reorder_window)
-        self.features = SessionFeatureState(self.screen)
+        self._features = SessionFeatureState(self.screen)
         self.quarantine = quarantine
         self.decisions: list[Decision] = []
         self.dirty = False
@@ -87,8 +87,22 @@ class MatcherSession:
     # Ingestion
     # ------------------------------------------------------------------ #
 
+    @property
+    def features(self) -> SessionFeatureState:
+        """The incremental features, folded up to the buffer's committed tail.
+
+        Ingest only appends to the buffer; the committed events not yet
+        folded are folded here, on read, in one chunk.  Scoring never
+        reads these features (it materializes the buffer), so a live
+        session pays for them only when it is reported or checkpointed.
+        """
+        tail = self.buffer.drain()
+        if len(tail):
+            self._features.update(tail)
+        return self._features
+
     def ingest_events(self, x, y, codes, t) -> None:
-        """Append a column batch of mouse events and advance the features.
+        """Append a column batch of mouse events (features fold on read).
 
         With a quarantine log configured the batch goes through the
         screened path (:meth:`StreamingEventBuffer.extend_screened`):
@@ -118,7 +132,6 @@ class MatcherSession:
         else:
             self.buffer.extend(x, y, codes, t)
         self._ingests += 1
-        self.features.update(self.buffer.drain())
         accepted = len(self.buffer) - before
         if accepted > 0:
             self.last_activity = max(self.last_activity, self.buffer.max_timestamp)

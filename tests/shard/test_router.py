@@ -1,9 +1,12 @@
 """Consistent-hash router: determinism, balance, and ≈1/N resize stability."""
 
+import bisect
+
 import numpy as np
 import pytest
 
-from repro.shard import DEFAULT_REPLICAS, ShardRouter
+from repro.shard import DEFAULT_REPLICAS, ShardFleet, ShardRouter, synthetic_traces
+from repro.shard.router import _point
 
 
 def _universe(n=5000):
@@ -69,6 +72,41 @@ class TestResizeStability:
                 assert before[key] == 4  # only the removed shard's sessions
         orphaned = [key for key in universe if before[key] == 4]
         assert orphaned and all(after[key] != 4 for key in orphaned)
+
+
+def _ring_owner(router, session_id):
+    """The ring lookup ``route`` memoizes, computed from scratch."""
+    position = _point(router.seed, f"session:{session_id}")
+    index = bisect.bisect_right(router._points, position) % len(router._points)
+    return router._owners[index]
+
+
+class TestRouteMemo:
+    """``route`` is memoized per router; a memoized answer is never stale."""
+
+    def test_memoized_routes_equal_fresh_routers_across_resize(self):
+        rng = np.random.default_rng(17)
+        universe = [f"user-{value:x}" for value in rng.integers(0, 2**62, 1000)]
+        router = ShardRouter(4, seed=5)
+        for n_shards in (4, 5, 3):
+            router = router.resize(n_shards)
+            expected = [_ring_owner(router, key) for key in universe]
+            for _ in range(2):  # the second pass answers from the memo
+                assert [router.route(key) for key in universe] == expected
+                assert [
+                    ShardRouter(n_shards, seed=5).route(key) for key in universe
+                ] == expected
+
+    def test_rebalanced_fleet_places_every_session_on_its_route(self, shard_service):
+        traces = synthetic_traces(30, seed=8, n_events=4, n_decisions=1)
+        with ShardFleet(shard_service, 3, seed=4) as fleet:
+            for trace in traces:
+                fleet.open(trace.session_id, trace.shape, screen=trace.screen)
+            for n_shards in (5, 2):
+                fleet.rebalance(n_shards)
+                for trace in traces:
+                    shard = fleet.router.route(trace.session_id)
+                    assert trace.session_id in fleet._workers[shard].manager
 
 
 class TestSpec:

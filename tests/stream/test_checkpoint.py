@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.io.bundle import read_arrays
 from repro.serve.artifacts import ArtifactError, save_model
 from repro.serve.service import CharacterizationService
 from repro.stream import (
@@ -15,6 +16,8 @@ from repro.stream import (
     save_checkpoint,
 )
 from repro.stream.cli import _replay
+
+from tests.stream.conftest import jittered, random_trace
 
 
 @pytest.fixture
@@ -121,6 +124,98 @@ class TestRoundTrip:
         bundle = save_checkpoint(SessionManager(stream_service), tmp_path / "empty")
         restored = load_checkpoint(bundle, stream_service)
         assert len(restored) == 0
+
+
+def _chunks(n, rng):
+    """Random arrival chunk bounds covering ``[0, n)``."""
+    bounds = [0]
+    while bounds[-1] < n:
+        bounds.append(min(n, bounds[-1] + int(rng.integers(1, 12))))
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+class TestFoldOrder:
+    """Features fold on read, so a checkpoint may be taken with committed
+    events not yet folded: save must fold before it snapshots the buffer's
+    drain cursor, and restore must not fold again."""
+
+    @pytest.mark.parametrize("reorder", [0.0, 4.0])
+    def test_resume_from_unfolded_tail_matches_uninterrupted_session(
+        self, stream_service, tmp_path, reorder
+    ):
+        rng = np.random.default_rng(int(reorder) + 41)
+        columns = random_trace(rng, 300)
+        if reorder:
+            columns = jittered(columns, rng, lag=reorder)
+        chunks = _chunks(300, rng)
+        half = len(chunks) // 2
+
+        interrupted = SessionManager(stream_service, reorder_window=reorder)
+        uninterrupted = SessionManager(stream_service, reorder_window=reorder)
+        for manager in (interrupted, uninterrupted):
+            manager.open("s", (6, 6))
+        # Fold part of the stream, then leave a committed tail unfolded.
+        for lo, hi in chunks[: half // 2]:
+            interrupted.ingest_events("s", *(column[lo:hi] for column in columns))
+        interrupted.session("s").report()
+        for lo, hi in chunks[half // 2 : half]:
+            interrupted.ingest_events("s", *(column[lo:hi] for column in columns))
+        buffer = interrupted.session("s").buffer
+        assert buffer._drained < buffer.n_committed  # an unfolded tail exists
+
+        bundle = save_checkpoint(interrupted, tmp_path / "mid", layout="npz")
+        resumed = load_checkpoint(bundle, stream_service)
+        for lo, hi in chunks[half:]:
+            resumed.ingest_events("s", *(column[lo:hi] for column in columns))
+        for lo, hi in chunks:
+            uninterrupted.ingest_events("s", *(column[lo:hi] for column in columns))
+        for manager in (resumed, uninterrupted):
+            manager.session("s").buffer.flush()
+
+        ours = resumed.session("s").features
+        theirs = uninterrupted.session("s").features
+        np.testing.assert_array_equal(ours.heat.counts, theirs.heat.counts)
+        np.testing.assert_array_equal(ours.type_counts.counts, theirs.type_counts.counts)
+        assert ours.motion.count == theirs.motion.count == 300
+        assert ours.motion.duration == theirs.motion.duration
+        assert ours.motion.path_length == pytest.approx(
+            theirs.motion.path_length, rel=1e-12, abs=1e-9
+        )
+        assert ours.motion.mean_position() == pytest.approx(
+            theirs.motion.mean_position(), rel=1e-12, abs=1e-9
+        )
+        assert ours.motion.x_summary.std == pytest.approx(
+            theirs.motion.x_summary.std, rel=1e-9, abs=1e-9
+        )
+        assert ours.motion.y_summary.std == pytest.approx(
+            theirs.motion.y_summary.std, rel=1e-9, abs=1e-9
+        )
+
+    @pytest.mark.parametrize("reorder", [0.0, 4.0])
+    def test_save_restore_save_writes_identical_arrays(
+        self, stream_service, tmp_path, reorder
+    ):
+        rng = np.random.default_rng(int(reorder) + 7)
+        columns = random_trace(rng, 120)
+        if reorder:
+            columns = jittered(columns, rng, lag=reorder)
+        manager = SessionManager(stream_service, reorder_window=reorder)
+        manager.open("s", (6, 6))
+        for lo, hi in _chunks(120, rng):
+            manager.ingest_events("s", *(column[lo:hi] for column in columns))
+        first = save_checkpoint(manager, tmp_path / "first", layout="npz")
+        second = save_checkpoint(
+            load_checkpoint(first, stream_service), tmp_path / "second", layout="npz"
+        )
+        assert (
+            read_checkpoint_manifest(first)["fingerprint"]
+            == read_checkpoint_manifest(second)["fingerprint"]
+        )
+        arrays_first = read_arrays(first, read_checkpoint_manifest(first)["arrays"])
+        arrays_second = read_arrays(second, read_checkpoint_manifest(second)["arrays"])
+        assert arrays_first.keys() == arrays_second.keys()
+        for key, array in arrays_first.items():
+            np.testing.assert_array_equal(arrays_second[key], array, err_msg=key)
 
 
 class TestModelBinding:
