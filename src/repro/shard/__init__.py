@@ -3,11 +3,11 @@
 The :mod:`repro.shard` package scales the streaming session layer
 (:mod:`repro.stream`) horizontally: a :class:`ShardRouter` consistent-hash
 partitions session ids across N :class:`ShardWorker`\\ s — each owning a
-private :class:`~repro.stream.SessionManager` and a warm per-shard
-:class:`~repro.serve.CharacterizationService` over shared-memory model
-columns — behind a :class:`ShardFleet` coordinator with bounded
-per-shard queues, explicit backpressure, per-shard crash-safe
-checkpoints and live rebalancing.
+private :class:`~repro.stream.SessionManager` over the one primary
+:class:`~repro.serve.CharacterizationService` — behind a
+:class:`ShardFleet` coordinator with bounded per-shard queues, explicit
+backpressure, per-shard crash-safe checkpoints and live rebalancing.
+A fleet-wide scoring pass is one ``score_batch`` call on that service.
 
 The package's defining contract is **bitwise equivalence**: a fleet
 replaying a workload is indistinguishable, score for score, from a

@@ -61,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--ring-seed", type=int, default=0, help="consistent-hash ring seed")
         sub.add_argument("--queue-slots", type=int, default=256, help="per-shard dispatch queue capacity (batches)")
         sub.add_argument("--checkpoint-root", default=None, metavar="DIR", help="per-shard checkpoint stores + fleet manifest")
-        sub.add_argument("--extract-runtime", default=None, metavar="BACKEND[:N]", help="extraction fan-out runtime (serial or thread[:N])")
+        sub.add_argument("--extract-runtime", default=None, metavar="BACKEND[:N]", help="scoring runtime (serial, thread[:N] or process[:N])")
 
     serve = commands.add_parser("serve", help="run the asyncio ops surface over a fleet")
     add_fleet_flags(serve)

@@ -16,26 +16,19 @@ The defining property — enforced by ``tests/shard/test_shard_equivalence.py``
 — is that a fleet replaying a workload is **indistinguishable (per-session
 scores bitwise)** from a single :class:`~repro.stream.SessionManager`
 replaying the same events in the same event-time order, for any shard
-count, dispatch interleaving or rebalance.  Three design rules make
-that provable rather than probabilistic:
+count, dispatch interleaving or rebalance.  Two design rules make
+that hold by construction rather than through a protocol of its own:
 
 * **Canonical batch order.**  Scoring batches are always assembled in
   sorted-session-id order (``SessionManager.recharacterize(order="id")``
   is the oracle) — an order invariant under placement, rebalancing and
   crash-restores, unlike LRU order.
-* **Shards extract, the coordinator classifies.**  Each shard extracts
-  feature rows for its own dirty sessions on its warm per-shard service
-  (chunked >= 2, the serving layer's chunk-equivalence contract); the
-  coordinator scatters the rows into one full-population matrix and
-  classifies **once** — the exact arrays, in the exact row order, the
-  single-manager oracle classifies.  Per-shard classification would put
-  different-shaped matrices through shape-sensitive BLAS kernels; this
-  protocol never does.
-* **Shared model columns.**  Per-shard services are rebuilt zero-copy on
-  the primary model's arrays exported once through
-  :mod:`repro.runtime.shm` (attach by :class:`~repro.runtime.BlockHandle`,
-  never re-pickled), so N shards cost one model's RAM and are bitwise
-  the same model.
+* **One scoring path.**  Every shard holds the primary
+  :class:`~repro.serve.CharacterizationService` (one model object, one
+  feature cache), and a fleet-wide pass is one
+  :meth:`~repro.serve.CharacterizationService.score_batch` call on the
+  sorted batch — the oracle's exact code path, so chunking, the
+  no-singleton rule and classify-once are the serving layer's own.
 
 Failure surface
 ---------------
@@ -53,24 +46,15 @@ import os
 import time
 import warnings
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from repro import obs
-from repro.core.expert_model import EXPERT_CHARACTERISTICS
-from repro.core.features.base import FeatureBlock
-from repro.core.features.cache import FeatureBlockCache
 from repro.matching.mouse import MovementMap
-from repro.runtime import RuntimeSpec, parallel_map, resolve_runner
-from repro.runtime.faults import (
-    DegradedRuntimeWarning,
-    InjectedFault,
-    ReproRuntimeWarning,
-    active_injector,
-)
-from repro.runtime.shm import SharedMemoryError, pack_context, unpack_context
-from repro.serve.service import BatchScores, CharacterizationService, _chunked
+from repro.runtime import RuntimeSpec
+from repro.runtime.faults import InjectedFault, ReproRuntimeWarning, active_injector
+from repro.serve.service import BatchScores, CharacterizationService
 from repro.shard.router import ShardRouter
 from repro.shard.worker import DEFAULT_QUEUE_SLOTS, ShardDeath, ShardWorker
 from repro.stream.checkpoint import CheckpointError, CheckpointStore
@@ -92,40 +76,15 @@ class ShardDispatchError(RuntimeError):
     """A dispatch could not be enqueued within the retry budget."""
 
 
-def _extract_group(task) -> dict[str, FeatureBlock]:
-    """Extract one shard group's feature blocks (module-level for TaskRunner).
-
-    ``task`` is ``(model, matchers, chunk_size)``; chunking follows the
-    serving layer's no-singleton rule, and extracted blocks are stored
-    back into the owning pipeline's cache (warm per-shard caches).
-    """
-    model, matchers, chunk_size = task
-    pipeline = model.pipeline
-    chunks = _chunked(matchers, chunk_size)
-    parts = [pipeline.transform_blocks(chunk) for chunk in chunks]
-    for chunk, blocks in zip(chunks, parts):
-        pipeline.store_blocks(chunk, blocks)
-    return {
-        name: FeatureBlock(
-            parts[0][name].names,
-            np.vstack([part[name].matrix for part in parts]),
-        )
-        for name in pipeline.include
-    }
-
-
 class ShardFleet:
     """Consistent-hash partitioned session serving across N shard workers.
 
     Parameters
     ----------
     service:
-        The primary (coordinator) :class:`CharacterizationService`.  Its
-        model's arrays are exported once into shared memory and every
-        shard's private service is rebuilt zero-copy on the attached
-        views; if shared-memory export is unavailable the fleet degrades
-        (with a :class:`DegradedRuntimeWarning`) to sharing the model
-        object in-process — never to re-pickling it.
+        The primary :class:`CharacterizationService`.  Every shard's
+        session manager scores through it, so the fleet holds one model
+        and one warm feature cache however many shards it has.
     n_shards:
         Number of shard workers.
     seed / replicas:
@@ -159,10 +118,9 @@ class ShardFleet:
     max_dispatch_retries:
         Bounded retry budget for transient ``shard.dispatch`` faults.
     extract_runtime:
-        :class:`~repro.runtime.TaskRunner` spec for fanning the
-        per-shard extraction groups out (``serial`` or ``thread[:N]``;
-        the ``process`` backend is rejected — it would re-pickle the
-        very model the shared columns exist to avoid shipping).
+        Default :class:`~repro.runtime.TaskRunner` spec of the fleet's
+        scoring batches (any backend; ``None`` uses the primary
+        service's runtime).
     """
 
     def __init__(
@@ -202,28 +160,7 @@ class ShardFleet:
             "idle_timeout": idle_timeout,
             "quarantine": None if quarantine is True else quarantine,
         }
-        runner = resolve_runner(extract_runtime)
-        if runner.backend == "process":
-            raise ValueError(
-                "extract_runtime must be serial or thread: process workers would "
-                "re-pickle the shared model the shard services attach by handle"
-            )
         self.extract_runtime = extract_runtime
-        # Export the model's arrays once; every shard attaches by handle.
-        self._block = None
-        self._packed = None
-        try:
-            packed, block = pack_context(service.model)
-            if block is not None:
-                self._packed, self._block = packed, block
-        except SharedMemoryError as error:
-            warnings.warn(
-                DegradedRuntimeWarning(
-                    f"shared-memory model export failed ({error}); shard services "
-                    "will share the primary model object in-process instead"
-                ),
-                stacklevel=2,
-            )
         self._workers: list[ShardWorker] = [
             self._make_worker(shard) for shard in range(n_shards)
         ]
@@ -240,30 +177,10 @@ class ShardFleet:
             "repro_shard_recharacterize_seconds",
             "Fleet recharacterization wall-clock per batch.",
         )
-        self._closed = False
 
     # ------------------------------------------------------------------ #
     # Construction helpers
     # ------------------------------------------------------------------ #
-
-    def _make_service(self) -> CharacterizationService:
-        """A per-shard service over the shared model columns (or the object)."""
-        if self._packed is not None:
-            model = unpack_context(self._packed, verify=True)
-            cache: Optional[FeatureBlockCache] = FeatureBlockCache()
-        else:
-            # Degraded in-process sharing: one model object, one cache —
-            # a fresh cache per service would clobber the shared
-            # pipeline's cache attachment.
-            model = self._primary.model
-            cache = self._primary.cache
-        return CharacterizationService(
-            model,
-            runtime=self._primary.runtime,
-            chunk_size=self._primary.chunk_size,
-            cache=cache,
-            bundle_info=getattr(self._primary, "_bundle_info", None),
-        )
 
     def _make_worker(self, shard: int) -> ShardWorker:
         manager_kwargs = self._manager_kwargs
@@ -271,7 +188,7 @@ class ShardFleet:
             manager_kwargs = dict(manager_kwargs, quarantine=QuarantineLog())
         worker = ShardWorker(
             shard,
-            self._make_service(),
+            self._primary,
             queue_slots=self.queue_slots,
             manager_kwargs=manager_kwargs,
         )
@@ -300,12 +217,12 @@ class ShardFleet:
         return self._clock
 
     def close(self) -> None:
-        """Release the shared model block (owner unlink).  Idempotent."""
-        if self._closed:
-            return
-        self._closed = True
-        if self._block is not None:
-            self._block.close()
+        """Release the fleet's resources.  Idempotent.
+
+        The fleet owns nothing beyond its shards' in-memory state, so
+        this does nothing; it stays so the fleet can be used as a
+        context manager like the other serving resources.
+        """
 
     def __enter__(self) -> "ShardFleet":
         return self
@@ -485,7 +402,7 @@ class ShardFleet:
             self._drain(worker)
 
     # ------------------------------------------------------------------ #
-    # Characterization (the classify-once protocol)
+    # Characterization
     # ------------------------------------------------------------------ #
 
     def recharacterize(
@@ -497,19 +414,19 @@ class ShardFleet:
     ) -> BatchScores:
         """Score every dirty session fleet-wide in one canonical batch.
 
-        Queues are flushed first, then the dirty (or, with ``force``,
-        all scoreable) sessions are assembled in sorted-session-id
-        order, features are extracted per shard on the warm per-shard
-        services, and the fused full-population matrix is classified
-        **once** by the coordinator — bitwise identical to
+        Queues are flushed, the dirty (or, with ``force``, all
+        scoreable) sessions of every shard are gathered in
+        sorted-session-id order and scored by **one**
+        :meth:`~repro.serve.CharacterizationService.score_batch` call on
+        the primary service — bitwise identical to
         ``SessionManager.recharacterize(order="id")`` on a single
         manager holding the same sessions (see the module docstring).
 
         Args
         ----
         runtime:
-            Per-call override for the extraction fan-out (``serial`` or
-            ``thread[:N]``; defaults to the fleet's ``extract_runtime``).
+            Per-call scoring runtime override (defaults to the fleet's
+            ``extract_runtime``, then to the primary service's runtime).
         chunk_size:
             Per-call extraction chunk override (defaults to the primary
             service's chunk size).
@@ -518,30 +435,25 @@ class ShardFleet:
             final-scores comparison the chaos suite uses).
         """
         self.flush()
-        pending: list[tuple[ShardWorker, MatcherSession]] = []
+        pending: list[MatcherSession] = []
         for worker in self._workers:
-            worker = self._ensure_alive(worker.shard_id)
             pending.extend(
-                (worker, session) for session in worker.pending_sessions(force=force)
+                self._ensure_alive(worker.shard_id).pending_sessions(force=force)
             )
-        pending.sort(key=lambda pair: pair[1].session_id)
-        ids = tuple(session.session_id for _, session in pending)
-        n_labels = len(EXPERT_CHARACTERISTICS)
         if not pending:
-            return BatchScores(
-                ids, np.zeros((0, n_labels), dtype=int), np.zeros((0, n_labels))
-            )
+            # An empty pass records no latency: stats() counts scored passes.
+            return self._primary.score_batch([])
+        pending.sort(key=lambda session: session.session_id)
         started = time.perf_counter()
         with obs.trace_span("shard.recharacterize", sessions=len(pending), force=force):
-            matchers = [session.matcher() for _, session in pending]
-            size = chunk_size if chunk_size is not None else self._primary.chunk_size
-            blocks = self._extract(pending, matchers, size, runtime=runtime)
-            labels, probabilities = self._primary.model.characterize(
-                matchers, precomputed=blocks
+            scores = self._primary.score_batch(
+                [session.matcher() for session in pending],
+                runtime=runtime if runtime is not None else self.extract_runtime,
+                chunk_size=chunk_size,
             )
-        for index, (_, session) in enumerate(pending):
-            session.last_labels = labels[index].copy()
-            session.last_probabilities = probabilities[index].copy()
+        for row, session in enumerate(pending):
+            session.last_labels = scores.labels[row].copy()
+            session.last_probabilities = scores.probabilities[row].copy()
             session.n_characterizations += 1
             session.dirty = False
         elapsed = time.perf_counter() - started
@@ -552,67 +464,7 @@ class ShardFleet:
                 "repro_shard_recharacterize_seconds",
                 "Fleet recharacterization wall-clock per batch.",
             ).observe(elapsed)
-            obs.counter("repro_score_batches_total", "Characterization batches scored.").inc()
-            obs.counter("repro_score_matchers_total", "Matchers scored across batches.").inc(
-                len(pending)
-            )
-        return BatchScores(ids, labels, probabilities)
-
-    def _extract(
-        self,
-        pending: Sequence[tuple[ShardWorker, MatcherSession]],
-        matchers: list,
-        chunk_size: int,
-        *,
-        runtime: RuntimeSpec = None,
-    ) -> dict[str, FeatureBlock]:
-        """Per-shard extraction groups, scattered back into global row order.
-
-        Each shard's rows are extracted on its own warm service; shards
-        contributing a single matcher are folded into another group (the
-        serving layer's no-singleton rule — batch-1 neural forwards are
-        exempt from the bitwise contract), so every extracted row is
-        bitwise identical to the oracle's extraction of the same matcher
-        inside the full batch.
-        """
-        by_shard: dict[int, list[int]] = {}
-        for row, (worker, _) in enumerate(pending):
-            by_shard.setdefault(worker.shard_id, []).append(row)
-        groups: list[tuple[object, list[int]]] = []  # (model, global row indices)
-        stragglers: list[int] = []
-        for shard, rows in sorted(by_shard.items()):
-            if len(rows) >= 2:
-                groups.append((self._workers[shard].service.model, rows))
-            else:
-                stragglers.extend(rows)
-        if len(stragglers) >= 2 or not groups:
-            # Two-plus stragglers extract together on the coordinator; a
-            # lone global singleton is the whole population (batch-1 on
-            # both paths, bitwise by definition).
-            groups.append((self._primary.model, stragglers))
-        elif stragglers:
-            # One straggler: fold it into an existing >= 2 group.
-            groups[-1][1].extend(stragglers)
-        tasks = [
-            (model, [matchers[row] for row in rows], chunk_size)
-            for model, rows in groups
-        ]
-        spec = runtime if runtime is not None else self.extract_runtime
-        runner = resolve_runner(spec)
-        if runner.backend == "process":
-            raise ValueError(
-                "shard extraction fan-out supports serial or thread runtimes only"
-            )
-        results = parallel_map(_extract_group, tasks, runtime=spec)
-        first = results[0]
-        blocks: dict[str, FeatureBlock] = {}
-        for name in self._primary.model.pipeline.include:
-            width = first[name].matrix.shape[1]
-            matrix = np.empty((len(matchers), width), dtype=first[name].matrix.dtype)
-            for (_, rows), result in zip(groups, results):
-                matrix[rows] = result[name].matrix
-            blocks[name] = FeatureBlock(first[name].names, matrix)
-        return blocks
+        return scores
 
     def scores(self) -> dict[str, dict[str, np.ndarray]]:
         """Latest characterization per scored session, sorted by id."""
@@ -654,9 +506,7 @@ class ShardFleet:
                 worker.checkpoint()
                 saved += 1
             except (CheckpointError, InjectedFault) as error:
-                worker.counters["checkpoint_failures"] = (
-                    worker.counters.get("checkpoint_failures", 0) + 1
-                )
+                worker.counters["checkpoint_failures"] += 1
                 warnings.warn(
                     ReproRuntimeWarning(
                         f"checkpoint of {worker.name} failed ({error}); its "
@@ -727,8 +577,8 @@ class ShardFleet:
     def rebalance(self, n_shards: int) -> list[str]:
         """Resize the fleet, moving only the ring-remapped sessions.
 
-        Queues are flushed, workers for added shards are created (over
-        the same shared model columns), every session whose ring owner
+        Queues are flushed, workers for added shards are created (on
+        the same primary service), every session whose ring owner
         changed is released by its old shard and adopted — state intact
         — by its new one, and removed shards are dropped once empty.
         Consistent hashing keeps the moved fraction ≈ ``1/n_shards``.
@@ -796,12 +646,8 @@ class ShardFleet:
             }
         per_shard = [worker.stats() for worker in self._workers]
         totals = {
-            key: sum(entry[key] for entry in per_shard)
-            for key in (
-                "accepted_batches", "accepted_events", "rejected_batches",
-                "rejected_events", "processed_batches", "processed_events",
-                "lost_batches", "lost_events", "deaths", "restores", "checkpoints",
-            )
+            key: sum(worker.counters[key] for worker in self._workers)
+            for key in self._workers[0].counters
         }
         totals["quarantined"] = self.quarantine_counts()
         return {
@@ -809,7 +655,6 @@ class ShardFleet:
             "n_sessions": len(self),
             "clock": self._clock,
             "dispatch_faults": self.dispatch_faults,
-            "shared_model": self._block is not None,
             "recharacterize_latency": latency,
             "totals": totals,
             "shards": per_shard,
@@ -843,5 +688,5 @@ class ShardFleet:
     def __repr__(self) -> str:
         return (
             f"ShardFleet(shards={self.n_shards}, sessions={len(self)}, "
-            f"clock={self._clock}, shared_model={self._block is not None})"
+            f"clock={self._clock})"
         )

@@ -1,10 +1,10 @@
 """One shard of the serving fleet (:class:`ShardWorker`).
 
-A shard worker owns a private :class:`~repro.stream.SessionManager` and
-a warm per-shard :class:`~repro.serve.CharacterizationService` (built by
-the fleet on shared-memory model columns — see
-:mod:`repro.shard.fleet`), plus the two things that make it a *fleet
-member* rather than a bare manager:
+A shard worker owns a private :class:`~repro.stream.SessionManager`
+over the fleet's primary :class:`~repro.serve.CharacterizationService`
+(every shard shares that one service — one model, one warm feature
+cache; see :mod:`repro.shard.fleet`), plus the two things that make it
+a *fleet member* rather than a bare manager:
 
 * a **bounded write-behind dispatch queue** with explicit backpressure
   — a full queue rejects the batch (``submit`` returns ``False``) and
@@ -84,8 +84,8 @@ class ShardWorker:
         Position of this worker in the fleet (also its fault-seam key
         prefix and checkpoint subdirectory index).
     service:
-        The shard's scoring/extraction service (the fleet builds one per
-        shard over shared model columns).
+        The scoring service this shard's session managers use (the
+        fleet passes its primary service to every shard).
     queue_slots:
         Dispatch-queue capacity in batches; a full queue rejects.
     manager_kwargs:
@@ -128,6 +128,7 @@ class ShardWorker:
             "deaths": 0,
             "restores": 0,
             "checkpoints": 0,
+            "checkpoint_failures": 0,
         }
         self.drain_seconds = 0.0
 

@@ -256,7 +256,10 @@ def _replay(
 
     records: list[dict] = []
     for step in range(1, last_step + 1):
-        start, end = float(boundaries[step - 1]), float(boundaries[step])
+        # The first window is closed at 0: relative timestamps start at
+        # exactly 0.0, and every later window is open at its start.
+        start = float(boundaries[step - 1]) if step > 1 else -np.inf
+        end = float(boundaries[step])
         for matcher in workload:
             # Evicted (or brand-new) sessions restart from the current
             # window — exactly what live LRU traffic looks like.

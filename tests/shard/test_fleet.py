@@ -1,20 +1,16 @@
-"""ShardFleet unit behaviour: routing, dispatch faults, degraded mode,
-shared-memory ownership, rebalance bookkeeping, ops payloads."""
+"""ShardFleet unit behaviour: routing, dispatch faults, the shared primary
+service, rebalance bookkeeping, ops payloads."""
 
-import warnings
-
-import numpy as np
 import pytest
 
-from repro.runtime.faults import DegradedRuntimeWarning, injected
+from repro import obs
+from repro.runtime.faults import injected
 from repro.shard import (
     ReplayDriver,
     ShardDispatchError,
     ShardFleet,
     synthetic_traces,
 )
-from repro.shard import fleet as fleet_module
-from repro.runtime.shm import SharedMemoryError
 
 
 @pytest.fixture
@@ -95,40 +91,35 @@ class TestDispatchFaults:
 
 
 class TestSharedModel:
-    def test_shard_services_share_primary_columns(self, small_fleet):
-        assert small_fleet.stats()["shared_model"]
-        services = {id(worker.service) for worker in small_fleet._workers}
-        assert len(services) == small_fleet.n_shards  # private services...
-        models = {id(worker.service.model) for worker in small_fleet._workers}
-        assert id(small_fleet._primary.model) not in models  # ...rebuilt, not shared
+    def test_every_shard_scores_through_the_primary_service(self, small_fleet):
+        assert all(
+            worker.service is small_fleet._primary for worker in small_fleet._workers
+        )
+        assert "shared_model" not in small_fleet.stats()
 
     def test_close_is_idempotent(self, shard_service):
         fleet = ShardFleet(shard_service, 2)
         fleet.close()
         fleet.close()
 
-    def test_degrades_to_object_sharing_when_shm_unavailable(
-        self, shard_service, monkeypatch
-    ):
-        def broken_pack(context, backend=None):
-            raise SharedMemoryError("no segments here")
-
-        monkeypatch.setattr(fleet_module, "pack_context", broken_pack)
-        with pytest.warns(DegradedRuntimeWarning, match="share the primary model"):
-            fleet = ShardFleet(shard_service, 2, seed=1)
-        with fleet:
-            assert not fleet.stats()["shared_model"]
-            for worker in fleet._workers:
-                assert worker.service.model is shard_service.model
-            # Degraded mode still serves correctly.
-            traces = synthetic_traces(6, seed=2, n_events=20, n_decisions=3)
-            driver = ReplayDriver(fleet, traces, steps=2)
-            driver.run()
-            assert driver.final_scores().n_matchers == 6
-
-    def test_process_extract_runtime_is_rejected(self, shard_service):
-        with pytest.raises(ValueError, match="re-pickle"):
-            ShardFleet(shard_service, 2, extract_runtime="process:2")
+    def test_fleet_scoring_is_counted_once(self, small_fleet):
+        """Each non-empty fleet pass is one ``score_batch``: the scoring
+        counters move once per report, under the fleet's own span."""
+        traces = synthetic_traces(8, seed=3, n_events=10, n_decisions=2)
+        with obs.obs_override(True), obs.use_registry() as registry:
+            with obs.use_tracer() as tracer:
+                reports = ReplayDriver(small_fleet, traces, steps=3).run()
+        batches = registry.get("repro_score_batches_total").value()
+        matchers = registry.get("repro_score_matchers_total").value()
+        spans = tracer.spans()
+        scored = [report for report in reports if report.n_matchers]
+        assert len(scored) >= 2
+        assert batches == len(scored)
+        assert matchers == sum(report.n_matchers for report in scored)
+        fleet_spans = {span.span_id for span in spans if span.name == "shard.recharacterize"}
+        score_spans = [span for span in spans if span.name == "serve.score_batch"]
+        assert len(score_spans) == len(scored) == len(fleet_spans)
+        assert all(span.parent_id in fleet_spans for span in score_spans)
 
 
 class TestOpsPayloads:

@@ -122,6 +122,7 @@ class TestTornCheckpoints:
                 for shard in fleet.stats()["shards"]
             )
             assert failures == 1
+            assert fleet.stats()["totals"]["checkpoint_failures"] == 1
             # Kill both shards: each restores from its latest good bundle.
             for shard in range(fleet.n_shards):
                 fleet._workers[shard].kill()

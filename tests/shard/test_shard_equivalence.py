@@ -93,11 +93,14 @@ class TestShardedEquivalence:
                     fleet.session(session_id), oracle.session(session_id)
                 )
 
-    def test_threaded_extraction_is_bitwise_identical(self, shard_service):
+    @pytest.mark.parametrize("extract_runtime", ["thread:3", "process:2"])
+    def test_threaded_extraction_is_bitwise_identical(
+        self, shard_service, extract_runtime
+    ):
         traces = synthetic_traces(12, seed=4, n_events=30, n_decisions=4)
         _, _, oracle_final = run_oracle(shard_service, traces, steps=2)
         fleet, _, fleet_final = run_fleet(
-            shard_service, traces, n_shards=3, steps=2, extract_runtime="thread:3"
+            shard_service, traces, n_shards=3, steps=2, extract_runtime=extract_runtime
         )
         with fleet:
             assert_scores_equal(fleet_final, oracle_final)

@@ -2,8 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from repro.serve.service import CharacterizationService
 from repro.stream import cli
 
 
@@ -90,6 +92,42 @@ def test_replay_idle_timeout_evicts(fast_service, capsys):
     )
     assert code == 0
     assert "(0 evicted" not in capsys.readouterr().out
+
+
+def _zero_start_matcher(matcher_id, shift):
+    """A matcher whose trace starts at exactly t = 0 (relative adapter time)."""
+    from repro.matching.history import Decision, DecisionHistory
+    from repro.matching.matcher import HumanMatcher
+    from repro.matching.mouse import MovementMap
+
+    movement = MovementMap.from_arrays(
+        np.array([10.0, 40.0, 70.0]) + shift,
+        np.array([20.0, 50.0, 80.0]) + shift,
+        np.array([0, 1, 0]),
+        np.array([0.0, 0.0, 5.0]),
+    )
+    history = DecisionHistory(
+        [Decision(0, 0, 0.9, 0.0), Decision(1, 2, 0.4, 4.0)], shape=(3, 3)
+    )
+    return HumanMatcher(matcher_id=matcher_id, history=history, movement=movement)
+
+
+def test_replay_delivers_entries_at_time_zero(stream_model):
+    """Events and decisions at t = 0.0 fall inside the first window."""
+    workload = [_zero_start_matcher("m-0", 0.0), _zero_start_matcher("m-1", 3.0)]
+    manager = cli.SessionManager(CharacterizationService(stream_model, chunk_size=4))
+    cli._replay(
+        manager, workload, steps=2, report_every=1, runtime=None, chunk_size=4
+    )
+    for matcher in workload:
+        session = manager.session(matcher.matcher_id)
+        assert len(session.buffer) == len(matcher.movement) == 3
+        assert session.decisions == list(matcher.history.decisions)
+    cold = CharacterizationService(stream_model, chunk_size=4).score_batch(workload)
+    final = manager.scores()
+    for row, matcher_id in enumerate(cold.matcher_ids):
+        assert np.array_equal(final[matcher_id]["labels"], cold.labels[row])
+        assert np.array_equal(final[matcher_id]["probabilities"], cold.probabilities[row])
 
 
 @pytest.fixture
