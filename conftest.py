@@ -3,12 +3,16 @@
 Makes the package importable from a fresh checkout even before
 ``pip install -e .`` has run, by putting ``src/`` on ``sys.path``.
 
-Adds ``--reverse``, which runs the collected tests in reverse order, so
-order dependence between tests shows up without a plugin::
+Adds two order-independence checks without a plugin: ``--reverse`` runs
+the collected tests in reverse order, and ``--shuffle SEED`` in an order
+drawn from ``random.Random(SEED)`` (the seed is printed in the header,
+so a failing order can be rerun)::
 
     python -m pytest -x -q --reverse
+    python -m pytest -x -q --shuffle 7
 """
 
+import random
 import sys
 from pathlib import Path
 
@@ -24,8 +28,25 @@ def pytest_addoption(parser):
         default=False,
         help="run the collected tests in reverse order (order-independence check)",
     )
+    parser.addoption(
+        "--shuffle",
+        type=int,
+        default=None,
+        metavar="SEED",
+        help="run the collected tests in an order shuffled by SEED (order-independence check)",
+    )
+
+
+def pytest_report_header(config):
+    seed = config.getoption("--shuffle")
+    if seed is not None:
+        return f"test order shuffled with --shuffle {seed}"
+    return None
 
 
 def pytest_collection_modifyitems(config, items):
     if config.getoption("--reverse"):
         items.reverse()
+    seed = config.getoption("--shuffle")
+    if seed is not None:
+        random.Random(seed).shuffle(items)

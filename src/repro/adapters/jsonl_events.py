@@ -12,6 +12,10 @@ Record shapes::
     {"kind": "session", "session": "s1", "shape": [6, 6], "screen": [768, 1024]}
     {"kind": "event", "session": "s1", "t": 0.25, "x": 10.0, "y": 12.0, "event": "move"}
     {"kind": "decision", "session": "s1", "t": 4.0, "row": 2, "col": 3, "confidence": 0.8}
+
+A header whose ``shape`` or ``screen`` pair holds anything but two
+non-negative integers (a string, ``null``, ``Infinity``, ``2.5``, ``-3``)
+is an unparseable line.
 """
 
 from __future__ import annotations
@@ -30,6 +34,27 @@ from repro.adapters.records import SessionTrace
 from repro.matching.events import EVENT_CODES, N_EVENT_TYPES
 
 _NAMES_BY_CODE = {code: name for name, code in EVENT_CODES.items()}
+
+
+def _is_dimension(item: object) -> bool:
+    """A non-negative integer (an integral float such as ``6.0`` counts)."""
+    if isinstance(item, bool):
+        return False
+    if isinstance(item, int):
+        return item >= 0
+    return isinstance(item, float) and item.is_integer() and item >= 0
+
+
+def _header_pair(obj: dict, key: str) -> Optional[tuple[int, int]]:
+    """A header's two-item ``key`` field as ints; ``None`` when absent or not a pair."""
+    value = obj.get(key)
+    if not (isinstance(value, (list, tuple)) and len(value) == 2):
+        return None
+    if not all(_is_dimension(item) for item in value):
+        raise RecordParseError(
+            f"session header {key} {value!r} is not two non-negative integers"
+        )
+    return int(value[0]), int(value[1])
 
 
 @register
@@ -71,14 +96,10 @@ class JsonlTraceFormat(TraceFormat):
             session_id = str(obj.get("session", "")).strip()
             if session_id:
                 headers = state.setdefault("headers", {})
-                entry: dict = {}
-                shape = obj.get("shape")
-                screen = obj.get("screen")
-                if isinstance(shape, (list, tuple)) and len(shape) == 2:
-                    entry["shape"] = (int(shape[0]), int(shape[1]))
-                if isinstance(screen, (list, tuple)) and len(screen) == 2:
-                    entry["screen"] = (int(screen[0]), int(screen[1]))
-                headers[session_id] = entry
+                pairs = {key: _header_pair(obj, key) for key in ("shape", "screen")}
+                headers[session_id] = {
+                    key: pair for key, pair in pairs.items() if pair is not None
+                }
             return None
         if kind == "event":
             event = obj.get("event")

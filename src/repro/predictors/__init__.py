@@ -7,11 +7,14 @@ uncertainty/diversity-oriented predictors (matrix norms, entropy) for the
 Thoroughness features, following the LRSM work (Gal, Roitman & Shraga).
 
 The public surface is a registry of named predictors plus convenience
-helpers that evaluate families of predictors on a matrix.
+helpers that evaluate families of predictors on a matrix.  Every
+predictor is implemented once, over a :class:`MatrixStack` of same-shape
+matrices; a single matrix is a one-matrix stack.
 """
 
 from repro.predictors.base import (
     MatchingPredictor,
+    MatrixStack,
     PredictorRegistry,
     default_registry,
     evaluate_predictors,
@@ -41,6 +44,7 @@ from repro.predictors.pca_predictors import PCAPredictor
 
 __all__ = [
     "MatchingPredictor",
+    "MatrixStack",
     "PredictorRegistry",
     "default_registry",
     "evaluate_predictors",

@@ -4,18 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.matching.matrix import MatchingMatrix
-from repro.predictors.base import MatchingPredictor
+from repro.predictors.base import MatchingPredictor, MatrixStack, count_blocks
 
 
-def _entropy(probabilities: np.ndarray) -> float:
-    """Shannon entropy of a (possibly unnormalised) non-negative vector."""
-    total = probabilities.sum()
-    if total <= 0:
-        return 0.0
-    p = probabilities / total
-    p = p[p > 0]
-    return float(-(p * np.log2(p)).sum())
+def _neg_plogp(block: np.ndarray) -> np.ndarray:
+    """Shannon entropy of each row of strictly positive probabilities."""
+    return -(block * np.log2(block)).sum(axis=1)
 
 
 class MatrixEntropyPredictor(MatchingPredictor):
@@ -28,40 +22,38 @@ class MatrixEntropyPredictor(MatchingPredictor):
     name = "entropy"
     orientation = "recall"
 
-    def __call__(self, matrix: MatchingMatrix) -> float:
-        values = matrix.values.ravel()
-        if values.size <= 1:
-            return 0.0
-        raw = _entropy(values)
-        max_entropy = np.log2(values.size)
-        if max_entropy == 0:
-            return 0.0
-        return raw / max_entropy
+    def _batch(self, stack: MatrixStack) -> np.ndarray:
+        if stack.cells <= 1:
+            return np.zeros(len(stack))
+        totals = stack.flat.sum(axis=1)
+        has_mass = totals > 0
+        p = stack.flat / np.where(has_mass, totals, 1.0)[:, None]
+        raw = stack.per_matrix(count_blocks(p, (p > 0) & has_mass[:, None]), _neg_plogp)
+        return raw / np.log2(stack.cells)
 
 
 class RowEntropyPredictor(MatchingPredictor):
-    """Average per-row entropy (how undecided the matcher is per source element)."""
+    """Average per-row entropy (how undecided the matcher is per source element).
+
+    Zero terms contribute exactly 0.0, so the whole-stack row entropies
+    match a per-row entropy loop to float reassociation (asserted at tight
+    tolerance in the tests).
+    """
 
     name = "row_entropy"
     orientation = "recall"
 
-    def __call__(self, matrix: MatchingMatrix) -> float:
-        values = matrix.values
-        if values.size == 0 or values.shape[1] <= 1:
-            return 0.0
-        max_entropy = np.log2(values.shape[1])
-        if max_entropy <= 0:
-            return 0.0
-        # Whole-matrix row entropies; zero terms contribute exactly 0.0, so
-        # this matches a per-row ``_entropy`` loop to float reassociation
-        # (asserted at tight tolerance in the tests).
-        totals = values.sum(axis=1)
+    def _batch(self, stack: MatrixStack) -> np.ndarray:
+        if stack.n_cols <= 1:
+            return np.zeros(len(stack))
+        values = stack.values
+        totals = values.sum(axis=2)
         safe_totals = np.where(totals > 0, totals, 1.0)
-        p = values / safe_totals[:, None]
+        p = values / safe_totals[:, :, None]
         positive = p > 0
         terms = np.where(positive, p * np.log2(np.where(positive, p, 1.0)), 0.0)
-        entropies = np.where(totals > 0, -terms.sum(axis=1), 0.0)
-        return float(np.mean(entropies / max_entropy))
+        entropies = np.where(totals > 0, -terms.sum(axis=2), 0.0)
+        return np.mean(entropies / np.log2(stack.n_cols), axis=1)
 
 
 class ConfidenceVariancePredictor(MatchingPredictor):
@@ -70,12 +62,15 @@ class ConfidenceVariancePredictor(MatchingPredictor):
     name = "conf_var"
     orientation = "recall"
 
-    def __call__(self, matrix: MatchingMatrix) -> float:
-        values = matrix.values
-        nonzero = values[values > 0]
-        if nonzero.size == 0:
-            return 0.0
-        return float(nonzero.var())
+    def _batch(self, stack: MatrixStack) -> np.ndarray:
+        return stack.per_matrix(stack.positive_blocks, lambda block: block.var(axis=1))
+
+
+def _distinct_share(block: np.ndarray) -> np.ndarray:
+    """Distinct confidences (rounded to 3 decimals) per row, over the row length."""
+    levels = np.sort(np.round(block, 3), axis=1)
+    distinct = 1 + np.count_nonzero(levels[:, 1:] != levels[:, :-1], axis=1)
+    return distinct / block.shape[1]
 
 
 class DiversityPredictor(MatchingPredictor):
@@ -88,10 +83,5 @@ class DiversityPredictor(MatchingPredictor):
     name = "diversity"
     orientation = "recall"
 
-    def __call__(self, matrix: MatchingMatrix) -> float:
-        values = matrix.values
-        nonzero = values[values > 0]
-        if nonzero.size == 0:
-            return 0.0
-        distinct = np.unique(np.round(nonzero, 3)).size
-        return distinct / nonzero.size
+    def _batch(self, stack: MatrixStack) -> np.ndarray:
+        return stack.per_matrix(stack.positive_blocks, _distinct_share)

@@ -12,21 +12,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.matching.matrix import MatchingMatrix
-from repro.predictors.base import MatchingPredictor
+from repro.predictors.base import MatchingPredictor, MatrixStack
 
 
 class FrobeniusNormPredictor(MatchingPredictor):
-    """Frobenius norm of the confidence matrix, normalised by sqrt(size)."""
+    """Frobenius norm of the confidence matrix, normalised by sqrt(size).
+
+    One ``dot`` per raveled matrix, the BLAS ``ddot`` ``np.linalg.norm``
+    uses, so the sum of squares is accumulated in its order.
+    """
 
     name = "norm_fro"
     orientation = "recall"
 
-    def __call__(self, matrix: MatchingMatrix) -> float:
-        values = matrix.values
-        if values.size == 0:
-            return 0.0
-        return float(np.linalg.norm(values, ord="fro") / np.sqrt(values.size))
+    def _batch(self, stack: MatrixStack) -> np.ndarray:
+        squares = np.array([row.dot(row) for row in stack.flat])
+        return np.sqrt(squares) / np.sqrt(stack.cells)
 
 
 class LInfinityNormPredictor(MatchingPredictor):
@@ -35,11 +36,8 @@ class LInfinityNormPredictor(MatchingPredictor):
     name = "normsinf"
     orientation = "recall"
 
-    def __call__(self, matrix: MatchingMatrix) -> float:
-        values = matrix.values
-        if values.size == 0:
-            return 0.0
-        return float(np.abs(values).sum(axis=1).max() / values.shape[1])
+    def _batch(self, stack: MatrixStack) -> np.ndarray:
+        return np.abs(stack.values).sum(axis=2).max(axis=1) / stack.n_cols
 
 
 class L1NormPredictor(MatchingPredictor):
@@ -48,11 +46,8 @@ class L1NormPredictor(MatchingPredictor):
     name = "norms1"
     orientation = "recall"
 
-    def __call__(self, matrix: MatchingMatrix) -> float:
-        values = matrix.values
-        if values.size == 0:
-            return 0.0
-        return float(np.abs(values).sum(axis=0).max() / values.shape[0])
+    def _batch(self, stack: MatrixStack) -> np.ndarray:
+        return np.abs(stack.values).sum(axis=1).max(axis=1) / stack.n_rows
 
 
 class SpectralNormPredictor(MatchingPredictor):
@@ -61,11 +56,5 @@ class SpectralNormPredictor(MatchingPredictor):
     name = "norms2"
     orientation = "recall"
 
-    def __call__(self, matrix: MatchingMatrix) -> float:
-        values = matrix.values
-        if values.size == 0 or min(values.shape) == 0:
-            return 0.0
-        singular_values = np.linalg.svd(values, compute_uv=False)
-        if singular_values.size == 0:
-            return 0.0
-        return float(singular_values[0] / np.sqrt(min(values.shape)))
+    def _batch(self, stack: MatrixStack) -> np.ndarray:
+        return stack.singular_values[:, 0] / np.sqrt(min(stack.n_rows, stack.n_cols))

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.matching.matrix import MatchingMatrix
-from repro.predictors.base import MatchingPredictor
+from repro.predictors.base import MatchingPredictor, MatrixStack
 
 
 class PCAPredictor(MatchingPredictor):
@@ -25,14 +24,13 @@ class PCAPredictor(MatchingPredictor):
         self.component = component
         self.name = f"pca{component}"
 
-    def __call__(self, matrix: MatchingMatrix) -> float:
-        values = matrix.values
-        if values.size == 0 or min(values.shape) == 0:
-            return 0.0
-        singular_values = np.linalg.svd(values, compute_uv=False)
-        energy = (singular_values**2).sum()
-        if energy <= 0:
-            return 0.0
-        if self.component > singular_values.size:
-            return 0.0
-        return float(singular_values[self.component - 1] ** 2 / energy)
+    def _batch(self, stack: MatrixStack) -> np.ndarray:
+        singular_values = stack.singular_values
+        out = np.zeros(len(stack))
+        if self.component > singular_values.shape[1]:
+            return out
+        energy = (singular_values**2).sum(axis=1)
+        # The chosen value is squared as a Python float (C ``pow()``); an
+        # array square rounds differently in the last bit for some values.
+        captured = np.array([v**2 for v in singular_values[:, self.component - 1].tolist()])
+        return np.divide(captured, energy, out=out, where=energy > 0)

@@ -10,15 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.matching.matrix import MatchingMatrix
-from repro.predictors.base import MatchingPredictor
+from repro.predictors.base import MatchingPredictor, MatrixStack, count_blocks
 
 
-def _dominant_mask(values: np.ndarray) -> np.ndarray:
-    """Non-zero entries that are maximal in both their row and column."""
-    row_max = values.max(axis=1)
-    col_max = values.max(axis=0)
-    return (values > 0) & (values >= row_max[:, None]) & (values >= col_max[None, :])
+def _mean(block: np.ndarray) -> np.ndarray:
+    return block.mean(axis=1)
 
 
 class DominantsPredictor(MatchingPredictor):
@@ -26,41 +22,31 @@ class DominantsPredictor(MatchingPredictor):
 
     A dominant entry holds the maximal confidence of its row *and* its
     column; a high proportion of dominants indicates a decisive, precise
-    match (the ``dom`` feature of Table IV).  One boolean mask over the
-    whole matrix; counts are integers, so it is bitwise-identical to an
-    entry-by-entry loop.
+    match (the ``dom`` feature of Table IV).  Counts are integers, so the
+    stacked mask is bitwise-identical to an entry-by-entry loop.
     """
 
     name = "dom"
     orientation = "precision"
 
-    def __call__(self, matrix: MatchingMatrix) -> float:
-        values = matrix.values
-        n_nonzero = int(np.count_nonzero(values))
-        if not n_nonzero:
-            return 0.0
-        return int(_dominant_mask(values).sum()) / n_nonzero
+    def _batch(self, stack: MatrixStack) -> np.ndarray:
+        dominants = np.count_nonzero(stack.dominant.reshape(len(stack), -1), axis=1)
+        n_nonzero = stack.n_nonzero
+        return np.where(n_nonzero > 0, dominants / np.maximum(n_nonzero, 1), 0.0)
 
 
 class MutualDominancePredictor(MatchingPredictor):
     """Average confidence of mutually dominant entries (0 when none exist).
 
-    One mask extracts the dominant entries in row-major order, exactly a
-    double loop's visit order, so the averaged values — and hence the
-    mean — are bitwise identical to the loop's.
+    The dominant entries are averaged in row-major order, a double loop's
+    visit order, so the mean is bitwise identical to the loop's.
     """
 
     name = "mcd"
     orientation = "precision"
 
-    def __call__(self, matrix: MatchingMatrix) -> float:
-        values = matrix.values
-        if values.size == 0:
-            return 0.0
-        dominant_values = values[_dominant_mask(values)]
-        if not dominant_values.size:
-            return 0.0
-        return float(np.mean(dominant_values))
+    def _batch(self, stack: MatrixStack) -> np.ndarray:
+        return stack.per_matrix(count_blocks(stack.values, stack.dominant), _mean)
 
 
 class BinaryMaxPredictor(MatchingPredictor):
@@ -73,12 +59,8 @@ class BinaryMaxPredictor(MatchingPredictor):
     name = "bmm"
     orientation = "precision"
 
-    def __call__(self, matrix: MatchingMatrix) -> float:
-        values = matrix.values
-        if values.shape[0] == 0:
-            return 0.0
-        covered_rows = np.count_nonzero(values.max(axis=1) > 0)
-        return covered_rows / values.shape[0]
+    def _batch(self, stack: MatrixStack) -> np.ndarray:
+        return np.count_nonzero(stack.row_max > 0, axis=1) / stack.n_rows
 
 
 class BinaryPrecisionMaxPredictor(MatchingPredictor):
@@ -91,15 +73,9 @@ class BinaryPrecisionMaxPredictor(MatchingPredictor):
     name = "bpm"
     orientation = "precision"
 
-    def __call__(self, matrix: MatchingMatrix) -> float:
-        values = matrix.values
-        if values.shape[0] == 0:
-            return 0.0
-        row_max = values.max(axis=1)
-        addressed = row_max[row_max > 0]
-        if addressed.size == 0:
-            return 0.0
-        return float(addressed.mean())
+    def _batch(self, stack: MatrixStack) -> np.ndarray:
+        row_max = stack.row_max
+        return stack.per_matrix(count_blocks(row_max, row_max > 0), _mean)
 
 
 class MaxConfidencePredictor(MatchingPredictor):
@@ -108,11 +84,8 @@ class MaxConfidencePredictor(MatchingPredictor):
     name = "max_conf"
     orientation = "precision"
 
-    def __call__(self, matrix: MatchingMatrix) -> float:
-        values = matrix.values
-        if values.size == 0:
-            return 0.0
-        return float(values.max())
+    def _batch(self, stack: MatrixStack) -> np.ndarray:
+        return stack.flat.max(axis=1)
 
 
 class AverageConfidencePredictor(MatchingPredictor):
@@ -121,8 +94,8 @@ class AverageConfidencePredictor(MatchingPredictor):
     name = "avg_conf"
     orientation = "precision"
 
-    def __call__(self, matrix: MatchingMatrix) -> float:
-        return matrix.mean_confidence()
+    def _batch(self, stack: MatrixStack) -> np.ndarray:
+        return stack.per_matrix(stack.positive_blocks, _mean)
 
 
 class CoveragePredictor(MatchingPredictor):
@@ -135,5 +108,5 @@ class CoveragePredictor(MatchingPredictor):
     name = "coverage"
     orientation = "recall"
 
-    def __call__(self, matrix: MatchingMatrix) -> float:
-        return matrix.density
+    def _batch(self, stack: MatrixStack) -> np.ndarray:
+        return stack.n_nonzero / stack.cells

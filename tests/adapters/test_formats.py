@@ -71,6 +71,47 @@ class TestJsonl:
         assert log.by_reason["unparseable"] == 1
         assert parsed[0].n_events == 1
 
+    @pytest.mark.parametrize(
+        "header",
+        [
+            {"shape": ["a", 2]},
+            {"shape": [float("inf"), 2]},
+            {"shape": [-3, 2]},
+            {"shape": [2.5, 2]},
+            {"shape": [True, 2]},
+            {"screen": [None, 2]},
+            {"screen": [768, float("nan")]},
+        ],
+    )
+    def test_hostile_header_dimensions_are_unparseable(self, header, tmp_path):
+        target = tmp_path / "trace.jsonl"
+        rows = [
+            {"kind": "session", "session": "s", **header},
+            {"kind": "decision", "session": "s", "t": 1.0, "row": 1, "col": 2,
+             "confidence": 0.5},
+        ]
+        target.write_text("\n".join(json.dumps(row) for row in rows) + "\n")
+        log = QuarantineLog()
+        parsed = JsonlTraceFormat.read(target, quarantine=log)
+        assert log.by_reason["unparseable"] == 1
+        assert parsed[0].n_decisions == 1
+        assert parsed[0].to_matcher().matrix().shape == parsed[0].shape
+        with pytest.raises(AdapterError, match="unparseable"):
+            JsonlTraceFormat.read(target)
+
+    def test_integral_header_dimensions_are_accepted(self, tmp_path):
+        target = tmp_path / "trace.jsonl"
+        rows = [
+            {"kind": "session", "session": "s", "shape": [3.0, 4], "screen": [0, 1024]},
+            {"kind": "decision", "session": "s", "t": 1.0, "row": 1, "col": 2,
+             "confidence": 0.5},
+        ]
+        target.write_text("\n".join(json.dumps(row) for row in rows) + "\n")
+        log = QuarantineLog()
+        parsed = JsonlTraceFormat.read(target, quarantine=log)
+        assert log.total == 0
+        assert parsed[0].shape == (3, 4) and parsed[0].screen == (0, 1024)
+
 
 class TestCsv:
     def test_event_roundtrip(self, traces, tmp_path):
