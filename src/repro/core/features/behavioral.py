@@ -6,6 +6,14 @@ adapts (Rzeszotarski & Kittur; Goyal et al.).  The consensus aggregates are
 only available once the extractor has been fitted on the training
 population (they are the "consensuality" dimension of the correlation
 features).
+
+``extract_batch`` is a population kernel over the decisions of every
+matcher, concatenated once (:meth:`DecisionHistory.columns`).  Durations,
+distinct pairs, mind changes and the latest decision per pair are exact
+passes over that concatenation; the confidence, pace, drift and consensus
+statistics are reduced per group of matchers with the same decision count,
+``matrixMeanConf`` per group with the same number of selected pairs
+(:mod:`repro.core.features.ragged`).
 """
 
 from __future__ import annotations
@@ -16,22 +24,11 @@ import numpy as np
 
 from repro.core.features.base import FeatureBlock, FeatureExtractor
 from repro.core.features.consensus import ConsensusModel
+from repro.core.features.ragged import block_stats, equal_length_blocks, offsets
 from repro.matching.matcher import HumanMatcher
 
 
-def _safe_stats(values: np.ndarray) -> tuple[float, float, float, float]:
-    """(mean, std, min, max) of a possibly empty vector."""
-    if values.size == 0:
-        return (0.0, 0.0, 0.0, 0.0)
-    return (
-        float(values.mean()),
-        float(values.std()),
-        float(values.min()),
-        float(values.max()),
-    )
-
-
-#: Aggregate suffixes, in the order `_safe_stats` returns them.
+#: Aggregate suffixes, in the order `block_stats` returns them.
 _STAT_KEYS = ("avg", "std", "min", "max")
 
 
@@ -72,43 +69,83 @@ class BehavioralFeatures(FeatureExtractor):
 
     def extract_batch(self, matchers: Sequence[HumanMatcher]) -> FeatureBlock:
         names = self.feature_names()
-        matrix = np.zeros((len(matchers), len(names)))
-        consensus_fitted = self.consensus is not None and self.consensus.is_fitted
-        for row, matcher in enumerate(matchers):
-            history = matcher.history
-            confidences = history.confidences()
-            times = history.inter_decision_times()
-            n_decisions = len(history)
-            duration = history.duration()
+        n = len(matchers)
+        matrix = np.zeros((n, len(names)))
+        if not n:
+            return FeatureBlock(names, matrix)
+        histories = [matcher.history for matcher in matchers]
+        n_decisions = np.array([len(history) for history in histories], dtype=np.int64)
+        shapes = np.array([history.shape for history in histories], dtype=np.int64)
+        columns = np.concatenate([history.columns() for history in histories])
+        rows = columns[:, 0].astype(np.int64)
+        cols = columns[:, 1].astype(np.int64)
+        confidences, timestamps = columns[:, 2], columns[:, 3]
+        starts, owner = offsets(n_decisions)
+        decided = n_decisions > 0
 
-            matrix[row, 0:4] = _safe_stats(confidences)
-            matrix[row, 4:8] = _safe_stats(times)
-            matrix[row, 8] = duration
-            matrix[row, 9] = n_decisions
-            matrix[row, 10] = len(history.decided_pairs())
-            mind_changes = history.n_mind_changes()
-            matrix[row, 11] = mind_changes
-            matrix[row, 12] = mind_changes / n_decisions if n_decisions else 0.0
-            matrix[row, 13] = n_decisions / duration if duration > 0 else 0.0
+        # Inter-decision times: each matcher's first decision counts from 0.
+        previous = np.zeros_like(timestamps)
+        previous[1:] = timestamps[:-1]
+        previous[starts[decided]] = 0.0
+        times = timestamps - previous
+        if self.consensus is not None and self.consensus.is_fitted:
+            agreements = self.consensus.agreements(rows, cols)
+        else:
+            agreements = None
 
-            matching_matrix = matcher.matrix()
-            matrix[row, 14] = matching_matrix.density
-            matrix[row, 15] = matching_matrix.mean_confidence()
+        # Float reductions over each matcher's decisions: one (m, k) block per
+        # decision count.  Temporal consistency is the drift of confidence and
+        # pace between the first and the second half of a session of at
+        # least four decisions (the "temporal" dimension of the correlation
+        # features); consensuality aggregates need the consensus model
+        # fitted on the train set.
+        for members, index in equal_length_blocks(n_decisions):
+            matrix[members, 0:4] = block_stats(confidences[index])
+            matrix[members, 4:8] = block_stats(times[index])
+            half = index.shape[1] // 2
+            if half >= 2:
+                early, late = index[:, :half], index[:, half:]
+                matrix[members, 16] = (
+                    confidences[late].mean(axis=1) - confidences[early].mean(axis=1)
+                )
+                matrix[members, 17] = times[late].mean(axis=1) - times[early].mean(axis=1)
+            if agreements is not None:
+                matrix[members, 18:22] = block_stats(agreements[index])
 
-            # Temporal consistency: drift of pace and confidence between the
-            # first and the second half of the session (the "temporal"
-            # dimension of the correlation features).
-            if n_decisions >= 4:
-                half = n_decisions // 2
-                matrix[row, 16] = float(confidences[half:].mean() - confidences[:half].mean())
-                matrix[row, 17] = float(times[half:].mean() - times[:half].mean())
+        # Exact aggregates.  A stable sort over (owner, row, col) puts each
+        # matcher's pairs in row-major order with revisits in sequence order,
+        # so the last decision of each run is the pair's latest (Eq. 1).
+        order = np.lexsort((cols, rows, owner))
+        sorted_owner, sorted_rows, sorted_cols = owner[order], rows[order], cols[order]
+        first = np.ones(order.size, dtype=bool)
+        first[1:] = (
+            (sorted_owner[1:] != sorted_owner[:-1])
+            | (sorted_rows[1:] != sorted_rows[:-1])
+            | (sorted_cols[1:] != sorted_cols[:-1])
+        )
+        last = np.ones(order.size, dtype=bool)
+        last[:-1] = first[1:]
+        distinct = np.bincount(sorted_owner[first], minlength=n)
+        latest = confidences[order][last]
+        selected = latest > 0
+        n_selected = np.bincount(sorted_owner[last][selected], minlength=n)
 
-            # Consensuality aggregates (available after fitting on the train set).
-            if consensus_fitted:
-                agreements = np.array(self.consensus.history_agreement(history))
-            else:
-                agreements = np.zeros(0)
-            matrix[row, 18:22] = _safe_stats(agreements)
+        many = n_decisions >= 2
+        ends = starts[many] + n_decisions[many] - 1
+        matrix[many, 8] = timestamps[ends] - timestamps[starts[many]]
+        matrix[:, 9] = n_decisions
+        matrix[:, 10] = distinct
+        mind_changes = n_decisions - distinct
+        matrix[:, 11] = mind_changes
+        np.divide(mind_changes, n_decisions, out=matrix[:, 12], where=decided)
+        np.divide(n_decisions, matrix[:, 8], out=matrix[:, 13], where=matrix[:, 8] > 0)
+        # Cells per matrix as a float: exact below 2**53 and never wraps.
+        size = np.multiply(shapes[:, 0], shapes[:, 1], dtype=np.float64)
+        np.divide(n_selected, size, out=matrix[:, 14], where=size > 0)
+        # matrixMeanConf: the mean of the selected entries in row-major order.
+        selected_confidences = latest[selected]
+        for members, index in equal_length_blocks(n_selected):
+            matrix[members, 15] = selected_confidences[index].mean(axis=1)
         return FeatureBlock(names, matrix)
 
     def config_fingerprint(self) -> str:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -48,10 +48,7 @@ def matcher_fingerprint(matcher: HumanMatcher) -> str:
     history = matcher.history
     digest.update(np.asarray(history.shape, dtype=np.int64).tobytes())
     if len(history):
-        decisions = np.array(
-            [(d.row, d.col, d.confidence, d.timestamp) for d in history], dtype=np.float64
-        )
-        digest.update(decisions.tobytes())
+        digest.update(history.columns().tobytes())
     movement = matcher.movement
     digest.update(np.asarray(movement.screen, dtype=np.int64).tobytes())
     if len(movement):
@@ -145,9 +142,16 @@ class FeatureBlockCache:
         matchers: Sequence[HumanMatcher],
         config_fingerprint: str,
         compute: Callable[[], FeatureBlock],
+        population_key: Optional[str] = None,
     ) -> FeatureBlock:
-        """The cached block for (set, population, config), computing on miss."""
-        key = (set_name, population_fingerprint(matchers), config_fingerprint)
+        """The cached block for (set, population, config), computing on miss.
+
+        ``population_key`` is ``population_fingerprint(matchers)`` when the
+        caller already holds it (one digest serves every set of a call).
+        """
+        if population_key is None:
+            population_key = population_fingerprint(matchers)
+        key = (set_name, population_key, config_fingerprint)
         with self._lock:
             cached = self._blocks.get(key)
             if cached is not None:

@@ -234,6 +234,7 @@ class FeaturePipeline:
         if not self._fitted:
             raise RuntimeError("FeaturePipeline must be fitted before transform")
         blocks: dict[str, FeatureBlock] = {}
+        population_key: Optional[str] = None
         for name in self.include:
             if precomputed is not None and name in precomputed:
                 block = precomputed[name]
@@ -245,11 +246,14 @@ class FeaturePipeline:
             else:
                 extractor = self._extractors[name]
                 if self.cache is not None:
+                    if population_key is None:
+                        population_key = population_fingerprint(matchers)
                     block = self.cache.get_or_compute(
                         name,
                         matchers,
                         extractor.config_fingerprint(),
                         lambda extractor=extractor: extractor.extract_batch(matchers),
+                        population_key,
                     )
                 else:
                     block = extractor.extract_batch(matchers)
@@ -274,6 +278,7 @@ class FeaturePipeline:
         """
         if self.cache is None:
             return
+        population_key = population_fingerprint(matchers)
         for name, block in blocks.items():
             if name not in self._extractors:
                 continue
@@ -282,6 +287,7 @@ class FeaturePipeline:
                 matchers,
                 self._extractors[name].config_fingerprint(),
                 lambda block=block: block,
+                population_key,
             )
 
     def transform(

@@ -43,7 +43,8 @@ def bin_position(
     The single source of truth for clip-truncate-cap binning, used by the
     streaming per-event fast path
     (:class:`repro.stream.IncrementalHeatMap`); the vectorized
-    :meth:`EventArray.heat_map_counts` is bitwise-identical to it.
+    :func:`bin_cells` (behind :meth:`EventArray.heat_map_counts` and the
+    Phi_Mou kernel) is bitwise-identical to it.
     """
     rows, cols = shape
     screen_rows, screen_cols = screen
@@ -52,6 +53,28 @@ def bin_position(
     row = min(int(y / screen_rows * rows), rows - 1)
     col = min(int(x / screen_cols * cols), cols - 1)
     return row, col
+
+
+def bin_cells(
+    x: np.ndarray,
+    y: np.ndarray,
+    screen_rows: "int | np.ndarray",
+    screen_cols: "int | np.ndarray",
+    shape: tuple[int, int],
+) -> np.ndarray:
+    """Flat grid cell ``row * cols + col`` of each position: :func:`bin_position`, vectorized.
+
+    The screen is a scalar pair or one ``(rows, cols)`` pair per event, so
+    a single call bins the events of matchers with different screens.
+    """
+    rows, cols = shape
+    x = np.clip(x, 0.0, screen_cols - 1)
+    y = np.clip(y, 0.0, screen_rows - 1)
+    # int() truncation in bin_position; values are non-negative after the
+    # clip, so astype(int64) truncates identically.
+    row = np.minimum((y / screen_rows * rows).astype(np.int64), rows - 1)
+    col = np.minimum((x / screen_cols * cols).astype(np.int64), cols - 1)
+    return row * cols + col
 
 
 def type_for(code: int) -> "MouseEventType":
@@ -251,7 +274,6 @@ class EventArray:
         event with :func:`bin_position`.
         """
         rows, cols = shape
-        screen_rows, screen_cols = screen
         if code is None:
             x, y = self.x, self.y
         else:
@@ -259,13 +281,7 @@ class EventArray:
             x, y = self.x[mask], self.y[mask]
         if not x.size:
             return np.zeros((rows, cols), dtype=float)
-        x = np.clip(x, 0.0, screen_cols - 1)
-        y = np.clip(y, 0.0, screen_rows - 1)
-        # int() truncation in bin_position; values are non-negative after the
-        # clip, so astype(int64) truncates identically.
-        row = np.minimum((y / screen_rows * rows).astype(np.int64), rows - 1)
-        col = np.minimum((x / screen_cols * cols).astype(np.int64), cols - 1)
-        counts = np.bincount(row * cols + col, minlength=rows * cols)
+        counts = np.bincount(bin_cells(x, y, *screen, shape), minlength=rows * cols)
         return counts.reshape(rows, cols).astype(float)
 
     def __repr__(self) -> str:

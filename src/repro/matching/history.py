@@ -71,6 +71,7 @@ class DecisionHistory:
             shape = self._infer_shape()
         self.shape = shape
         self._validate_shape()
+        self._columns: Optional[np.ndarray] = None
 
     def _infer_shape(self) -> tuple[int, int]:
         if not self._decisions:
@@ -108,13 +109,28 @@ class DecisionHistory:
     def is_empty(self) -> bool:
         return not self._decisions
 
+    def columns(self) -> np.ndarray:
+        """A read-only ``(k, 4)`` float64 array of ``(row, col, confidence, timestamp)``.
+
+        One row per decision, in sequence order.  Built once and memoised:
+        histories are immutable (every transformation returns a new one).
+        """
+        if self._columns is None:
+            columns = np.array(
+                [(d.row, d.col, d.confidence, d.timestamp) for d in self._decisions],
+                dtype=np.float64,
+            ).reshape(len(self._decisions), 4)
+            columns.flags.writeable = False
+            self._columns = columns
+        return self._columns
+
     def confidences(self) -> np.ndarray:
         """Confidence of each decision, in sequence order."""
-        return np.array([d.confidence for d in self._decisions], dtype=float)
+        return self.columns()[:, 2].copy()
 
     def timestamps(self) -> np.ndarray:
         """Timestamp of each decision, in sequence order."""
-        return np.array([d.timestamp for d in self._decisions], dtype=float)
+        return self.columns()[:, 3].copy()
 
     def inter_decision_times(self) -> np.ndarray:
         """Time spent until reaching each decision: ``h_k.t - h_{k-1}.t``.

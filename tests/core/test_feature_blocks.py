@@ -18,7 +18,12 @@ from repro.core.features import (
     matcher_fingerprint,
     population_fingerprint,
 )
+from repro.core.features import cache as cache_module
+from repro.core.features import pipeline as pipeline_module
 from repro.core.importance import permutation_importance
+from repro.matching.history import DecisionHistory
+from repro.matching.matcher import HumanMatcher
+from repro.matching.mouse import MouseEvent, MouseEventType, MovementMap
 from repro.ml.forest import RandomForestClassifier
 
 TINY_NEURAL_CONFIG = {
@@ -155,6 +160,20 @@ class TestFingerprints:
         backward = population_fingerprint(list(reversed(small_cohort)))
         assert forward != backward
 
+    def test_pinned_digest(self, example_history):
+        # The digest bytes are a cache-key contract: this value predates
+        # DecisionHistory.columns() and must never change.
+        events = [
+            MouseEvent(x=100, y=100, event_type=MouseEventType.MOVE, timestamp=1.0),
+            MouseEvent(x=300, y=600, event_type=MouseEventType.LEFT_CLICK, timestamp=3.0),
+            MouseEvent(x=400, y=650, event_type=MouseEventType.SCROLL, timestamp=4.0),
+        ]
+        movement = MovementMap(events, screen=(768, 1024))
+        matcher = HumanMatcher("pinned", example_history, movement)
+        assert matcher_fingerprint(matcher) == "5229bf30fd58e837bd7accb913d9bf76"
+        empty = HumanMatcher("empty", DecisionHistory(), MovementMap())
+        assert matcher_fingerprint(empty) == "cf6a64d2c33a51af514661b7cda84b4e"
+
 
 class TestFeatureBlockCache:
     def test_miss_then_hit(self, small_cohort):
@@ -281,6 +300,33 @@ class TestPipelineWithCache:
         blocks = pipeline.transform_blocks(small_cohort)
         assert set(blocks) == {"lrsm", "beh"}
         assert all(block.n_matchers == len(small_cohort) for block in blocks.values())
+
+    def test_one_population_fingerprint_per_call(self, small_cohort, cohort_labels, monkeypatch):
+        labels, _ = cohort_labels
+        cache = FeatureBlockCache()
+        pipeline = FeaturePipeline(include=("lrsm", "beh", "mou"), cache=cache)
+        pipeline.fit(small_cohort, labels)
+        calls = []
+
+        def counted(matchers):
+            calls.append(len(matchers))
+            return population_fingerprint(matchers)
+
+        monkeypatch.setattr(cache_module, "population_fingerprint", counted)
+        monkeypatch.setattr(pipeline_module, "population_fingerprint", counted)
+        blocks = pipeline.transform_blocks(small_cohort)
+        assert calls == [len(small_cohort)]
+        assert cache.stats()["misses"] == 3
+        pipeline.transform_blocks(small_cohort)
+        pipeline.store_blocks(small_cohort, blocks)
+        assert calls == [len(small_cohort)] * 3
+        assert cache.stats()["hits"] == 6 and cache.stats()["misses"] == 3
+        # The keys are the ones a per-set lookup would compute.
+        key = population_fingerprint(small_cohort)
+        assert list(cache._blocks) == [
+            (name, key, pipeline._extractors[name].config_fingerprint())
+            for name in ("lrsm", "beh", "mou")
+        ]
 
     def test_precomputed_blocks_used(self, small_cohort, cohort_labels):
         labels, _ = cohort_labels

@@ -15,6 +15,9 @@ from repro.core.features import (
 )
 from repro.core.features.base import FeatureVector
 from repro.core.features.pipeline import FEATURE_SET_NAMES
+from repro.matching.history import DecisionHistory
+from repro.matching.matcher import HumanMatcher
+from repro.matching.mouse import MovementMap
 
 TINY_NEURAL_CONFIG = {
     "seq": {"hidden_dim": 4, "dense_dim": 6, "max_sequence_length": 12, "epochs": 2},
@@ -58,6 +61,37 @@ class TestConsensusModel:
 
     def test_unfitted_agreement_is_zero(self):
         assert ConsensusModel().agreement((0, 0)) == 0.0
+        assert ConsensusModel().agreements(np.array([0, 3]), np.array([0, 1])).tolist() == [0.0, 0.0]
+
+    def test_fit_without_selected_pairs_agrees_nowhere(self):
+        empty = HumanMatcher("empty", DecisionHistory(shape=(2, 2)), MovementMap())
+        model = ConsensusModel().fit([empty])
+        assert model.is_fitted
+        assert model.agreements(np.array([0, 1]), np.array([0, 1])).tolist() == [0.0, 0.0]
+
+    def test_agreements_bitwise_equal_to_agreement(self, small_cohort):
+        # n_matchers = 7 makes most count / n ratios inexact.
+        model = ConsensusModel().fit(small_cohort[:7])
+        rows, cols = np.meshgrid(np.arange(-1, 16), np.arange(-1, 12), indexing="ij")
+        rows, cols = rows.ravel(), cols.ravel()
+        vectorised = model.agreements(rows, cols)
+        scalar = np.array([model.agreement((r, c)) for r, c in zip(rows.tolist(), cols.tolist())])
+        assert vectorised.tobytes() == scalar.tobytes()
+        # Pairs outside the fitted counts (and negative indices) map to 0.
+        assert vectorised[(rows < 0) | (cols < 0) | (rows >= 12) | (cols >= 9)].max() == 0.0
+
+    def test_history_agreement_wraps_agreements(self, small_cohort):
+        model = ConsensusModel().fit(small_cohort)
+        history = small_cohort[3].history
+        expected = [model.agreement(decision.pair) for decision in history]
+        assert model.history_agreement(history) == expected
+
+    def test_refit_rebuilds_lookup(self, small_cohort):
+        model = ConsensusModel().fit(small_cohort[:4])
+        model.agreements(np.array([0]), np.array([0]))
+        model.fit(small_cohort)
+        pair = next(iter(small_cohort[-1].matrix().nonzero_entries()))
+        assert model.agreements(np.array([pair[0]]), np.array([pair[1]]))[0] == model.agreement(pair)
 
 
 class TestOfflineFeatureSets:

@@ -62,6 +62,26 @@ class TestHistoryBasics:
     def test_duration(self, example_history):
         assert example_history.duration() == pytest.approx(31.0)
 
+    def test_columns_in_sequence_order(self, example_history):
+        columns = example_history.columns()
+        assert columns.shape == (5, 4) and columns.dtype == np.float64
+        assert columns[1].tolist() == [0.0, 0.0, 0.9, 8.0]
+        assert columns[:, 2].tolist() == example_history.confidences().tolist()
+        assert columns[:, 3].tolist() == example_history.timestamps().tolist()
+
+    def test_columns_are_memoised_and_read_only(self, example_history):
+        columns = example_history.columns()
+        assert example_history.columns() is columns
+        with pytest.raises(ValueError):
+            columns[0, 2] = 0.0
+        # Derived vectors are writable copies, not views of the memo.
+        confidences = example_history.confidences()
+        confidences[0] = 0.0
+        assert columns[0, 2] == 1.0
+
+    def test_empty_columns(self):
+        assert DecisionHistory().columns().shape == (0, 4)
+
 
 class TestProjection:
     def test_latest_confidence_wins(self, example_history):

@@ -11,6 +11,8 @@ the reference path.
   per-cell heat-map pooling, the row-by-row top-1 filter.
 * :mod:`tests.oracles.predictors` -- the per-matrix bodies of the 17
   matching predictors (entry-loop ``dom``/``mcd``) and the per-row entropy.
+* :mod:`tests.oracles.features` -- the per-matcher Phi_Beh and Phi_Mou
+  bodies (with ``_safe_stats``) the population kernels replaced.
 * :mod:`tests.oracles.ml` -- the per-threshold decision-tree split scan.
 * :mod:`tests.oracles.simulation` -- the scalar consumer of the mouse
   simulator's pre-drawn randomness blocks.
