@@ -134,7 +134,7 @@ def stream_timings() -> dict[str, float]:
 
 @pytest.fixture(scope="session")
 def memory_timings() -> dict[str, float]:
-    """Mutable registry of zero-copy data-plane timings, flushed at session end."""
+    """Mutable registry of artifact-load timings, flushed at session end."""
     return _MEMORY_TIMINGS
 
 

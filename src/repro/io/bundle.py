@@ -60,13 +60,15 @@ class BundleLayout(str, Enum):
     MMAP_DIR = "mmap-dir"
 
 
-def as_layout(layout: Union[str, BundleLayout]) -> BundleLayout:
+def as_layout(
+    layout: Union[str, BundleLayout], *, error: type = BundleError
+) -> BundleLayout:
     """Coerce a layout name or enum member to a :class:`BundleLayout`.
 
     Raises
     ------
     BundleError
-        If the name does not match any layout.
+        If the name does not match any layout (``error`` when given).
     """
     if isinstance(layout, BundleLayout):
         return layout
@@ -74,7 +76,7 @@ def as_layout(layout: Union[str, BundleLayout]) -> BundleLayout:
         return BundleLayout(str(layout))
     except ValueError:
         valid = ", ".join(member.value for member in BundleLayout)
-        raise BundleError(f"unknown bundle layout {layout!r}; expected one of: {valid}")
+        raise error(f"unknown bundle layout {layout!r}; expected one of: {valid}")
 
 
 def arrays_fingerprint(arrays: dict, *, header: str = "") -> str:
@@ -82,7 +84,7 @@ def arrays_fingerprint(arrays: dict, *, header: str = "") -> str:
 
     The shared integrity fingerprint of every bundle format in the repo:
     model artifacts prepend their spec JSON as the ``header``, stream
-    checkpoints and shared-memory blocks digest their arrays alone.  An
+    checkpoints and populations digest their arrays alone.  An
     *integrity* check catching corruption and truncation, not an
     authenticity signature.  The digest is independent of the on-disk
     layout and of whether the arrays are RAM- or mmap-backed.
@@ -231,7 +233,7 @@ def write_arrays(
         ``bytes``; npz layouts add ``file``, mmap-dir adds ``dir`` and
         the ``files`` key → file-name map.
     """
-    layout = as_layout(layout)
+    layout = as_layout(layout, error=error)
     _check_dtypes(arrays, error)
     bundle = Path(bundle_dir)
     bundle.mkdir(parents=True, exist_ok=True)
@@ -259,6 +261,25 @@ def write_arrays(
     return info
 
 
+def _member_name(value, what: str, bundle: Path, error: type) -> str:
+    """A manifest-supplied file name, confined to one level of the bundle.
+
+    Manifests are untrusted input: a name that is not a plain string, or
+    that could climb out of (``..``) or descend below (``/``) its
+    directory, is rejected instead of resolved.
+    """
+    if (
+        not isinstance(value, str)
+        or value in ("", ".", "..")
+        or any(character in value for character in "/\\\0")
+    ):
+        raise error(
+            f"bundle {bundle} names {what} {value!r} in its manifest; "
+            "expected a plain file name inside the bundle"
+        )
+    return value
+
+
 def read_arrays(
     bundle_dir,
     info: Optional[dict] = None,
@@ -274,9 +295,10 @@ def read_arrays(
         The bundle directory.
     info:
         The manifest entry returned by :func:`write_arrays`.  ``None``
-        (or an entry without a ``layout`` field — every pre-layout
-        format-version-1 bundle) means the historical single
-        ``arrays.npz`` file.
+        (or anything but a dict, or an entry without a ``layout`` field —
+        every pre-layout format-version-1 bundle) means the historical
+        single ``arrays.npz`` file.  File and directory names in the
+        entry must be plain names inside the bundle.
     mmap:
         For the ``mmap-dir`` layout, load with ``np.load(mmap_mode="r")``
         so arrays stay file-backed, read-only and lazily paged.  The npz
@@ -292,10 +314,16 @@ def read_arrays(
         arrays are owned and writable.
     """
     bundle = Path(bundle_dir)
-    layout_name = (info or {}).get("layout")
-    layout = as_layout(layout_name) if layout_name else BundleLayout.NPZ_COMPRESSED
+    if not isinstance(info, dict):
+        info = {}
+    layout_name = info.get("layout")
+    layout = (
+        as_layout(layout_name, error=error) if layout_name else BundleLayout.NPZ_COMPRESSED
+    )
     if layout in (BundleLayout.NPZ_COMPRESSED, BundleLayout.NPZ):
-        file_name = (info or {}).get("file", f"{DEFAULT_ARRAYS_NAME}.npz")
+        file_name = _member_name(
+            info.get("file", f"{DEFAULT_ARRAYS_NAME}.npz"), "arrays file", bundle, error
+        )
         arrays_path = bundle / file_name
         if not arrays_path.is_file():
             raise error(f"bundle {bundle} is missing {arrays_path.name} (truncated?)")
@@ -307,8 +335,10 @@ def read_arrays(
                 f"bundle {bundle} has an unreadable {arrays_path.name} ({err}); "
                 "the bundle is corrupt or truncated"
             ) from err
-    directory = bundle / (info or {}).get("dir", DEFAULT_ARRAYS_NAME)
-    files = (info or {}).get("files")
+    directory = bundle / _member_name(
+        info.get("dir", DEFAULT_ARRAYS_NAME), "array directory", bundle, error
+    )
+    files = info.get("files")
     if not isinstance(files, dict):
         raise error(
             f"bundle {bundle} declares the mmap-dir layout but its manifest "
@@ -318,7 +348,7 @@ def read_arrays(
         raise error(f"bundle {bundle} is missing its {directory.name}/ array directory")
     arrays: dict[str, np.ndarray] = {}
     for key, file_name in files.items():
-        array_path = directory / file_name
+        array_path = directory / _member_name(file_name, "array file", bundle, error)
         if not array_path.is_file():
             raise error(
                 f"bundle {bundle} is missing array file {directory.name}/{file_name} "
@@ -352,9 +382,10 @@ def read_bundle_manifest(
 ) -> dict:
     """Read and validate a bundle's ``manifest.json``.
 
-    The shared missing-file / bad-JSON / wrong-format / wrong-version
-    checks of every bundle reader.  Content-fingerprint verification is
-    the caller's job (the hashed payload differs per format).
+    The shared missing-file / bad-JSON / not-an-object / wrong-format /
+    wrong-version checks of every bundle reader.  Content-fingerprint
+    verification is the caller's job (the hashed payload differs per
+    format).
 
     Args
     ----
@@ -383,11 +414,16 @@ def read_bundle_manifest(
             "expected a bundle directory"
         )
     try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as err:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as err:  # ValueError: bad UTF-8 or bad JSON
         raise error(
             f"{manifest_path} is not valid JSON ({err}); the bundle may be truncated"
         ) from err
+    if not isinstance(manifest, dict):
+        raise error(
+            f"{manifest_path} holds a JSON {type(manifest).__name__}, "
+            "not a manifest object"
+        )
     if manifest.get("format") != format_name:
         raise error(
             f"{manifest_path} is not a {format_name} manifest "

@@ -27,11 +27,6 @@ framework stays a pure decision engine:
 ``worker.death``
     The worker wrapper calls ``os._exit`` mid-task: a hard crash the
     executor reports as ``BrokenProcessPool``.
-``shm.attach``
-    :func:`repro.runtime.shm.pack_context` /
-    :meth:`~repro.runtime.shm.SharedColumnBlock.attach` raise
-    :class:`~repro.runtime.shm.SharedMemoryError`, as a segment failing
-    fingerprint verification would.
 ``stream.ingest``
     :meth:`~repro.stream.SessionManager.ingest_events` appends
     deterministically corrupted events (malformed / duplicate / stale)
@@ -96,7 +91,6 @@ SEAMS: tuple[str, ...] = (
     "task.execute",
     "worker.start",
     "worker.death",
-    "shm.attach",
     "stream.ingest",
     "checkpoint.write",
     "checkpoint.read",
@@ -135,9 +129,7 @@ class DegradedRuntimeWarning(ReproRuntimeWarning):
     """A component fell back to a slower-but-safe mode after failures.
 
     Emitted when supervised execution degrades ``process`` → ``thread``
-    → ``serial`` after repeated pool failures, and when
-    :meth:`~repro.serve.CharacterizationService.score_batch` falls back
-    from shared-memory to pickled model delivery.  Results are bitwise
+    → ``serial`` after repeated pool failures.  Results are bitwise
     unaffected — only the execution mode changed.
     """
 

@@ -63,7 +63,6 @@ from repro.runtime.faults import (
     _hash_unit,
     active_injector,
 )
-from repro.runtime.shm import PackedContext, pack_context, unpack_context
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
@@ -96,15 +95,6 @@ def _mark_process_worker() -> None:
 def _mark_process_worker_with_context(context) -> None:
     global _process_context
     _mark_process_worker()
-    if isinstance(context, PackedContext):
-        # Shared-context delivery: the initializer received only a small
-        # attach handle; rebuild the context once per worker from the
-        # shared segment's read-only views (zero-copy).  The parent owns
-        # the segment for the pool's whole lifetime (map() closes it only
-        # after the pool exits), so the segment name cannot have been
-        # recycled and the full fingerprint re-hash is skipped — the O(1)
-        # schema/size checks still reject truncated segments.
-        context = unpack_context(context, verify=False)
     _process_context = context
 
 
@@ -496,7 +486,6 @@ class TaskRunner:
         tasks: Iterable[_T],
         context=None,
         *,
-        context_mode: str = "pickle",
         chunksize: Optional[int] = None,
         supervision: Optional[Supervision] = None,
     ) -> list[_R]:
@@ -517,17 +506,6 @@ class TaskRunner:
             directly; the process backend delivers it **once per worker**
             via the pool initializer, so large shared payloads are not
             re-pickled for every task.
-        context_mode:
-            How the process backend delivers the context.  ``"pickle"``
-            (default, the bitwise oracle) serializes the whole context
-            into every worker.  ``"shared"`` exports the context's
-            array-bearing members once into a shared-memory column block
-            (:mod:`repro.runtime.shm`) and ships only the small attach
-            handle through the pool initializer; workers re-attach
-            zero-copy and verify a blake2b fingerprint.  Results are
-            bitwise identical either way; serial and thread backends
-            already share the context object in-process, so the mode is
-            a no-op for them.
         chunksize:
             Tasks submitted per process-pool dispatch.  ``None`` uses the
             default formula ``max(1, n_tasks // (workers * 4))`` — four
@@ -549,10 +527,6 @@ class TaskRunner:
             One result per task, in task order regardless of completion
             order — bitwise identical across backends and worker counts.
         """
-        if context_mode not in ("pickle", "shared"):
-            raise ValueError(
-                f"unknown context_mode {context_mode!r}; expected 'pickle' or 'shared'"
-            )
         if chunksize is not None and chunksize < 1:
             raise ValueError("chunksize must be at least 1")
         items = list(tasks)
@@ -560,9 +534,7 @@ class TaskRunner:
             return []
         supervision = supervision if supervision is not None else self.supervision
         if supervision is not None:
-            return self._map_supervised(
-                function, items, context, context_mode, supervision
-            )
+            return self._map_supervised(function, items, context, supervision)
         call = function if context is None else (lambda item: function(item, context))
         workers = min(self.max_workers, len(items))
         telemetry = obs.obs_enabled()
@@ -579,34 +551,24 @@ class TaskRunner:
             return self._map_thread_instrumented(call, items, workers)
         if chunksize is None:
             chunksize = max(1, len(items) // (workers * 4))
-        shared_block = None
         if context is None:
             initializer, initargs, task_call = _mark_process_worker, (), function
         else:
-            payload = context
-            if context_mode == "shared":
-                payload, shared_block = pack_context(context)
             initializer = _mark_process_worker_with_context
-            initargs = (payload,)
+            initargs = (context,)
             task_call = _ContextCall(function)
-        try:
-            with trace_span(
-                "runtime.map", backend="process", tasks=len(items), workers=workers
-            ):
-                if telemetry:
-                    task_call = _ObsCall(task_call, current_context())
-                with ProcessPoolExecutor(
-                    max_workers=workers, initializer=initializer, initargs=initargs
-                ) as executor:
-                    raw = list(executor.map(task_call, items, chunksize=chunksize))
-                if telemetry:
-                    return _obs_merge_envelopes(raw)
-                return raw
-        finally:
-            # The owner unlinks the segment as soon as the pool is done;
-            # worker crashes cannot leak it (only the owner unlinks).
-            if shared_block is not None:
-                shared_block.close()
+        with trace_span(
+            "runtime.map", backend="process", tasks=len(items), workers=workers
+        ):
+            if telemetry:
+                task_call = _ObsCall(task_call, current_context())
+            with ProcessPoolExecutor(
+                max_workers=workers, initializer=initializer, initargs=initargs
+            ) as executor:
+                raw = list(executor.map(task_call, items, chunksize=chunksize))
+            if telemetry:
+                return _obs_merge_envelopes(raw)
+            return raw
 
     def _map_serial_instrumented(self, call: Callable, items: list) -> list:
         """Serial fast path with per-task timing and a ``runtime.map`` span."""
@@ -652,7 +614,6 @@ class TaskRunner:
         function: Callable,
         items: list,
         context,
-        context_mode: str,
         supervision: Supervision,
     ) -> list:
         """The retrying, degradable engine behind ``map(supervision=...)``.
@@ -685,8 +646,8 @@ class TaskRunner:
             final_stage = position == len(chain) - 1
             if stage == "process":
                 pending, error = self._stage_process(
-                    function, items, context, context_mode,
-                    supervision, plan, results, pending, final_stage,
+                    function, items, context, supervision, plan, results,
+                    pending, final_stage,
                 )
             elif stage == "thread":
                 pending, error = self._stage_thread(
@@ -798,7 +759,6 @@ class TaskRunner:
         function,
         items,
         context,
-        context_mode,
         supervision,
         plan,
         results,
@@ -810,9 +770,9 @@ class TaskRunner:
         Tasks are submitted one per future so failures are attributable
         to a task index.  A broken pool (worker death, failed
         initializer) or a stall (no completion within
-        ``supervision.timeout``) fails the in-flight tasks, unlinks the
-        round's shared-memory segment, and rebuilds the pool — until the
-        rebuild budget is spent and the remainder degrades.
+        ``supervision.timeout``) fails the in-flight tasks and rebuilds the
+        pool — until the rebuild budget is spent and the remainder
+        degrades.
         """
         attempts = {index: 0 for index in pending}
         errors: dict[int, BaseException] = {}
@@ -841,87 +801,76 @@ class TaskRunner:
 
         while current:
             workers = min(self.max_workers, len(current))
-            shared_block = None
-            payload = context
             pool_broken = False
             failed: list[int] = []
+            executor = ProcessPoolExecutor(
+                max_workers=workers,
+                initializer=_supervised_process_initializer,
+                initargs=(context, plan, generation),
+            )
             try:
-                if context is not None and context_mode == "shared":
-                    payload, shared_block = pack_context(context)
-                executor = ProcessPoolExecutor(
-                    max_workers=workers,
-                    initializer=_supervised_process_initializer,
-                    initargs=(payload, plan, generation),
-                )
-                try:
-                    futures = {}
-                    for position, index in enumerate(current):
-                        wrapper = _SupervisedCall(
-                            function, index, attempts[index], plan,
-                            with_context=context is not None, in_process_pool=True,
-                        )
-                        submitted = _ObsCall(wrapper, obs_parent) if telemetry else wrapper
-                        try:
-                            futures[executor.submit(submitted, items[index])] = index
-                        except BrokenExecutor as error:
-                            # A worker died (e.g. a failed initializer) before
-                            # the submit loop finished: the pool is broken, and
-                            # every task not yet submitted fails with it.
-                            pool_broken = True
-                            last_error = error
-                            for unsubmitted in current[position:]:
-                                errors[unsubmitted] = error
-                                failed.append(unsubmitted)
-                            break
-                    unfinished = set(futures)
-                    while unfinished:
-                        completed, unfinished = wait(
-                            unfinished,
-                            timeout=supervision.timeout,
-                            return_when=FIRST_COMPLETED,
-                        )
-                        if not completed:
-                            # Stall: nothing finished within the timeout.
-                            pool_broken = True
-                            for future in unfinished:
-                                index = futures[future]
-                                errors[index] = _TaskStallError(
-                                    f"task {index} made no progress within "
-                                    f"{supervision.timeout}s; rebuilding the pool"
-                                )
-                                last_error = errors[index]
-                                failed.append(index)
-                            break
-                        for future in completed:
+                futures = {}
+                for position, index in enumerate(current):
+                    wrapper = _SupervisedCall(
+                        function, index, attempts[index], plan,
+                        with_context=context is not None, in_process_pool=True,
+                    )
+                    submitted = _ObsCall(wrapper, obs_parent) if telemetry else wrapper
+                    try:
+                        futures[executor.submit(submitted, items[index])] = index
+                    except BrokenExecutor as error:
+                        # A worker died (e.g. a failed initializer) before
+                        # the submit loop finished: the pool is broken, and
+                        # every task not yet submitted fails with it.
+                        pool_broken = True
+                        last_error = error
+                        for unsubmitted in current[position:]:
+                            errors[unsubmitted] = error
+                            failed.append(unsubmitted)
+                        break
+                unfinished = set(futures)
+                while unfinished:
+                    completed, unfinished = wait(
+                        unfinished,
+                        timeout=supervision.timeout,
+                        return_when=FIRST_COMPLETED,
+                    )
+                    if not completed:
+                        # Stall: nothing finished within the timeout.
+                        pool_broken = True
+                        for future in unfinished:
                             index = futures[future]
-                            try:
-                                value = future.result()
-                                if isinstance(value, _ObsEnvelope):
-                                    obs_spans.extend(value.spans)
-                                    if value.snapshot is not None:
-                                        key = (generation, value.pid)
-                                        previous = obs_snapshots.get(key)
-                                        if previous is None or value.seq > previous[0]:
-                                            obs_snapshots[key] = (value.seq, value.snapshot)
-                                    value = value.result
-                                results[index] = value
-                            except BrokenExecutor as error:
-                                pool_broken = True
-                                errors[index] = error
-                                last_error = error
-                                failed.append(index)
-                            except Exception as error:
-                                errors[index] = error
-                                last_error = error
-                                failed.append(index)
-                finally:
-                    executor.shutdown(wait=not pool_broken, cancel_futures=True)
+                            errors[index] = _TaskStallError(
+                                f"task {index} made no progress within "
+                                f"{supervision.timeout}s; rebuilding the pool"
+                            )
+                            last_error = errors[index]
+                            failed.append(index)
+                        break
+                    for future in completed:
+                        index = futures[future]
+                        try:
+                            value = future.result()
+                            if isinstance(value, _ObsEnvelope):
+                                obs_spans.extend(value.spans)
+                                if value.snapshot is not None:
+                                    key = (generation, value.pid)
+                                    previous = obs_snapshots.get(key)
+                                    if previous is None or value.seq > previous[0]:
+                                        obs_snapshots[key] = (value.seq, value.snapshot)
+                                value = value.result
+                            results[index] = value
+                        except BrokenExecutor as error:
+                            pool_broken = True
+                            errors[index] = error
+                            last_error = error
+                            failed.append(index)
+                        except Exception as error:
+                            errors[index] = error
+                            last_error = error
+                            failed.append(index)
             finally:
-                # The rebuild path's cleanup guarantee: the round's shared
-                # segment is unlinked before any retry or degradation, so
-                # a crashed pool can never leak a repro_* segment.
-                if shared_block is not None:
-                    shared_block.close()
+                executor.shutdown(wait=not pool_broken, cancel_futures=True)
             retry: list[int] = []
             for index in failed:
                 attempts[index] += 1
@@ -993,7 +942,6 @@ def parallel_map(
     runtime: RuntimeSpec = None,
     context=None,
     *,
-    context_mode: str = "pickle",
     chunksize: Optional[int] = None,
     supervision: Optional[Supervision] = None,
 ) -> list[_R]:
@@ -1002,8 +950,7 @@ def parallel_map(
     The one-call form of :meth:`TaskRunner.map`: ``runtime`` is resolved
     through :func:`resolve_runner` (explicit spec > ``REPRO_RUNTIME`` >
     ``serial``; always ``serial`` inside a worker) and ``context``,
-    ``context_mode``, ``chunksize`` and ``supervision`` are forwarded
-    unchanged.
+    ``chunksize`` and ``supervision`` are forwarded unchanged.
 
     Returns
     -------
@@ -1015,7 +962,6 @@ def parallel_map(
         function,
         tasks,
         context=context,
-        context_mode=context_mode,
         chunksize=chunksize,
         supervision=supervision,
     )

@@ -12,8 +12,8 @@ The serving layer makes trained models durable and servable:
 * :mod:`repro.serve.service` — :class:`CharacterizationService`: load a
   bundle once, keep a warm feature-block cache, and score matcher
   populations in deterministic parallel chunks over the
-  :class:`~repro.runtime.TaskRunner` (optionally shipping the model to
-  process workers through shared memory with ``context_mode="shared"``).
+  :class:`~repro.runtime.TaskRunner` (process workers receive the model
+  once each, pickled through the pool initializer).
 * :mod:`repro.serve.population` — scoring populations
   (:func:`save_population` / :func:`load_population`): a single ``.npz``
   file or a memory-mappable bundle directory.

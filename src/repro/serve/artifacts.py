@@ -86,7 +86,7 @@ from repro.io.bundle import (
     read_bundle_manifest,
     write_arrays,
 )
-from repro.runtime import TaskRunner, register_context_exporter
+from repro.runtime import TaskRunner
 
 #: Bundle format identifier written into every manifest.
 ARTIFACT_FORMAT = "repro-model-bundle"
@@ -151,10 +151,10 @@ class _Decoder:
 
     With ``copy=True`` (the default) every reference resolves to a
     writable, owned copy — the historical semantics.  ``copy=False``
-    hands out the stored arrays directly, which keeps mmap- and
-    shared-memory-backed bundles **zero-copy**: the views are read-only,
-    and every decoder either treats its arrays as immutable or copies
-    the pieces it mutates, so decoded models behave identically.
+    hands out the stored arrays directly, which keeps mmap-backed bundles
+    **zero-copy**: the views are read-only, and every decoder either
+    treats its arrays as immutable or copies the pieces it mutates, so
+    decoded models behave identically.
     """
 
     def __init__(self, arrays: dict[str, np.ndarray], *, copy: bool = True) -> None:
@@ -969,13 +969,7 @@ def load_model(path, manifest: Optional[dict] = None, *, mmap: bool = True) -> A
     bundle = Path(path)
     if manifest is None:
         manifest = read_manifest(bundle)
-    info = manifest.get("arrays")
-    arrays = read_arrays(
-        bundle,
-        info if isinstance(info, dict) else None,
-        mmap=mmap,
-        error=ArtifactError,
-    )
+    arrays = read_arrays(bundle, manifest.get("arrays"), mmap=mmap, error=ArtifactError)
     spec = manifest.get("spec")
     if not isinstance(spec, dict):
         raise ArtifactError(f"bundle {bundle} has no spec tree in its manifest")
@@ -999,32 +993,3 @@ def load_model(path, manifest: Optional[dict] = None, *, mmap: bool = True) -> A
             "it was not written by save_model() or was edited afterwards"
         ) from error
 
-
-# --------------------------------------------------------------------- #
-# Shared-memory context export (repro.runtime.shm)
-# --------------------------------------------------------------------- #
-
-
-def _export_characterizer(model: MExICharacterizer) -> tuple[dict, str]:
-    """Split a fitted characterizer into (arrays, spec JSON) for shm export."""
-    encoder = _Encoder()
-    spec = encoder.encode(model)
-    return encoder.arrays, json.dumps(spec, sort_keys=True)
-
-
-def _rebuild_characterizer(meta: str, arrays: dict) -> MExICharacterizer:
-    """Rebuild a characterizer zero-copy on top of shared read-only views."""
-    return _Decoder(arrays, copy=False).decode(json.loads(meta))
-
-
-# Lets TaskRunner.map(context=..., context_mode="shared") ship a fitted
-# MExICharacterizer through shared memory: the codec's arrays travel in
-# one shared block and only the JSON spec is pickled.  The tag names
-# *this* module so workers that receive a packed context can resolve the
-# rebuilder by importing it.
-register_context_exporter(
-    MExICharacterizer,
-    _export_characterizer,
-    _rebuild_characterizer,
-    tag=f"{__name__}:MExICharacterizer",
-)

@@ -113,13 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="TaskRunner backend for chunk fan-out (serial, thread[:N], process[:N])",
     )
     score.add_argument(
-        "--context-mode",
-        choices=("pickle", "shared"),
-        default="pickle",
-        help="how the process backend ships the model to workers (shared = "
-        "one shared-memory export instead of per-worker pickling)",
-    )
-    score.add_argument(
         "--format", choices=("table", "json"), default="table", help="output format"
     )
 
@@ -178,10 +171,7 @@ def _fit(args: argparse.Namespace) -> int:
 
 def _score(args: argparse.Namespace) -> int:
     service = CharacterizationService.from_bundle(
-        args.bundle,
-        runtime=args.runtime,
-        chunk_size=args.chunk_size,
-        context_mode=args.context_mode,
+        args.bundle, runtime=args.runtime, chunk_size=args.chunk_size
     )
     if args.population:
         matchers = load_population(args.population)

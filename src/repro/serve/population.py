@@ -229,10 +229,7 @@ def load_population(path, *, mmap: bool = True) -> list[HumanMatcher]:
             kind="population",
             error=ArtifactError,
         )
-        info = manifest.get("arrays")
-        data = read_arrays(
-            source, info if isinstance(info, dict) else None, mmap=mmap, error=ArtifactError
-        )
+        data = read_arrays(source, manifest.get("arrays"), mmap=mmap, error=ArtifactError)
         _check_required(data, source)
         actual = arrays_fingerprint(data)
         if actual != manifest.get("fingerprint"):

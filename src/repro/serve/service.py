@@ -30,7 +30,6 @@ on every backend and for every chunk size >= 2 (enforced by
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -42,8 +41,7 @@ from repro.core.expert_model import EXPERT_CHARACTERISTICS
 from repro.core.features.base import FeatureBlock
 from repro.core.features.cache import FeatureBlockCache
 from repro.matching.matcher import HumanMatcher
-from repro.runtime import RuntimeSpec, SharedMemoryError, parallel_map
-from repro.runtime.faults import DegradedRuntimeWarning
+from repro.runtime import RuntimeSpec, parallel_map
 from repro.serve.artifacts import ArtifactError, load_model, read_manifest
 
 #: Default number of matchers scored per task (one TaskRunner unit of work).
@@ -143,16 +141,9 @@ class CharacterizationService:
         (``None`` defers to ``REPRO_RUNTIME``, then ``serial``).  Results
         are bitwise identical on every backend.
     chunk_size:
-        Default matchers per scoring task.
-    context_mode:
-        How the ``process`` backend delivers the model to workers (see
-        :meth:`repro.runtime.TaskRunner.map`): ``"pickle"`` (default)
-        re-serializes the whole model per worker; ``"shared"`` exports
-        its arrays once into a shared-memory column block
-        (:mod:`repro.runtime.shm`) and ships only a small attach handle
-        — workers rebuild the model zero-copy on read-only shared views.
-        Scores are bitwise identical either way; serial and thread
-        backends share the model in-process regardless.
+        Default matchers per scoring task.  The ``process`` backend
+        delivers the model once per worker through the pool initializer
+        (see :meth:`repro.runtime.TaskRunner.map`).
     cache:
         Feature-block cache to keep warm across ``score_batch`` calls.
         When omitted, the model's existing pipeline cache is adopted if it
@@ -172,7 +163,6 @@ class CharacterizationService:
         *,
         runtime: RuntimeSpec = None,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
-        context_mode: str = "pickle",
         cache: Optional[FeatureBlockCache] = None,
         bundle_info: Optional[dict] = None,
     ) -> None:
@@ -180,14 +170,9 @@ class CharacterizationService:
             raise ValueError("CharacterizationService requires a fitted MExICharacterizer")
         if chunk_size < 1:
             raise ValueError("chunk_size must be at least 1")
-        if context_mode not in ("pickle", "shared"):
-            raise ValueError(
-                f"unknown context_mode {context_mode!r}; expected 'pickle' or 'shared'"
-            )
         self.model = model
         self.runtime = runtime
         self.chunk_size = chunk_size
-        self.context_mode = context_mode
         # Keep a cache warm across calls: the pipeline consults it for
         # every block extraction.  An explicit cache wins; otherwise a
         # cache the model already carries (possibly shared with other
@@ -208,7 +193,6 @@ class CharacterizationService:
         *,
         runtime: RuntimeSpec = None,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
-        context_mode: str = "pickle",
         cache: Optional[FeatureBlockCache] = None,
     ) -> "CharacterizationService":
         """Load an artifact bundle once and wrap it in a service.
@@ -237,7 +221,6 @@ class CharacterizationService:
             model,
             runtime=runtime,
             chunk_size=chunk_size,
-            context_mode=context_mode,
             cache=cache,
             bundle_info=info,
         )
@@ -252,7 +235,6 @@ class CharacterizationService:
         *,
         runtime: RuntimeSpec = None,
         chunk_size: Optional[int] = None,
-        context_mode: Optional[str] = None,
     ) -> BatchScores:
         """Characterize a matcher population in deterministic parallel chunks.
 
@@ -264,12 +246,6 @@ class CharacterizationService:
             Per-call backend override (defaults to the service's runtime).
         chunk_size:
             Per-call chunk override (defaults to the service's chunk size).
-        context_mode:
-            Per-call model-delivery override for the ``process`` backend
-            (defaults to the service's ``context_mode``): ``"pickle"``
-            re-serializes the model per worker, ``"shared"`` ships it
-            once through a shared-memory column block.  Bitwise
-            identical either way.
 
         Returns
         -------
@@ -288,40 +264,17 @@ class CharacterizationService:
         if size < 1:
             raise ValueError("chunk_size must be at least 1")
         chunks = _chunked(matchers, size)
-        mode = context_mode if context_mode is not None else self.context_mode
         telemetry = obs.obs_enabled()
         cache_before = dict(self.cache.stats()) if telemetry else {}
         with obs.trace_span("serve.score_batch", matchers=len(matchers), chunks=len(chunks)):
             extract_started = time.perf_counter()
             with obs.trace_span("serve.extract", chunks=len(chunks)):
-                try:
-                    chunk_blocks = parallel_map(
-                        _extract_chunk,
-                        chunks,
-                        runtime=runtime if runtime is not None else self.runtime,
-                        context=self.model,
-                        context_mode=mode,
-                    )
-                except SharedMemoryError as error:
-                    # A failed shared-memory export/attach must not fail the
-                    # batch: fall back to per-worker pickling, which delivers
-                    # bitwise-identical blocks (the documented oracle mode).
-                    if mode != "shared":
-                        raise
-                    warnings.warn(
-                        DegradedRuntimeWarning(
-                            f"shared-memory model delivery failed ({error}); "
-                            "degrading this batch to context_mode='pickle'"
-                        ),
-                        stacklevel=2,
-                    )
-                    chunk_blocks = parallel_map(
-                        _extract_chunk,
-                        chunks,
-                        runtime=runtime if runtime is not None else self.runtime,
-                        context=self.model,
-                        context_mode="pickle",
-                    )
+                chunk_blocks = parallel_map(
+                    _extract_chunk,
+                    chunks,
+                    runtime=runtime if runtime is not None else self.runtime,
+                    context=self.model,
+                )
             # Re-insert the extracted blocks into the parent-side cache:
             # process workers' insertions die with the pool, so without this
             # the warm-cache fast path would be backend-dependent.
@@ -404,7 +357,6 @@ class CharacterizationService:
                 "selected_classifiers": self.model.selected_classifiers(),
             },
             "chunk_size": self.chunk_size,
-            "context_mode": self.context_mode,
             "runtime": self.runtime if isinstance(self.runtime, (str, type(None))) else repr(self.runtime),
             "cache": self.cache.stats(),
         }

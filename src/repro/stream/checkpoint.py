@@ -318,13 +318,7 @@ def load_checkpoint(
     # layout restores through read-only file-backed views — every
     # session-owned buffer below copies out of them, so the restored
     # manager never aliases the checkpoint files.
-    info = manifest.get("arrays")
-    arrays = read_arrays(
-        bundle,
-        info if isinstance(info, dict) else None,
-        mmap=True,
-        error=CheckpointError,
-    )
+    arrays = read_arrays(bundle, manifest.get("arrays"), mmap=True, error=CheckpointError)
 
     actual = arrays_fingerprint(arrays)
     if actual != manifest.get("fingerprint"):

@@ -1,11 +1,10 @@
 """Chaos suite: deterministic fault injection and supervised execution.
 
 The cross-cutting acceptance invariant under test: for every *absorbable*
-injected fault plan (worker death, failed worker startup, failed
-shared-memory attach, transient task failures), the supervised
-``TaskRunner.map`` completes with results **bitwise identical** to the
-fault-free run, no ``repro_*`` shared-memory segment outlives a crashed
-pool, and unabsorbable plans fail loudly instead of wrongly.
+injected fault plan (worker death, failed worker startup, transient task
+failures), the supervised ``TaskRunner.map`` completes with results
+**bitwise identical** to the fault-free run, and unabsorbable plans fail
+loudly instead of wrongly.
 """
 
 import os
@@ -29,12 +28,9 @@ from repro.runtime import (
     clear_plan,
     injected,
     install_plan,
-    leaked_segments,
-    orphaned_segments,
     parallel_map,
 )
 from repro.runtime.faults import FAULTS_ENV_VAR, SEAMS, FaultInjector
-from repro.runtime.shm import SHM_BACKEND_ENV_VAR, SHM_DIR_ENV_VAR
 
 #: Zero-backoff supervision: retries are free, tests stay fast.
 FAST = Supervision(max_retries=3, backoff_base=0.0)
@@ -278,9 +274,9 @@ class TestProcessSupervision:
                     )
                 )
         assert result == oracle
-        assert leaked_segments() == []
 
-    def test_shared_context_survives_crash_without_leaks(self):
+    def test_context_survives_crash(self):
+        """A pickled context reaches every rebuilt pool after ``worker.death``."""
         context = {"weights": np.arange(6.0)}
         tasks = [1.0, 2.0, 3.0, 4.0]
         oracle = [15.0 * value for value in tasks]
@@ -289,13 +285,12 @@ class TestProcessSupervision:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 result = runner.map(
-                    _weighted, tasks, context=context, context_mode="shared",
+                    _weighted, tasks, context=context,
                     supervision=Supervision(
                         max_retries=3, backoff_base=0.0, max_pool_rebuilds=5
                     ),
                 )
         assert result == oracle
-        assert leaked_segments() == []
 
     def test_broken_pool_degrades_with_warning(self):
         runner = TaskRunner("process", max_workers=2)
@@ -308,7 +303,6 @@ class TestProcessSupervision:
                     ),
                 )
         assert result == [value * value for value in range(6)]
-        assert leaked_segments() == []
 
     @pytest.mark.parametrize("max_pool_rebuilds", [0, 1])
     def test_submit_on_broken_pool_rebuilds_or_degrades(self, monkeypatch, max_pool_rebuilds):
@@ -347,7 +341,6 @@ class TestProcessSupervision:
             assert not degraded
             assert len(calls) > len(tasks)  # the rebuilt pool resubmitted
         assert result == oracle
-        assert leaked_segments() == []
 
     def test_stall_timeout_rebuilds(self, tmp_path):
         sentinel = str(tmp_path / "slept-once")
@@ -376,30 +369,3 @@ class TestProcessSupervision:
         with injected("task.execute:p=1.0:times=99;seed=1"):
             with pytest.raises(InjectedFault):
                 TaskRunner("serial").map(_square, [1], supervision=FAST)
-
-
-class TestOrphanAuditing:
-    def test_dead_owner_segment_is_orphaned(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(SHM_DIR_ENV_VAR, str(tmp_path))
-        monkeypatch.setenv(SHM_BACKEND_ENV_VAR, "file")
-        import subprocess
-        import sys
-
-        # A pid that is guaranteed dead: a subprocess we already reaped.
-        reaped = subprocess.Popen([sys.executable, "-c", "pass"])
-        reaped.wait()
-        dead = tmp_path / f"repro_{reaped.pid}_deadbeef.bin"
-        dead.write_bytes(b"\0" * 64)
-        alive = tmp_path / f"repro_{os.getpid()}_cafef00d.bin"
-        alive.write_bytes(b"\0" * 64)
-        unowned = tmp_path / "repro_notapid_0.bin"
-        unowned.write_bytes(b"\0" * 64)
-        leaked = leaked_segments()
-        assert str(dead) in leaked and str(alive) in leaked
-        orphans = orphaned_segments()
-        assert str(dead) in orphans
-        assert str(alive) not in orphans
-        assert str(unowned) not in orphans
-
-    def test_clean_state_has_no_orphans(self):
-        assert orphaned_segments() == []

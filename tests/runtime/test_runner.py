@@ -3,6 +3,7 @@
 import copy
 import os
 
+import numpy as np
 import pytest
 
 from repro.runtime import (
@@ -33,6 +34,16 @@ def _report_worker_context(_):
 
 def _scale_by_context(value, shared):
     return value * shared["factor"]
+
+
+def _weighted_row(task, context):
+    row = context["matrix"][task]
+    return (row * context["params"]["weights"]).sum() + context["params"]["bias"]
+
+
+def _row_stats(task, context):
+    row = context["matrix"][task]
+    return [float(row.min()), float(row.max()), float(row @ row)]
 
 
 class TestTaskRunner:
@@ -77,6 +88,31 @@ class TestTaskRunner:
         runner = TaskRunner(backend, max_workers=2)
         results = runner.map(_scale_by_context, [1, 2, 3, 4], context={"factor": 10})
         assert results == [10, 20, 30, 40]
+
+    @pytest.mark.parametrize("max_workers", [1, 2, 4])
+    @pytest.mark.parametrize("function", [_weighted_row, _row_stats])
+    def test_array_context_process_equals_serial(self, function, max_workers):
+        """A nested array context pickled into process workers is bitwise invisible."""
+        rng = np.random.default_rng(29)
+        context = {
+            "matrix": rng.standard_normal((40, 6)),
+            "params": {"weights": rng.standard_normal(6), "bias": -0.5},
+        }
+        tasks = list(range(len(context["matrix"])))
+        expected = TaskRunner("serial").map(function, tasks, context=context)
+        runner = TaskRunner("process", max_workers=max_workers)
+        assert runner.map(function, tasks, context=context) == expected
+
+    def test_invalid_chunksize_rejected(self):
+        with pytest.raises(ValueError, match="chunksize"):
+            TaskRunner("process", max_workers=2).map(abs, [1, 2], chunksize=0)
+
+    @pytest.mark.parametrize("chunksize", [1, 3, 64])
+    def test_chunksize_override_preserves_results(self, chunksize):
+        runner = TaskRunner("process", max_workers=2)
+        assert runner.map(abs, range(-7, 7), chunksize=chunksize) == [
+            abs(v) for v in range(-7, 7)
+        ]
 
     def test_repr_mentions_backend(self):
         assert "thread" in repr(TaskRunner("thread", max_workers=2))

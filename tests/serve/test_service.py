@@ -39,30 +39,17 @@ def test_service_matches_in_memory_predictions(
 
 
 @pytest.mark.parametrize("chunk_size", [3, 64])
-def test_shared_context_mode_matches_pickle_bitwise(
-    offline_bundle, serve_dataset, expected, chunk_size
-):
-    """Shipping the model through shared memory changes nothing observable."""
-    from repro.runtime import leaked_segments
-
-    labels, probabilities = expected
-    service = CharacterizationService.from_bundle(
-        offline_bundle, runtime="process:2", chunk_size=chunk_size, context_mode="shared"
-    )
-    assert service.info()["context_mode"] == "shared"
-    result = service.score_batch(serve_dataset.oaei_matchers)
-    assert np.array_equal(result.labels, labels)
-    assert np.array_equal(result.probabilities, probabilities)
-    # Per-call override back to the pickled oracle is also bitwise equal.
-    pickled = service.score_batch(serve_dataset.oaei_matchers, context_mode="pickle")
-    assert np.array_equal(pickled.labels, labels)
-    assert np.array_equal(pickled.probabilities, probabilities)
-    assert leaked_segments() == []
-
-
-def test_service_rejects_unknown_context_mode(offline_model):
-    with pytest.raises(ValueError, match="context_mode"):
-        CharacterizationService(offline_model, context_mode="zap")
+def test_process_backend_matches_serial_bitwise(offline_bundle, serve_dataset, chunk_size):
+    """The model pickled into process workers scores exactly like serial."""
+    serial = CharacterizationService.from_bundle(
+        offline_bundle, runtime="serial", chunk_size=chunk_size
+    ).score_batch(serve_dataset.oaei_matchers)
+    pooled = CharacterizationService.from_bundle(
+        offline_bundle, runtime="process:2", chunk_size=chunk_size
+    ).score_batch(serve_dataset.oaei_matchers)
+    assert pooled.matcher_ids == serial.matcher_ids
+    assert np.array_equal(pooled.labels, serial.labels)
+    assert np.array_equal(pooled.probabilities, serial.probabilities)
 
 
 def test_service_neural_model_matches_in_memory(neural_model, serve_dataset, tmp_path):
