@@ -4,8 +4,8 @@ The trust boundary between files written by other people's
 instrumentation and the strict streaming core.  A format registry
 (:func:`register` / :func:`get_format`) maps source formats — ``csv``
 mouse-event logs, full-fidelity ``jsonl`` traces, ``oaei`` alignment/
-decision files — onto one shared read driver with per-field schema
-validation, row-level quarantine (exact per-reason counters through
+decision files — onto one shared columnar read driver with per-field
+schema validation, row-level quarantine (exact per-reason counters through
 :class:`~repro.stream.QuarantineLog`), a configurable recovery policy
 (``skip``/``repair``/``abort``), and bounded retry with backoff behind
 the ``adapter.read`` fault seam.
@@ -18,8 +18,10 @@ from repro.adapters.base import (
     DEFAULT_BACKOFF,
     DEFAULT_CLOCK_SKEW,
     DEFAULT_MAX_READ_RETRIES,
+    DecodedBlock,
     FieldSpec,
     RECOVERY_POLICIES,
+    RawRows,
     RecordParseError,
     RecordSchema,
     TraceFormat,
@@ -36,6 +38,7 @@ from repro.adapters.oaei_decisions import OaeiDecisionFormat
 from repro.adapters.records import (
     ADAPTER_TRACE_VERSION,
     DEFAULT_SCREEN,
+    MAX_DIMENSION,
     SessionTrace,
     merge_traces,
     trace_fingerprint,
@@ -50,10 +53,13 @@ __all__ = [
     "DEFAULT_CLOCK_SKEW",
     "DEFAULT_MAX_READ_RETRIES",
     "DEFAULT_SCREEN",
+    "DecodedBlock",
     "FieldSpec",
     "JsonlTraceFormat",
+    "MAX_DIMENSION",
     "OaeiDecisionFormat",
     "RECOVERY_POLICIES",
+    "RawRows",
     "RecordParseError",
     "RecordSchema",
     "SessionTrace",

@@ -11,11 +11,12 @@ decisions too.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.adapters.base import (
+    DecodedBlock,
     FieldSpec,
-    RecordParseError,
+    RawRows,
     RecordSchema,
     TraceFormat,
     register,
@@ -25,6 +26,33 @@ from repro.matching.events import EVENT_CODES, N_EVENT_TYPES
 
 _HEADER = "session_id,t,x,y,event"
 _NAMES_BY_CODE = {code: name for name, code in EVENT_CODES.items()}
+
+
+def split_rows(
+    lines: Sequence[str], first_number: int, header: str, block: DecodedBlock
+) -> tuple[list[int], list[list[str]]]:
+    """A block's comma-separated rows as stripped columns, with line numbers.
+
+    Blank lines, ``#`` comments and the ``header`` line are skipped; a
+    row without one field per ``header`` column goes to
+    ``block.unparseable``.
+    """
+    width = header.count(",") + 1
+    numbers: list[int] = []
+    rows: list[list[str]] = []
+    for number, line in enumerate(lines, start=first_number):
+        text = line.strip()
+        if not text or text.startswith("#") or text == header:
+            continue
+        parts = text.split(",")
+        if len(parts) != width:
+            block.unparseable.append(
+                (number, f"expected {width} comma-separated fields, got {len(parts)}")
+            )
+            continue
+        numbers.append(number)
+        rows.append([part.strip() for part in parts])
+    return numbers, [list(column) for column in zip(*rows)]
 
 
 @register
@@ -44,20 +72,18 @@ class CsvEventFormat(TraceFormat):
     decision_schema = None
 
     @classmethod
-    def parse_line(cls, line: str, state: dict) -> Optional[tuple[str, dict]]:
-        text = line.strip()
-        if not text or text.startswith("#"):
-            return None
-        if text == _HEADER:
-            return None
-        parts = text.split(",")
-        if len(parts) != 5:
-            raise RecordParseError(
-                f"expected 5 comma-separated fields, got {len(parts)}"
+    def decode_block(
+        cls, lines: Sequence[str], first_number: int, state: dict
+    ) -> DecodedBlock:
+        block = DecodedBlock()
+        numbers, columns = split_rows(lines, first_number, _HEADER, block)
+        if numbers:
+            sessions, t, x, y, events = columns
+            code = [EVENT_CODES.get(event, event) for event in events]
+            block.rows["event"] = RawRows(
+                numbers, sessions, {"t": t, "x": x, "y": y, "code": code}
             )
-        session_id, t, x, y, event = (part.strip() for part in parts)
-        code = EVENT_CODES.get(event, event)
-        return "event", {"session": session_id, "t": t, "x": x, "y": y, "code": code}
+        return block
 
     @classmethod
     def header_lines(cls, traces: Sequence[SessionTrace]) -> list[str]:
@@ -71,4 +97,4 @@ class CsvEventFormat(TraceFormat):
         )
 
 
-__all__ = ["CsvEventFormat"]
+__all__ = ["CsvEventFormat", "split_rows"]

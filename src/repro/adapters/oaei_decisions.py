@@ -19,30 +19,39 @@ Header: ``matcher,source,target,relation,confidence,timestamp``.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.adapters.base import (
+    DecodedBlock,
     FieldSpec,
-    RecordParseError,
+    RawRows,
     RecordSchema,
     TraceFormat,
     register,
 )
-from repro.adapters.records import SessionTrace
+from repro.adapters.csv_events import split_rows
+from repro.adapters.records import MAX_DIMENSION, SessionTrace
 
 _HEADER = "matcher,source,target,relation,confidence,timestamp"
 
 
-def _entity_index(label: str, prefix: str) -> object:
+def entity_index(label: str, prefix: str) -> object:
     """``a3``/``b7``-style labels (or bare integers) to matrix indices.
 
     Unknown vocabulary passes through unconverted so the schema rejects
     it as ``schema_invalid`` with the field named, not as a parse crash.
     """
     text = label.strip()
-    if text.startswith(prefix) and text[len(prefix):].isdigit():
-        return int(text[len(prefix):])
-    return text if not text.lstrip("-").isdigit() else int(text)
+    if text.startswith(prefix) and text[len(prefix):].isdecimal():
+        digits = text[len(prefix):]
+    elif text.lstrip("-").isdecimal():
+        digits = text
+    else:
+        return text
+    try:
+        return int(digits)
+    except ValueError:  # "--3", or past the integer digit limit
+        return text
 
 
 @register
@@ -58,36 +67,33 @@ class OaeiDecisionFormat(TraceFormat):
     decision_schema = RecordSchema(
         [
             FieldSpec("t", kind="float", minimum=0.0),
-            FieldSpec("row", kind="int", minimum=0),
-            FieldSpec("col", kind="int", minimum=0),
+            FieldSpec("row", kind="int", minimum=0, maximum=MAX_DIMENSION - 1),
+            FieldSpec("col", kind="int", minimum=0, maximum=MAX_DIMENSION - 1),
             FieldSpec("conf", kind="float", minimum=0.0, maximum=1.0),
             FieldSpec("relation", kind="str", choices=("=",)),
         ]
     )
 
     @classmethod
-    def parse_line(cls, line: str, state: dict) -> Optional[tuple[str, dict]]:
-        text = line.strip()
-        if not text or text.startswith("#"):
-            return None
-        if text == _HEADER:
-            return None
-        parts = text.split(",")
-        if len(parts) != 6:
-            raise RecordParseError(
-                f"expected 6 comma-separated fields, got {len(parts)}"
+    def decode_block(
+        cls, lines: Sequence[str], first_number: int, state: dict
+    ) -> DecodedBlock:
+        block = DecodedBlock()
+        numbers, columns = split_rows(lines, first_number, _HEADER, block)
+        if numbers:
+            sessions, sources, targets, relation, conf, t = columns
+            block.rows["decision"] = RawRows(
+                numbers,
+                sessions,
+                {
+                    "t": t,
+                    "row": [entity_index(source, "a") for source in sources],
+                    "col": [entity_index(target, "b") for target in targets],
+                    "conf": conf,
+                    "relation": relation,
+                },
             )
-        matcher, source, target, relation, confidence, timestamp = (
-            part.strip() for part in parts
-        )
-        return "decision", {
-            "session": matcher,
-            "row": _entity_index(source, "a"),
-            "col": _entity_index(target, "b"),
-            "relation": relation,
-            "conf": confidence,
-            "t": timestamp,
-        }
+        return block
 
     @classmethod
     def header_lines(cls, traces: Sequence[SessionTrace]) -> list[str]:

@@ -32,6 +32,13 @@ import numpy as np
 #: Default logical screen for traces (MovementMap's default).
 DEFAULT_SCREEN = (768, 1024)
 
+#: Largest matrix or screen dimension an adapter accepts from a file.  A
+#: trace's matrix and its default heat map are allocated densely, so a
+#: header or decision index past this bound is rejected at parse time
+#: instead of allocating ``dimension ** 2`` cells downstream.  It admits
+#: every simulated task (the largest is 142 x 46) and a 4K screen.
+MAX_DIMENSION = 4096
+
 #: Version of the adapter trace vocabulary (recorded in checkpoint
 #: manifests next to the workload fingerprint; bump on incompatible
 #: changes to the record schema).
@@ -191,6 +198,7 @@ def trace_fingerprint(traces: Sequence[SessionTrace]) -> str:
 __all__ = [
     "ADAPTER_TRACE_VERSION",
     "DEFAULT_SCREEN",
+    "MAX_DIMENSION",
     "SessionTrace",
     "merge_traces",
     "trace_fingerprint",

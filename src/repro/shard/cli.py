@@ -36,6 +36,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.adapters.base import clock_skew_seconds
 from repro.experiments.config import SCALE_NAMES
 from repro.serve.service import DEFAULT_CHUNK_SIZE
 from repro.shard.fleet import FLEET_MANIFEST_NAME, ShardFleet
@@ -75,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--decisions", type=int, default=6, help="matching decisions per session")
     replay.add_argument("--input", default=None, metavar="FORMAT:PATH", help="replay an external trace file through an ingestion adapter instead of synthesizing")
     replay.add_argument("--recovery", choices=("skip", "repair", "abort"), default="skip", help="adapter recovery policy for rows failing validation")
-    replay.add_argument("--clock-skew", type=float, default=1.0, metavar="SECONDS", help="per-session backwards-timestamp tolerance during adapter ingest")
+    replay.add_argument("--clock-skew", type=clock_skew_seconds, default=1.0, metavar="SECONDS", help="per-session backwards-timestamp tolerance during adapter ingest")
     replay.add_argument("--steps", type=int, default=6, help="replay time windows")
     replay.add_argument("--report-every", type=int, default=2, metavar="K", help="recharacterize every K steps")
     replay.add_argument("--checkpoint-every-report", action="store_true", help="checkpoint all shards after each report (needs --checkpoint-root)")

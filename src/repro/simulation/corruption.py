@@ -198,19 +198,44 @@ def write_corrupted_trace(
     skew_set = set(skew_targets)
     remaining = [p for p in order if p not in skew_set]
     cursor = 0
+    # A clock_skew row is rewound behind the latest intact row of its
+    # session and kind, so replacing damage must leave one such row in
+    # front of every skew target: count them, and guard the last one.
+    intact = {
+        target: sum(
+            1 for p in range(target)
+            if rows[p][:2] == rows[target][:2] and p not in skew_set
+        )
+        for target in skew_targets
+    }
 
-    def take(count: int) -> list[int]:
+    def take(count: int, *, replaces: bool) -> list[int]:
         nonlocal cursor
-        chosen = remaining[cursor : cursor + count]
-        cursor += count
+        chosen: list[int] = []
+        guarded: list[int] = []
+        while len(chosen) < count and cursor < len(remaining):
+            position = remaining[cursor]
+            cursor += 1
+            behind = [
+                target for target in skew_targets
+                if target > position and rows[target][:2] == rows[position][:2]
+            ]
+            if replaces and any(intact[target] == 1 for target in behind):
+                guarded.append(position)
+                continue
+            if replaces:
+                for target in behind:
+                    intact[target] -= 1
+            chosen.append(position)
+        remaining[cursor:cursor] = guarded  # still free for later, non-replacing damage
         if len(chosen) < count:
             raise ValueError("not enough rows left to damage")
         return chosen
 
     plan: dict[int, str] = {p: "clock_skew" for p in skew_targets}
-    plan.update({p: "unparseable" for p in take(n_unparseable)})
-    plan.update({p: "schema_invalid" for p in take(n_schema_invalid)})
-    plan.update({p: "duplicate" for p in take(n_duplicate)})
+    plan.update({p: "unparseable" for p in take(n_unparseable, replaces=True)})
+    plan.update({p: "schema_invalid" for p in take(n_schema_invalid, replaces=True)})
+    plan.update({p: "duplicate" for p in take(n_duplicate, replaces=False)})
 
     def encode(session_id: str, kind: str, record: dict) -> str:
         if kind == "event":

@@ -46,6 +46,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro import obs
+from repro.adapters.base import clock_skew_seconds
 from repro.core.characterizer import MExICharacterizer, MExIVariant
 from repro.core.expert_model import EXPERT_CHARACTERISTICS, characterize_population, labels_matrix
 from repro.core.features.cache import FeatureBlockCache
@@ -79,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--input", default=None, metavar="FORMAT:PATH", help="replay an external trace file through an ingestion adapter (e.g. jsonl:trace.jsonl) instead of simulating")
     replay.add_argument("--decisions-input", default=None, metavar="FORMAT:PATH", help="merge a decisions-only trace file (e.g. oaei:align.csv) into the --input workload")
     replay.add_argument("--recovery", choices=("skip", "repair", "abort"), default="skip", help="what to do with rows that fail adapter validation (default: quarantine and skip)")
-    replay.add_argument("--clock-skew", type=float, default=1.0, metavar="SECONDS", help="per-session backwards-timestamp tolerance during adapter ingest")
+    replay.add_argument("--clock-skew", type=clock_skew_seconds, default=1.0, metavar="SECONDS", help="per-session backwards-timestamp tolerance during adapter ingest")
     replay.add_argument("--steps", type=int, default=8, help="replay time steps")
     replay.add_argument("--stop-after", type=int, default=None, metavar="N", help="halt the replay after step N (checkpoint it, resume later with the same --steps)")
     replay.add_argument("--report-every", type=int, default=2, metavar="K", help="re-characterize the dirty sessions every K steps")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.adapters import (
+    MAX_DIMENSION,
     AdapterError,
     CsvEventFormat,
     JsonlTraceFormat,
@@ -81,6 +82,11 @@ class TestJsonl:
             {"shape": [True, 2]},
             {"screen": [None, 2]},
             {"screen": [768, float("nan")]},
+            {"shape": [100000, 100000]},
+            {"shape": [MAX_DIMENSION + 1, 2]},
+            {"screen": [0, 0]},
+            {"screen": [0, 1024]},
+            {"screen": [768, 1e300]},
         ],
     )
     def test_hostile_header_dimensions_are_unparseable(self, header, tmp_path):
@@ -102,7 +108,8 @@ class TestJsonl:
     def test_integral_header_dimensions_are_accepted(self, tmp_path):
         target = tmp_path / "trace.jsonl"
         rows = [
-            {"kind": "session", "session": "s", "shape": [3.0, 4], "screen": [0, 1024]},
+            {"kind": "session", "session": "s", "shape": [3.0, 0],
+             "screen": [1, MAX_DIMENSION]},
             {"kind": "decision", "session": "s", "t": 1.0, "row": 1, "col": 2,
              "confidence": 0.5},
         ]
@@ -110,7 +117,7 @@ class TestJsonl:
         log = QuarantineLog()
         parsed = JsonlTraceFormat.read(target, quarantine=log)
         assert log.total == 0
-        assert parsed[0].shape == (3, 4) and parsed[0].screen == (0, 1024)
+        assert parsed[0].shape == (3, 3) and parsed[0].screen == (1, MAX_DIMENSION)
 
 
 class TestCsv:
@@ -284,3 +291,129 @@ class TestStreamScreens:
         assert log.by_reason["duplicate"] == 1
         assert [t.session_id for t in parsed] == ["s1", "s2"]
         assert all(t.n_events == 1 for t in parsed)
+
+
+def _write_lines(path, lines):
+    path.write_text("\n".join(
+        line if isinstance(line, str) else json.dumps(line) for line in lines
+    ) + "\n")
+    return path
+
+
+def _event(**overrides):
+    row = {"kind": "event", "session": "s", "t": 1.0, "x": 1.0, "y": 1.0, "event": "move"}
+    row.update(overrides)
+    return row
+
+
+def _decision(**overrides):
+    row = {"kind": "decision", "session": "s", "t": 1.0, "row": 1, "col": 2,
+           "confidence": 0.5}
+    row.update(overrides)
+    return row
+
+
+class TestHostileRows:
+    """Rows that once escaped the read as untyped exceptions."""
+
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            ('{"kind": "event", "session": "s", "t": 1' + "0" * 400
+             + ', "x": 1.0, "y": 1.0, "event": "move"}', "schema_invalid"),
+            (_decision(row=10**30), "schema_invalid"),
+            (_event(event=[1]), "schema_invalid"),
+            (_event(session=[[[1]]], event={"a": [1]}), "schema_invalid"),
+            ("[" * 200_000, "unparseable"),
+            ('{"kind": "event", "session": "s", "t": ' + "1" * 5000 + "}", "unparseable"),
+            ('{"kind": ' + "[" * 200_000, "unparseable"),
+        ],
+    )
+    def test_one_typed_outcome_per_hostile_row(self, line, reason, tmp_path):
+        target = _write_lines(tmp_path / "trace.jsonl", [_event(t=0.5), line])
+        log = QuarantineLog()
+        parsed = JsonlTraceFormat.read(target, quarantine=log)
+        assert log.total == 1 and log.by_reason[reason] == 1
+        assert sum(trace.n_events for trace in parsed) == 1
+        with pytest.raises(AdapterError, match=f"line 2: .*quarantinable as '{reason}'"):
+            JsonlTraceFormat.read(target)
+
+    def test_decision_index_past_the_dimension_cap(self, tmp_path):
+        target = _write_lines(
+            tmp_path / "trace.jsonl",
+            [_decision(t=0.5), _decision(row=200_000, col=MAX_DIMENSION - 1)],
+        )
+        log = QuarantineLog()
+        parsed = JsonlTraceFormat.read(target, quarantine=log)
+        assert log.by_reason["schema_invalid"] == 1
+        assert "above maximum 4095" in log.records()[0].detail
+        assert parsed[0].shape == (6, 6)
+        # repair clamps an over-cap index like any other range violation.
+        repaired = JsonlTraceFormat.read(target, quarantine=QuarantineLog(), policy="repair")
+        assert repaired[0].d_rows.tolist() == [1, MAX_DIMENSION - 1]
+        assert repaired[0].shape == (MAX_DIMENSION, MAX_DIMENSION)
+
+    def test_oaei_entity_past_the_cap_or_not_decimal(self, tmp_path):
+        target = tmp_path / "align.csv"
+        target.write_text("m1,a4096,b1,=,0.8,1.0\nm1,a²,b1,=,0.8,2.0\nm1,--3,b1,=,0.8,3.0\n")
+        log = QuarantineLog()
+        assert OaeiDecisionFormat.read(target, quarantine=log) == []
+        assert log.by_reason["schema_invalid"] == 3
+
+    @pytest.mark.parametrize("clock_skew", [-1.0, -1e-9, float("nan")])
+    def test_negative_clock_skew_is_rejected(self, clock_skew, tmp_path):
+        target = _write_lines(tmp_path / "trace.jsonl", [_event()])
+        with pytest.raises(ValueError, match="clock_skew must be non-negative"):
+            JsonlTraceFormat.read(target, clock_skew=clock_skew)
+
+    def test_non_text_file_is_an_adapter_error(self, tmp_path):
+        target = tmp_path / "trace.jsonl"
+        target.write_bytes(b'{"kind": "event", "session": "\xff\xfe"}\n')
+        with pytest.raises(AdapterError, match="not text"):
+            JsonlTraceFormat.read(target, quarantine=QuarantineLog())
+
+
+class TestExactnessTraps:
+    """Behaviours the columnar read keeps exactly as the row-wise one had them."""
+
+    def test_signed_zero_rows_are_duplicates(self, tmp_path):
+        target = _write_lines(
+            tmp_path / "trace.jsonl", [_event(x=0.0), _event(x=-0.0), _event(x=0.0)]
+        )
+        log = QuarantineLog()
+        parsed = JsonlTraceFormat.read(target, quarantine=log)
+        assert log.by_reason["duplicate"] == 2
+        assert [record.detail for record in log.records()] == [
+            "line 2: exact duplicate event row", "line 3: exact duplicate event row",
+        ]
+        assert parsed[0].x.tolist() == [0.0] and not np.signbit(parsed[0].x[0])
+
+    def test_equal_timestamps_keep_file_order(self, tmp_path):
+        target = _write_lines(
+            tmp_path / "trace.jsonl",
+            [_event(t=2.0, x=3.0), _event(t=2.0, x=1.0), _event(t=1.5, x=9.0),
+             _event(t=2.0, x=2.0), _event(t=-0.0, x=4.0), _event(t=0.0, x=5.0)],
+        )
+        parsed = JsonlTraceFormat.read(target, clock_skew=5.0)
+        assert parsed[0].x.tolist() == [4.0, 5.0, 9.0, 3.0, 1.0, 2.0]
+
+    def test_bool_and_numeric_text_are_accepted_floats(self, tmp_path):
+        target = _write_lines(
+            tmp_path / "trace.jsonl", [_event(x=True, t=1.0), _event(x="3.5", t=2.0)]
+        )
+        parsed = JsonlTraceFormat.read(target)
+        assert parsed[0].x.tolist() == [1.0, 3.5]
+
+    def test_integral_float_in_an_int_field_is_schema_invalid(self, tmp_path):
+        target = _write_lines(tmp_path / "trace.jsonl", [_decision(row=2.0)])
+        log = QuarantineLog()
+        assert JsonlTraceFormat.read(target, quarantine=log) == []
+        assert log.records()[0].detail == "line 1: field 'row' value 2.0 is not a int"
+
+    def test_record_without_a_session_joins_session_none(self, tmp_path):
+        event = _event()
+        del event["session"]
+        target = _write_lines(tmp_path / "trace.jsonl", [event, _event(session="None", t=2.0)])
+        parsed = JsonlTraceFormat.read(target)
+        assert [trace.session_id for trace in parsed] == ["None"]
+        assert parsed[0].n_events == 2

@@ -36,6 +36,8 @@ class TestFieldSpec:
             (float("inf"), "not finite"),
             ("-0.1", "below minimum"),
             ("10.1", "above maximum"),
+            (10**400, "not a float"),
+            ([[1]], "not a float"),
         ],
     )
     def test_float_rejections_name_the_field(self, raw, fragment):

@@ -14,6 +14,9 @@ the reference path.
 * :mod:`tests.oracles.features` -- the per-matcher Phi_Beh and Phi_Mou
   bodies (with ``_safe_stats``) the population kernels replaced.
 * :mod:`tests.oracles.ml` -- the per-threshold decision-tree split scan.
+* :mod:`tests.oracles.adapters` -- the row-wise screened adapter read
+  (one dict per line, ``RecordSchema.validate`` per row) and the
+  per-line parsers of the three formats.
 * :mod:`tests.oracles.simulation` -- the scalar consumer of the mouse
   simulator's pre-drawn randomness blocks.
 """

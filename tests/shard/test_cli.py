@@ -98,3 +98,12 @@ def test_replay_adapter_input_verifies_and_counts_quarantine(
     # Rows screened at the adapter never reach a shard: the per-shard
     # ledgers the fleet aggregates for ops /stats stay empty.
     assert payload["stats"]["totals"]["quarantined"]["total"] == 0
+
+
+@pytest.mark.parametrize("value", ["-1", "-0.001", "nan"])
+def test_negative_clock_skew_is_a_usage_error(value, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.build_parser().parse_args(["replay", "--clock-skew", value])
+    assert excinfo.value.code == 2
+    assert "--clock-skew: must be a non-negative number" in capsys.readouterr().err
+    assert cli.build_parser().parse_args(["replay", "--clock-skew", "0"]).clock_skew == 0.0

@@ -50,3 +50,23 @@ def test_bytes_and_damages_pinned(traces, tmp_path, format_name, seed):
 def test_too_few_skew_eligible_rows_rejected(traces, tmp_path):
     with pytest.raises(ValueError, match="clock_skew"):
         write_corrupted_trace(traces, tmp_path / "skew", "jsonl", clock_skew_tolerance=1e9)
+
+
+def test_replacing_damage_leaves_a_row_in_front_of_every_skew_target(tmp_path):
+    """Seed 2 once drew both rows before a skew target of one session as
+    replacing damage, so the writer had no intact row to rewind behind."""
+    from repro.adapters import OaeiDecisionFormat
+    from repro.stream.quarantine import QuarantineLog
+
+    pair, reference = build_small_task(random_state=3)
+    cohort = simulate_population(pair, reference, n_matchers=3, random_state=23, id_prefix="rt")
+    traces = [trace_from_matcher(matcher) for matcher in cohort]
+    report = write_corrupted_trace(
+        traces, tmp_path / "align.csv", "oaei", seed=2,
+        n_unparseable=2, n_schema_invalid=3, n_clock_skew=2, n_duplicate=0,
+    )
+    log = QuarantineLog()
+    OaeiDecisionFormat.read(report.path, quarantine=log)
+    assert {reason: log.by_reason[reason] for reason in report.expected_counts()} == {
+        "unparseable": 2, "schema_invalid": 3, "clock_skew": 2, "duplicate": 0,
+    }

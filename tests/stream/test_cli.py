@@ -251,3 +251,12 @@ class TestAdapterInput:
                     "--recovery", "abort",
                 ]
             )
+
+
+@pytest.mark.parametrize("value", ["-1", "-0.001", "nan"])
+def test_negative_clock_skew_is_a_usage_error(value, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.build_parser().parse_args(["replay", "--clock-skew", value])
+    assert excinfo.value.code == 2
+    assert "--clock-skew: must be a non-negative number" in capsys.readouterr().err
+    assert cli.build_parser().parse_args(["replay", "--clock-skew", "0"]).clock_skew == 0.0
