@@ -1,9 +1,11 @@
-"""Zero-copy artifact loads: the mmap-dir bundle layout vs compressed npz.
+"""Zero-copy artifact loads: the bundle's mmap-dir layout vs compressed npz.
 
-``load_model`` on the ``mmap-dir`` layout (``np.load(mmap_mode="r")``,
-O(pages-touched)) vs. the same model saved ``npz-compressed`` (full
-decompress on every load) — gate >= 3x, with transforms asserted bitwise
-against the in-memory original for both layouts.
+``load_model`` on a bundle as ``save_model`` writes it (``arrays/``,
+``np.load(mmap_mode="r")``, O(pages-touched)) vs. the same model as a
+format-version-1 bundle (one compressed ``arrays.npz``, built by the
+test-side writer in ``tests/oracles/bundles.py``; full decompress on
+every load) — gate >= 3x, with transforms asserted bitwise against the
+in-memory original for both forms.
 
 The timing gate is enforced only when ``REPRO_MEMORY_GATES`` is set (the
 ``workflow_dispatch`` memory-bench CI job sets it); the tier-1 job still
@@ -21,6 +23,8 @@ import numpy as np
 
 from repro.ml.preprocessing import StandardScaler
 from repro.serve import load_model, save_model
+
+from tests.oracles.bundles import to_v1_bundle
 
 #: Whether the wall-clock gate is enforced (equivalence always is).
 GATES_ENFORCED = bool(os.environ.get("REPRO_MEMORY_GATES"))
@@ -53,14 +57,12 @@ def test_bench_mmap_artifact_load(memory_timings, tmp_path):
     X_new = rng.standard_normal((8, 1_000_000))
     expected = scaler.transform(X_new)
 
-    mmap_bundle = save_model(scaler, tmp_path / "mmap", layout="mmap-dir")
-    npz_bundle = save_model(scaler, tmp_path / "npz", layout="npz-compressed")
+    mmap_bundle = save_model(scaler, tmp_path / "mmap")
+    npz_bundle = to_v1_bundle(save_model(scaler, tmp_path / "npz"))
 
-    # Equivalence first: both layouts transform bitwise like the original.
+    # Equivalence first: both forms transform bitwise like the original.
     for bundle in (mmap_bundle, npz_bundle):
-        for mmap in (True, False):
-            loaded = load_model(bundle, mmap=mmap)
-            assert np.array_equal(loaded.transform(X_new), expected)
+        assert np.array_equal(load_model(bundle).transform(X_new), expected)
 
     mmap_median = _median_seconds(lambda: load_model(mmap_bundle), repeats=5)
     npz_median = _median_seconds(lambda: load_model(npz_bundle), repeats=5)

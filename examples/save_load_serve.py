@@ -3,8 +3,8 @@
 Demonstrates the artifact + serving life-cycle end to end:
 
 1. train a MExI characterizer on a simulated cohort and save it as a
-   versioned bundle (``manifest.json`` + ``arrays.npz``, no pickle);
-2. save the held-out cohort as a single-file scoring population;
+   versioned bundle (``manifest.json`` + ``arrays/*.npy``, no pickle);
+2. save the held-out cohort as a scoring population bundle;
 3. re-execute this script in a **fresh Python process** (so no in-memory
    state can leak) that loads the bundle into a
    ``CharacterizationService`` and scores the population;
@@ -30,20 +30,20 @@ from repro.serve import CharacterizationService, load_population, save_populatio
 from repro.simulation import build_dataset
 
 
-def serve_in_this_process(bundle_dir: str, population_file: str, scores_file: str) -> None:
+def serve_in_this_process(bundle_dir: str, population_dir: str, scores_file: str) -> None:
     """The 'fresh process' half: load the bundle, score, write the scores."""
     service = CharacterizationService.from_bundle(bundle_dir, chunk_size=4)
-    matchers = load_population(population_file)
+    matchers = load_population(population_dir)
     result = service.score_batch(matchers)
     np.savez(scores_file, labels=result.labels, probabilities=result.probabilities)
-    print(f"  [fresh process] scored {result.n_matchers} matchers from {population_file}")
+    print(f"  [fresh process] scored {result.n_matchers} matchers from {population_dir}")
     print(f"  [fresh process] model: {service.info()['model']['selected_classifiers']}")
 
 
 def main() -> None:
     workdir = Path(tempfile.mkdtemp(prefix="repro-serve-"))
     bundle_dir = workdir / "bundle"
-    population_file = workdir / "population.npz"
+    population_dir = workdir / "population"
     scores_file = workdir / "scores.npz"
 
     # 1. Fit on the PO cohort (offline feature sets keep the demo fast).
@@ -56,8 +56,8 @@ def main() -> None:
     model.save(bundle_dir)
     print(f"saved bundle to {bundle_dir}")
 
-    # 2. Ship the held-out OAEI cohort as a scoring population file.
-    save_population(dataset.oaei_matchers, population_file)
+    # 2. Ship the held-out OAEI cohort as a scoring population bundle.
+    save_population(dataset.oaei_matchers, population_dir)
     expected_labels = model.predict(dataset.oaei_matchers)
     expected_probabilities = model.predict_proba(dataset.oaei_matchers)
 
@@ -68,7 +68,7 @@ def main() -> None:
             __file__,
             "--serve",
             str(bundle_dir),
-            str(population_file),
+            str(population_dir),
             str(scores_file),
         ],
         check=True,

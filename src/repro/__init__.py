@@ -21,7 +21,7 @@ together with every substrate it depends on:
 * :mod:`repro.experiments` -- one experiment module per table and figure of
   the paper's evaluation.
 * :mod:`repro.serve` -- persistent model artifacts (versioned
-  ``manifest.json`` + ``arrays.npz`` bundles) and the batch
+  ``manifest.json`` + ``arrays/`` bundles) and the batch
   characterization service plus its ``fit|score|inspect`` CLI.
 * :mod:`repro.stream` -- the streaming session layer: incremental event
   ingestion, online feature maintenance, live multi-session

@@ -417,7 +417,7 @@ class MExICharacterizer:
         """Persist the fitted model as a versioned artifact bundle at ``path``.
 
         Delegates to :func:`repro.serve.save_model`; the resulting bundle
-        (``manifest.json`` + ``arrays.npz``) round-trips through
+        (``manifest.json`` + ``arrays/``) round-trips through
         :meth:`load` / :func:`repro.serve.load_model` to bitwise-identical
         predictions.
 

@@ -1,31 +1,35 @@
-"""Shared on-disk array-bundle codec (:mod:`repro.io.bundle`).
+"""The shared on-disk bundle contract (:mod:`repro.io.bundle`).
 
 One implementation of the ``manifest.json`` + named-arrays round-trip
 used by model artifacts (:mod:`repro.serve.artifacts`), scoring
 populations (:mod:`repro.serve.population`) and stream checkpoints
-(:mod:`repro.stream.checkpoint`), with three array layouts behind one
-enum: compressed ``.npz``, uncompressed ``.npz`` and a memory-mappable
-``.npy``-per-array directory.
+(:mod:`repro.stream.checkpoint`): one writer, one fingerprint-verifying
+reader over memory-mappable ``.npy``-per-array directories, and one
+flat-plus-offsets codec for ragged data.
 """
 
 from repro.io.bundle import (
     BundleError,
-    BundleLayout,
     arrays_fingerprint,
     atomic_bundle_dir,
     fsync_dir,
-    read_arrays,
+    ragged_decode,
+    ragged_encode,
+    read_bundle,
     read_bundle_manifest,
-    write_arrays,
+    write_bundle,
+    write_file_atomic,
 )
 
 __all__ = [
     "BundleError",
-    "BundleLayout",
     "arrays_fingerprint",
     "atomic_bundle_dir",
     "fsync_dir",
-    "read_arrays",
+    "ragged_decode",
+    "ragged_encode",
+    "read_bundle",
     "read_bundle_manifest",
-    "write_arrays",
+    "write_bundle",
+    "write_file_atomic",
 ]

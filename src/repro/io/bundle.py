@@ -1,35 +1,35 @@
-"""One array-bundle codec for every on-disk format in the repo.
+"""The one bundle contract behind every on-disk format in the repo.
 
 Model artifacts, scoring populations and stream checkpoints all persist
-the same shape of data: a JSON manifest next to a set of named NumPy
-arrays, fingerprinted with a keyless blake2b digest.  Before this module
-each of the three call sites hand-rolled the ``arrays.npz`` round-trip;
-now they share one codec with three layouts behind one enum:
+the same shape of data: a ``manifest.json`` next to a set of named NumPy
+arrays, fingerprinted with a keyless blake2b digest.  This module owns
+that contract end to end:
 
-``BundleLayout.NPZ_COMPRESSED``
-    A single deflate-compressed ``arrays.npz`` — the historical (format
-    version 1) layout.  Smallest on disk, but every load pays an
-    O(bundle) decompression even when the caller touches one array.
-``BundleLayout.NPZ``
-    A single *uncompressed* ``arrays.npz``.  Loads skip the deflate pass
-    but still copy every array out of the zip container.
-``BundleLayout.MMAP_DIR``
-    One raw ``.npy`` file per array inside an ``arrays/`` directory,
-    plus a key index in the manifest entry.  Arrays are loaded with
-    ``np.load(mmap_mode="r")``: the OS maps the pages lazily, so load
-    cost is O(pages-touched) rather than O(bundle), repeated loads hit
-    the page cache, and concurrent processes loading the same bundle
-    **share** the physical pages — the zero-copy serving layout.
+* :func:`write_bundle` writes the arrays — one raw ``.npy`` file per
+  array inside an ``arrays/`` directory (the ``mmap-dir`` layout) —
+  stamps the ``arrays`` entry and the content ``fingerprint`` into the
+  manifest and writes ``manifest.json``.  Callers run it inside
+  :func:`atomic_bundle_dir`, so a bundle is published whole or not at all.
+* :func:`read_bundle` reads and validates the manifest, loads the arrays
+  with ``np.load(mmap_mode="r")`` — load cost is O(pages touched),
+  repeated loads hit the page cache and concurrent loaders share the
+  physical pages — and verifies the fingerprint.  Every failure raises
+  the caller's error class.
+* :func:`ragged_encode` / :func:`ragged_decode` are the flat-plus-offsets
+  encoding of per-entity variable-length data; decoding checks the
+  offsets before anything is sliced.
 
 Array keys may contain ``/`` (the artifact encoder uses
-``000001/tree/feature``-style keys); the mmap-dir layout therefore never
-derives file names from keys — files are numbered in sorted-key order
-and the key → file map travels in the manifest entry returned by
-:func:`write_arrays`.
+``000001/tree/feature``-style keys), so file names never derive from
+keys: files are numbered in sorted-key order and the key → file map
+travels in the manifest's ``arrays`` entry.  The fingerprint digests
+dtype, shape and raw bytes per array, so it does not depend on the
+layout the arrays were read from.
 
-The blake2b content fingerprint (:func:`arrays_fingerprint`) digests
-dtype, shape and raw bytes per array, so it is **layout-independent**:
-re-saving a bundle in a different layout preserves its fingerprint.
+Bundles written before ``mmap-dir`` became the only layout stay
+readable: a manifest without an ``arrays`` entry (format version 1) or
+one naming the retired ``npz`` / ``npz-compressed`` layouts reads a
+single ``arrays.npz``.  Manifests are untrusted input either way.
 """
 
 from __future__ import annotations
@@ -39,11 +39,12 @@ import json
 import os
 import shutil
 import tempfile
+import tokenize
 import zipfile
+import zlib
 from contextlib import contextmanager
-from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -52,31 +53,31 @@ class BundleError(RuntimeError):
     """Raised when an array bundle cannot be written or read."""
 
 
-class BundleLayout(str, Enum):
-    """On-disk array layout of a bundle (see the module docstring)."""
+#: File name of every bundle's manifest.
+MANIFEST_NAME = "manifest.json"
 
-    NPZ_COMPRESSED = "npz-compressed"
-    NPZ = "npz"
-    MMAP_DIR = "mmap-dir"
+#: The array directory (and, for legacy bundles, the ``.npz`` basename).
+ARRAYS_NAME = "arrays"
 
+#: The one layout writers produce, recorded in the manifest's arrays entry.
+MMAP_DIR = "mmap-dir"
 
-def as_layout(
-    layout: Union[str, BundleLayout], *, error: type = BundleError
-) -> BundleLayout:
-    """Coerce a layout name or enum member to a :class:`BundleLayout`.
+#: Retired single-file layouts that older bundles may still name.
+_LEGACY_NPZ_LAYOUTS = ("npz-compressed", "npz")
 
-    Raises
-    ------
-    BundleError
-        If the name does not match any layout (``error`` when given).
-    """
-    if isinstance(layout, BundleLayout):
-        return layout
-    try:
-        return BundleLayout(str(layout))
-    except ValueError:
-        valid = ", ".join(member.value for member in BundleLayout)
-        raise error(f"unknown bundle layout {layout!r}; expected one of: {valid}")
+#: What ``np.load`` raises on a corrupt ``.npy`` file (a mangled header
+#: can fail in the tokenizer numpy runs over it).
+_NPY_ERRORS = (ValueError, OSError, EOFError, tokenize.TokenError)
+
+#: What reading a corrupt ``.npz`` raises on top of that: zip damage,
+#: a corrupt deflate stream, an unknown compression method or an
+#: encrypted member, or a forged size claiming more memory than exists.
+_NPZ_ERRORS = _NPY_ERRORS + (
+    zipfile.BadZipFile, zlib.error, NotImplementedError, RuntimeError, MemoryError,
+)
+
+#: What a decoder raises when bundle content contradicts itself.
+_DECODE_ERRORS = (AttributeError, IndexError, KeyError, TypeError, ValueError)
 
 
 def arrays_fingerprint(arrays: dict, *, header: str = "") -> str:
@@ -102,7 +103,7 @@ def arrays_fingerprint(arrays: dict, *, header: str = "") -> str:
 
 
 # --------------------------------------------------------------------- #
-# Atomic bundle publication
+# Atomic, durable publication
 # --------------------------------------------------------------------- #
 
 
@@ -181,74 +182,48 @@ def atomic_bundle_dir(target_dir, *, error: type = BundleError) -> Iterator[Path
         raise
 
 
+def write_file_atomic(path, text: str) -> None:
+    """Replace a small text file atomically and durably.
+
+    The text is staged next to ``path``, fsynced, renamed over it and the
+    directory fsynced, so readers see the old or the new content, and
+    the new content survives a crash once this returns.
+    """
+    target = Path(path)
+    staged = target.parent / f".{target.name}.tmp.{os.getpid()}"
+    with open(staged, "w", encoding="utf-8") as handle:
+        handle.write(text)
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(staged, target)
+    fsync_dir(target.parent)
+
+
 # --------------------------------------------------------------------- #
-# Array I/O
+# Arrays
 # --------------------------------------------------------------------- #
 
-#: Default basename for the arrays payload (``arrays.npz`` / ``arrays/``).
-DEFAULT_ARRAYS_NAME = "arrays"
 
+def _write_arrays(bundle_dir, arrays: dict, *, error: type = BundleError) -> dict:
+    """Write named arrays under ``bundle_dir/arrays/``, one ``.npy`` each.
 
-def _check_dtypes(arrays: dict, error: type) -> None:
+    Files are numbered in sorted-key order, so the on-disk naming never
+    depends on key contents.  Object dtypes are rejected.
+
+    Returns
+    -------
+    dict
+        The manifest's ``arrays`` entry: ``layout``, ``count``, ``bytes``,
+        ``dir`` and the ``files`` key → file-name map that
+        :func:`_read_arrays` takes back.
+    """
     for key, value in arrays.items():
         if np.asarray(value).dtype.hasobject:
             raise error(
                 f"array {key!r} has an object dtype, which bundles never store "
                 "(only fixed-size numeric / string dtypes round-trip losslessly)"
             )
-
-
-def write_arrays(
-    bundle_dir,
-    arrays: dict,
-    *,
-    layout: Union[str, BundleLayout] = BundleLayout.NPZ_COMPRESSED,
-    name: str = DEFAULT_ARRAYS_NAME,
-    error: type = BundleError,
-) -> dict:
-    """Write named arrays under ``bundle_dir`` in the chosen layout.
-
-    Args
-    ----
-    bundle_dir:
-        The bundle directory (created if missing).
-    arrays:
-        ``key -> ndarray`` payload.  Keys may contain ``/``; object
-        dtypes are rejected.
-    layout:
-        Target :class:`BundleLayout` (or its string value).
-    name:
-        Basename of the payload: ``{name}.npz`` for the npz layouts, a
-        ``{name}/`` directory for ``mmap-dir``.
-    error:
-        Exception class raised on failure (callers pass their own
-        bundle-error subclass).
-
-    Returns
-    -------
-    dict
-        The manifest entry describing the payload — store it under the
-        manifest's ``"arrays"`` key and hand it back to
-        :func:`read_arrays`.  Always carries ``layout``, ``count`` and
-        ``bytes``; npz layouts add ``file``, mmap-dir adds ``dir`` and
-        the ``files`` key → file-name map.
-    """
-    layout = as_layout(layout, error=error)
-    _check_dtypes(arrays, error)
-    bundle = Path(bundle_dir)
-    bundle.mkdir(parents=True, exist_ok=True)
-    total_bytes = int(sum(np.asarray(value).nbytes for value in arrays.values()))
-    info = {"layout": layout.value, "count": len(arrays), "bytes": total_bytes}
-    if layout in (BundleLayout.NPZ_COMPRESSED, BundleLayout.NPZ):
-        file_name = f"{name}.npz"
-        writer = np.savez_compressed if layout is BundleLayout.NPZ_COMPRESSED else np.savez
-        with open(bundle / file_name, "wb") as handle:
-            writer(handle, **arrays)
-        info["file"] = file_name
-        return info
-    # mmap-dir: one raw .npy per array, numbered in sorted-key order so
-    # the on-disk naming never depends on key contents ("/" is common).
-    directory = bundle / name
+    directory = Path(bundle_dir) / ARRAYS_NAME
     directory.mkdir(parents=True, exist_ok=True)
     files: dict[str, str] = {}
     for index, key in enumerate(sorted(arrays)):
@@ -256,9 +231,13 @@ def write_arrays(
         with open(directory / file_name, "wb") as handle:
             np.save(handle, np.ascontiguousarray(arrays[key]), allow_pickle=False)
         files[key] = file_name
-    info["dir"] = name
-    info["files"] = files
-    return info
+    return {
+        "layout": MMAP_DIR,
+        "count": len(arrays),
+        "bytes": int(sum(np.asarray(value).nbytes for value in arrays.values())),
+        "dir": ARRAYS_NAME,
+        "files": files,
+    }
 
 
 def _member_name(value, what: str, bundle: Path, error: type) -> str:
@@ -280,68 +259,58 @@ def _member_name(value, what: str, bundle: Path, error: type) -> str:
     return value
 
 
-def read_arrays(
-    bundle_dir,
-    info: Optional[dict] = None,
-    *,
-    mmap: bool = True,
-    error: type = BundleError,
-) -> dict:
-    """Read a bundle's arrays as written by :func:`write_arrays`.
+def read_npz(path, *, what: str, error: type = BundleError) -> dict:
+    """Read every array of a legacy ``.npz`` file into owned RAM copies."""
+    path = Path(path)
+    if not path.is_file():
+        raise error(f"{what} is missing {path.name} (truncated?)")
+    try:
+        with zipfile.ZipFile(path):
+            pass  # np.load would treat a non-zip file as .npy or pickle
+        with np.load(path, allow_pickle=False) as npz:
+            return {key: np.array(npz[key]) for key in npz.files}
+    except _NPZ_ERRORS as err:
+        raise error(
+            f"{what} has an unreadable {path.name} ({err}); "
+            "it is corrupt or truncated"
+        ) from err
 
-    Args
-    ----
-    bundle_dir:
-        The bundle directory.
-    info:
-        The manifest entry returned by :func:`write_arrays`.  ``None``
-        (or anything but a dict, or an entry without a ``layout`` field —
-        every pre-layout format-version-1 bundle) means the historical
-        single ``arrays.npz`` file.  File and directory names in the
-        entry must be plain names inside the bundle.
-    mmap:
-        For the ``mmap-dir`` layout, load with ``np.load(mmap_mode="r")``
-        so arrays stay file-backed, read-only and lazily paged.  The npz
-        layouts always materialize in RAM (zip members cannot be
-        mapped).
-    error:
-        Exception class raised on failure.
+
+def _read_arrays(bundle_dir, info, *, error: type = BundleError) -> dict:
+    """Read a bundle's arrays as described by its manifest ``arrays`` entry.
+
+    ``mmap-dir`` arrays load as read-only memory maps.  An entry that is
+    not a dict or has no ``layout`` (every format-version-1 bundle), or
+    one naming a retired ``npz`` layout, reads the single ``arrays.npz``
+    into RAM.  File and directory names must be plain names inside the
+    bundle.
 
     Returns
     -------
     dict
-        ``key -> ndarray``.  Mmap-backed arrays are read-only views; npz
-        arrays are owned and writable.
+        ``key -> ndarray``.
     """
     bundle = Path(bundle_dir)
     if not isinstance(info, dict):
         info = {}
-    layout_name = info.get("layout")
-    layout = (
-        as_layout(layout_name, error=error) if layout_name else BundleLayout.NPZ_COMPRESSED
-    )
-    if layout in (BundleLayout.NPZ_COMPRESSED, BundleLayout.NPZ):
+    layout = info.get("layout")
+    if not layout or layout in _LEGACY_NPZ_LAYOUTS:
         file_name = _member_name(
-            info.get("file", f"{DEFAULT_ARRAYS_NAME}.npz"), "arrays file", bundle, error
+            info.get("file", f"{ARRAYS_NAME}.npz"), "arrays file", bundle, error
         )
-        arrays_path = bundle / file_name
-        if not arrays_path.is_file():
-            raise error(f"bundle {bundle} is missing {arrays_path.name} (truncated?)")
-        try:
-            with np.load(arrays_path, allow_pickle=False) as npz:
-                return {key: np.array(npz[key]) for key in npz.files}
-        except (zipfile.BadZipFile, ValueError, OSError, EOFError) as err:
-            raise error(
-                f"bundle {bundle} has an unreadable {arrays_path.name} ({err}); "
-                "the bundle is corrupt or truncated"
-            ) from err
+        return read_npz(bundle / file_name, what=f"bundle {bundle}", error=error)
+    if layout != MMAP_DIR:
+        raise error(
+            f"bundle {bundle} names unknown array layout {layout!r}; "
+            f"expected {MMAP_DIR!r} (or a legacy npz layout)"
+        )
     directory = bundle / _member_name(
-        info.get("dir", DEFAULT_ARRAYS_NAME), "array directory", bundle, error
+        info.get("dir", ARRAYS_NAME), "array directory", bundle, error
     )
     files = info.get("files")
     if not isinstance(files, dict):
         raise error(
-            f"bundle {bundle} declares the mmap-dir layout but its manifest "
+            f"bundle {bundle} declares the {MMAP_DIR} layout but its manifest "
             "carries no key index ('files' map)"
         )
     if not directory.is_dir():
@@ -355,10 +324,8 @@ def read_arrays(
                 f"for key {key!r} (truncated?)"
             )
         try:
-            arrays[key] = np.load(
-                array_path, mmap_mode="r" if mmap else None, allow_pickle=False
-            )
-        except (ValueError, OSError, EOFError) as err:
+            arrays[key] = np.load(array_path, mmap_mode="r", allow_pickle=False)
+        except _NPY_ERRORS as err:
             raise error(
                 f"bundle {bundle} has an unreadable array file "
                 f"{directory.name}/{file_name} ({err}); the bundle is corrupt or truncated"
@@ -367,8 +334,20 @@ def read_arrays(
 
 
 # --------------------------------------------------------------------- #
-# Manifest I/O
+# Manifests and whole bundles
 # --------------------------------------------------------------------- #
+
+
+def read_json(path, *, what: str, error: type = BundleError):
+    """Parse a JSON file, reporting every failure as ``error``."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as err:
+        # ValueError: bad UTF-8 or bad JSON; RecursionError: nesting too deep.
+        raise error(
+            f"{what} {path} is unreadable or not valid JSON "
+            f"({type(err).__name__}: {err}); it may be truncated"
+        ) from err
 
 
 def read_bundle_manifest(
@@ -377,28 +356,13 @@ def read_bundle_manifest(
     format_name: str,
     supported_versions: Iterable[int],
     kind: str = "bundle",
-    manifest_name: str = "manifest.json",
     error: type = BundleError,
 ) -> dict:
     """Read and validate a bundle's ``manifest.json``.
 
-    The shared missing-file / bad-JSON / not-an-object / wrong-format /
-    wrong-version checks of every bundle reader.  Content-fingerprint
-    verification is the caller's job (the hashed payload differs per
-    format).
-
-    Args
-    ----
-    bundle_dir:
-        The bundle directory.
-    format_name:
-        Required value of the manifest's ``format`` field.
-    supported_versions:
-        ``format_version`` values this reader accepts.
-    kind:
-        Human label used in error messages (``"model"``, ``"checkpoint"``).
-    error:
-        Exception class raised on failure.
+    The missing-file / bad-JSON / not-an-object / wrong-format /
+    wrong-version checks of every bundle reader; ``kind`` labels the
+    bundle in error messages (``"model"``, ``"checkpoint"``).
 
     Returns
     -------
@@ -406,19 +370,14 @@ def read_bundle_manifest(
         The parsed manifest.
     """
     bundle = Path(bundle_dir)
-    manifest_path = bundle / manifest_name
+    manifest_path = bundle / MANIFEST_NAME
     article = "an" if kind[:1].lower() in "aeiou" else "a"
     if not manifest_path.is_file():
         raise error(
-            f"{bundle} is not {article} {kind} bundle (missing {manifest_name}); "
+            f"{bundle} is not {article} {kind} bundle (missing {MANIFEST_NAME}); "
             "expected a bundle directory"
         )
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as err:  # ValueError: bad UTF-8 or bad JSON
-        raise error(
-            f"{manifest_path} is not valid JSON ({err}); the bundle may be truncated"
-        ) from err
+    manifest = read_json(manifest_path, what=f"{kind} manifest", error=error)
     if not isinstance(manifest, dict):
         raise error(
             f"{manifest_path} holds a JSON {type(manifest).__name__}, "
@@ -438,3 +397,180 @@ def read_bundle_manifest(
             f"version(s) {readable} — re-save with a matching repro"
         )
     return manifest
+
+
+def _fingerprint_header(
+    manifest: dict, header_field: Optional[str], bundle: Path, error: type
+) -> str:
+    """Canonical JSON of the manifest field the fingerprint covers, if any."""
+    if header_field is None:
+        return ""
+    tree = manifest.get(header_field)
+    if not isinstance(tree, dict):
+        raise error(f"bundle {bundle} has no {header_field} tree in its manifest")
+    try:
+        return json.dumps(tree, sort_keys=True)
+    except RecursionError as err:
+        raise error(f"bundle {bundle} has a {header_field} tree nested too deeply") from err
+
+
+def write_bundle(
+    staging,
+    manifest: dict,
+    arrays: dict,
+    *,
+    header_field: Optional[str] = None,
+    error: type = BundleError,
+) -> None:
+    """Write ``arrays`` and ``manifest.json`` into a staged bundle directory.
+
+    Stamps the ``arrays`` entry and the content ``fingerprint`` into
+    ``manifest`` first.  ``header_field`` names a manifest field (the
+    model ``spec``) whose canonical JSON the fingerprint covers too.
+    Call it inside :func:`atomic_bundle_dir`.
+    """
+    bundle = Path(staging)
+    manifest["arrays"] = _write_arrays(bundle, arrays, error=error)
+    header = _fingerprint_header(manifest, header_field, bundle, error)
+    manifest["fingerprint"] = arrays_fingerprint(arrays, header=header)
+    (bundle / MANIFEST_NAME).write_text(
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
+
+
+def read_bundle(
+    bundle_dir,
+    *,
+    format_name: str,
+    supported_versions: Iterable[int],
+    kind: str = "bundle",
+    header_field: Optional[str] = None,
+    manifest: Optional[dict] = None,
+    error: type = BundleError,
+) -> tuple[dict, dict]:
+    """Read a bundle written by :func:`write_bundle` and verify it.
+
+    Reads and validates the manifest (unless the caller already did, via
+    :func:`read_bundle_manifest`, and passes it), reads the arrays and
+    checks the content fingerprint before anything is decoded.
+
+    Returns
+    -------
+    tuple
+        ``(manifest, arrays)``.
+
+    Raises
+    ------
+    error
+        On a missing, unreadable or hostile manifest, missing or corrupt
+        arrays, or a fingerprint mismatch.
+    """
+    bundle = Path(bundle_dir)
+    if manifest is None:
+        manifest = read_bundle_manifest(
+            bundle,
+            format_name=format_name,
+            supported_versions=supported_versions,
+            kind=kind,
+            error=error,
+        )
+    header = _fingerprint_header(manifest, header_field, bundle, error)
+    arrays = _read_arrays(bundle, manifest.get("arrays"), error=error)
+    actual = arrays_fingerprint(arrays, header=header)
+    if actual != manifest.get("fingerprint"):
+        raise error(
+            f"{kind} bundle {bundle} failed content-fingerprint verification "
+            f"(expected {manifest.get('fingerprint')!r}, computed {actual!r}); "
+            "the bundle was modified or corrupted after it was saved"
+        )
+    return manifest, arrays
+
+
+# --------------------------------------------------------------------- #
+# Decoding the arrays
+# --------------------------------------------------------------------- #
+
+
+def check_arrays(arrays: dict, schema: dict, *, where: str, error: type) -> None:
+    """Check that each schema key is present with its dtype kind and shape.
+
+    ``schema`` maps a key to ``(kinds, shape)``: ``kinds`` is a string of
+    accepted ``dtype.kind`` characters and ``shape`` a tuple whose
+    ``None`` entries match any length.
+    """
+    missing = [key for key in schema if key not in arrays]
+    if missing:
+        raise error(f"{where} is missing arrays {missing}")
+    for key, (kinds, shape) in schema.items():
+        array = arrays[key]
+        if (
+            array.dtype.kind not in kinds
+            or array.ndim != len(shape)
+            or any(want is not None and got != want for got, want in zip(array.shape, shape))
+        ):
+            expected = "(" + ", ".join("*" if dim is None else str(dim) for dim in shape) + ")"
+            raise error(
+                f"{where} stores {key!r} as {array.dtype} {array.shape}; "
+                f"expected kind {kinds!r} with shape {expected}"
+            )
+
+
+def ragged_encode(chunks: Sequence, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenate per-entity chunks into ``(flat, offsets)``.
+
+    Chunk ``i`` is ``flat[offsets[i]:offsets[i + 1]]``.  Chunks are joined
+    along their first axis, so ``(k, w)`` chunks give one ``(sum k, w)``
+    block whose columns all share the one ``offsets`` vector (with no
+    chunks, ``flat`` is empty and 1-D).  ``offsets`` is int64 with
+    ``len(chunks) + 1`` entries starting at 0.
+    """
+    offsets = np.zeros(len(chunks) + 1, dtype=np.int64)
+    offsets[1:] = np.cumsum([len(chunk) for chunk in chunks], dtype=np.int64)
+    if not chunks:
+        return np.zeros(0, dtype=dtype), offsets
+    return np.concatenate([np.asarray(chunk, dtype=dtype) for chunk in chunks]), offsets
+
+
+def ragged_decode(
+    flat: np.ndarray, offsets: np.ndarray, n: int, *, name: str, where: str, error: type
+) -> list[np.ndarray]:
+    """Split ``flat`` back into its ``n`` chunks (views, never copies).
+
+    The offsets are checked before anything is sliced: a 1-D integer
+    vector of ``n + 1`` entries that starts at 0, never decreases and
+    ends at ``len(flat)``.
+    """
+    offsets = np.asarray(offsets)
+    if (
+        np.ndim(flat) != 1
+        or offsets.dtype.kind not in "iu"
+        or offsets.shape != (n + 1,)
+        or offsets[0] != 0
+        or offsets[-1] != flat.shape[0]
+        or np.any(offsets[1:] < offsets[:-1])
+    ):
+        raise error(
+            f"{where} has invalid {name}: expected {n + 1} non-decreasing integer "
+            "offsets from 0 to the length of its 1-D column"
+        )
+    bounds = offsets.tolist()
+    return [flat[start:end] for start, end in zip(bounds[:-1], bounds[1:])]
+
+
+@contextmanager
+def decoding(where: str, error: type) -> Iterator[None]:
+    """Report a decoder tripping over bundle content as the reader's ``error``.
+
+    Content that passed fingerprint verification can still contradict
+    itself (a forged bundle, or one edited and re-signed): the builtin
+    error a constructor raises on it becomes the documented error type.
+    """
+    try:
+        yield
+    except error:
+        raise
+    except _DECODE_ERRORS as err:
+        raise error(
+            f"{where} has inconsistent content ({type(err).__name__}: {err}); "
+            "it was not written by this repro or was edited afterwards"
+        ) from err

@@ -35,6 +35,23 @@ _CODE_VALUES: tuple[str, ...] = tuple(
 )
 
 
+def check_event_columns(codes: np.ndarray, t: np.ndarray) -> None:
+    """The ingest rules for event columns, applied to whole columns.
+
+    Raises
+    ------
+    ValueError
+        On a non-finite or negative timestamp, or a code outside
+        ``[0, N_EVENT_TYPES)``.
+    """
+    if not np.isfinite(t).all():
+        raise ValueError("timestamps must be finite")
+    if t.size and t.min() < 0:
+        raise ValueError("timestamp must be non-negative")
+    if codes.size and (codes.min() < 0 or codes.max() >= N_EVENT_TYPES):
+        raise ValueError(f"event codes must lie in [0, {N_EVENT_TYPES})")
+
+
 def bin_position(
     x: float, y: float, screen: tuple[int, int], shape: tuple[int, int]
 ) -> tuple[int, int]:

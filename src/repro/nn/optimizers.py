@@ -9,7 +9,7 @@ def _encode_slot_keys(slots: dict[tuple[int, str], np.ndarray]) -> dict[str, np.
     """Flatten ``(layer_index, parameter_name)`` slot keys to strings.
 
     The string form (``"0:W_f"``) is what :meth:`Optimizer.get_state`
-    exposes, so optimizer state survives JSON/npz artifact round-trips.
+    exposes, so optimizer state survives JSON/npy artifact round-trips.
     """
     return {f"{index}:{name}": value for (index, name), value in slots.items()}
 

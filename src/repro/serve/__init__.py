@@ -5,18 +5,18 @@ The serving layer makes trained models durable and servable:
 * :mod:`repro.serve.artifacts` — versioned ``manifest.json`` + array
   bundles (:func:`save_model` / :func:`load_model`) for every fitted
   estimator, round-tripping to bitwise-identical predictions, with
-  format-version and content-fingerprint checks.  Arrays are written
-  through the shared :mod:`repro.io.bundle` codec; the default
-  ``mmap-dir`` layout is loaded with ``np.load(mmap_mode="r")`` so model
-  loads are O(pages-touched) and concurrent processes share pages.
+  format-version and content-fingerprint checks.  Bundles follow the
+  shared :mod:`repro.io.bundle` contract: one ``.npy`` per array, loaded
+  with ``np.load(mmap_mode="r")`` so model loads are O(pages-touched)
+  and concurrent processes share pages.
 * :mod:`repro.serve.service` — :class:`CharacterizationService`: load a
   bundle once, keep a warm feature-block cache, and score matcher
   populations in deterministic parallel chunks over the
   :class:`~repro.runtime.TaskRunner` (process workers receive the model
   once each, pickled through the pool initializer).
 * :mod:`repro.serve.population` — scoring populations
-  (:func:`save_population` / :func:`load_population`): a single ``.npz``
-  file or a memory-mappable bundle directory.
+  (:func:`save_population` / :func:`load_population`): memory-mappable
+  bundle directories (legacy single ``.npz`` files still load).
 * :mod:`repro.serve.cli` — the ``python -m repro.serve fit|score|inspect``
   command line.
 

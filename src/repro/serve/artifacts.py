@@ -1,29 +1,27 @@
 """Versioned on-disk model artifacts (format version 2).
 
-A fitted estimator is persisted as a **bundle**: a directory holding
+A fitted estimator is persisted as a **bundle** through the shared
+:mod:`repro.io.bundle` contract: a directory holding
 
 * ``manifest.json`` — a self-describing JSON manifest with the format
   name/version, the producing ``repro`` version, the model type, a
-  **content fingerprint**, the array-layout entry, and the ``spec``
-  tree describing the object graph (scalars inline, arrays as
-  ``{"__array__": key}`` references);
-* the arrays themselves, in one of the :class:`~repro.io.bundle.BundleLayout`
-  layouts of the shared :mod:`repro.io.bundle` codec.  The default
-  (format version 2) is ``mmap-dir``: one raw ``.npy`` file per array,
-  loaded with ``np.load(mmap_mode="r")`` so load cost is O(pages-touched)
-  and concurrent loaders share physical pages.  Format-version-1 bundles
-  (a single compressed ``arrays.npz``) remain fully readable, and
-  ``save_model(..., layout=...)`` can still produce the npz layouts.
+  **content fingerprint**, the ``arrays`` entry (key → file index), and
+  the ``spec`` tree describing the object graph (scalars inline, arrays
+  as ``{"__array__": key}`` references);
+* ``arrays/`` — one raw ``.npy`` file per array, loaded with
+  ``np.load(mmap_mode="r")`` so load cost is O(pages-touched) and
+  concurrent loaders share physical pages.  Models are rebuilt
+  **zero-copy** on top of those read-only views.  Format-version-1
+  bundles (a single compressed ``arrays.npz``) remain readable.
 
 No pickle is involved: bundles contain only JSON and ``.npy``/``.npz``
 data, so loading never executes bundle-supplied code, and bundles stay
 portable across Python versions and diffable.  Loading verifies the
-format version and the content fingerprint (a keyless blake2b — an
-*integrity* check catching corruption and truncation, not an
-authenticity signature; layout-independent, so re-saving a bundle in a
-different layout preserves it), and any spec/array inconsistency the
-decoders trip over is reported as a clear :class:`ArtifactError`
-instead of mis-predicting silently.
+format version and the content fingerprint over the spec and the arrays
+(a keyless blake2b — an *integrity* check catching corruption and
+truncation, not an authenticity signature), and any spec/array
+inconsistency the decoders trip over is reported as a clear
+:class:`ArtifactError` instead of mis-predicting silently.
 
 Every fitted estimator in the code base round-trips to **bitwise-identical
 predictions**: the classical classifiers (:mod:`repro.ml`), the neural
@@ -47,7 +45,7 @@ from __future__ import annotations
 import inspect
 import json
 from pathlib import Path
-from typing import Any, Callable, Optional, Union
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -79,29 +77,24 @@ from repro.nn.network import Sequential
 from repro.nn.optimizers import SGD, Adam
 from repro.nn.recurrent import LSTM
 from repro.io.bundle import (
-    BundleLayout,
-    arrays_fingerprint,
     atomic_bundle_dir,
-    read_arrays,
+    decoding,
+    read_bundle,
     read_bundle_manifest,
-    write_arrays,
+    write_bundle,
 )
 from repro.runtime import TaskRunner
 
 #: Bundle format identifier written into every manifest.
 ARTIFACT_FORMAT = "repro-model-bundle"
 
-#: Current artifact format version (2 = shared-codec layouts; 1 = the
+#: Current artifact format version (2 = ``arrays/`` directory; 1 = the
 #: historical compressed ``arrays.npz``).  Writers stamp the current
 #: version; loaders accept every supported one.
 ARTIFACT_FORMAT_VERSION = 2
 
 #: Format versions load_model / read_manifest accept.
 SUPPORTED_ARTIFACT_VERSIONS = (1, 2)
-
-#: File names inside a bundle directory.
-MANIFEST_NAME = "manifest.json"
-ARRAYS_NAME = "arrays.npz"
 
 
 class ArtifactError(RuntimeError):
@@ -149,27 +142,24 @@ class _Encoder:
 class _Decoder:
     """Resolves array references while codecs rebuild the object graph.
 
-    With ``copy=True`` (the default) every reference resolves to a
-    writable, owned copy — the historical semantics.  ``copy=False``
-    hands out the stored arrays directly, which keeps mmap-backed bundles
-    **zero-copy**: the views are read-only, and every decoder either
-    treats its arrays as immutable or copies the pieces it mutates, so
-    decoded models behave identically.
+    References resolve to the stored arrays themselves, which keeps
+    mmap-backed bundles **zero-copy**: the views are read-only, and every
+    decoder either treats its arrays as immutable or copies the pieces it
+    mutates, so decoded models behave identically.  (Legacy ``arrays.npz``
+    bundles load into owned RAM arrays, one per reference.)
     """
 
-    def __init__(self, arrays: dict[str, np.ndarray], *, copy: bool = True) -> None:
+    def __init__(self, arrays: dict[str, np.ndarray]) -> None:
         self.arrays = arrays
-        self.copy = copy
 
     def get(self, reference: dict) -> np.ndarray:
-        """The array behind a spec reference (owned copy unless ``copy=False``)."""
+        """The array behind a spec reference."""
         if not isinstance(reference, dict) or "__array__" not in reference:
             raise ArtifactError(f"malformed array reference in spec: {reference!r}")
         key = reference["__array__"]
         if key not in self.arrays:
             raise ArtifactError(f"bundle is missing array {key!r} (truncated bundle?)")
-        array = self.arrays[key]
-        return np.array(array) if self.copy else array
+        return self.arrays[key]
 
     def get_optional(self, reference: Optional[dict]) -> Optional[np.ndarray]:
         return None if reference is None else self.get(reference)
@@ -845,17 +835,7 @@ class _MExICharacterizerCodec:
 # --------------------------------------------------------------------- #
 
 
-def _content_fingerprint(spec_json: str, arrays: dict[str, np.ndarray]) -> str:
-    """Digest of the spec plus every array's dtype, shape and raw bytes."""
-    return arrays_fingerprint(arrays, header=spec_json)
-
-
-def save_model(
-    model: Any,
-    path,
-    *,
-    layout: Union[str, BundleLayout] = BundleLayout.MMAP_DIR,
-) -> Path:
+def save_model(model: Any, path) -> Path:
     """Persist a fitted estimator as a versioned artifact bundle.
 
     Args
@@ -869,14 +849,6 @@ def save_model(
     path:
         Bundle directory to create (parents included).  Existing bundle
         files at the same location are overwritten.
-    layout:
-        On-disk array layout (:class:`~repro.io.bundle.BundleLayout` or
-        its string value).  The default ``mmap-dir`` writes one raw
-        ``.npy`` per array so :func:`load_model` can memory-map them;
-        ``npz-compressed`` reproduces the smaller format-version-1
-        payload (readable by older builds' array loader, though they
-        reject the version-2 manifest).  The content fingerprint is
-        layout-independent.
 
     Returns
     -------
@@ -890,24 +862,20 @@ def save_model(
     """
     encoder = _Encoder()
     spec = encoder.encode(model)
-    spec_json = json.dumps(spec, sort_keys=True)
     bundle = Path(path)
     # Atomic publication: the bundle is staged next to the target and
     # renamed into place only once fully written and fsynced, so a crash
     # mid-save leaves the previous bundle (or nothing), never a torn one.
     with atomic_bundle_dir(bundle, error=ArtifactError) as staging:
-        info = write_arrays(staging, encoder.arrays, layout=layout, error=ArtifactError)
         manifest = {
             "format": ARTIFACT_FORMAT,
             "format_version": ARTIFACT_FORMAT_VERSION,
             "repro_version": repro.__version__,
             "model_type": type(model).__name__,
-            "arrays": info,
-            "fingerprint": _content_fingerprint(spec_json, encoder.arrays),
             "spec": spec,
         }
-        (staging / MANIFEST_NAME).write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        write_bundle(
+            staging, manifest, encoder.arrays, header_field="spec", error=ArtifactError
         )
     return bundle
 
@@ -929,16 +897,17 @@ def read_manifest(path) -> dict:
         format_name=ARTIFACT_FORMAT,
         supported_versions=SUPPORTED_ARTIFACT_VERSIONS,
         kind="artifact",
-        manifest_name=MANIFEST_NAME,
         error=ArtifactError,
     )
 
 
-def load_model(path, manifest: Optional[dict] = None, *, mmap: bool = True) -> Any:
+def load_model(path, manifest: Optional[dict] = None) -> Any:
     """Load a fitted estimator from a bundle created by :func:`save_model`.
 
     Verifies the format version and the content fingerprint before any
-    object is rebuilt, so corrupt or tampered bundles fail loudly.
+    object is rebuilt, so corrupt or tampered bundles fail loudly.  The
+    model is rebuilt zero-copy on the bundle's read-only memory-mapped
+    arrays; repeated loads hit the page cache.
 
     Args
     ----
@@ -947,18 +916,11 @@ def load_model(path, manifest: Optional[dict] = None, *, mmap: bool = True) -> A
     manifest:
         The bundle's manifest, if the caller already read it with
         :func:`read_manifest` (skips a second read/parse of the spec).
-    mmap:
-        For ``mmap-dir`` bundles, memory-map the arrays
-        (``np.load(mmap_mode="r")``) and rebuild the model **zero-copy**
-        on top of the read-only file-backed views; repeated loads hit
-        the page cache and concurrent processes share physical pages.
-        ``False`` forces owned in-RAM copies.  The npz layouts always
-        materialize (zip members cannot be mapped).
 
     Returns
     -------
     The deserialized estimator; predictions are bitwise identical to the
-    model that was saved, whichever layout or ``mmap`` setting is used.
+    model that was saved.
 
     Raises
     ------
@@ -967,29 +929,14 @@ def load_model(path, manifest: Optional[dict] = None, *, mmap: bool = True) -> A
         has an unsupported format version, or names unknown types.
     """
     bundle = Path(path)
-    if manifest is None:
-        manifest = read_manifest(bundle)
-    arrays = read_arrays(bundle, manifest.get("arrays"), mmap=mmap, error=ArtifactError)
-    spec = manifest.get("spec")
-    if not isinstance(spec, dict):
-        raise ArtifactError(f"bundle {bundle} has no spec tree in its manifest")
-    actual = _content_fingerprint(json.dumps(spec, sort_keys=True), arrays)
-    if actual != manifest.get("fingerprint"):
-        raise ArtifactError(
-            f"bundle {bundle} failed content-fingerprint verification "
-            f"(expected {manifest.get('fingerprint')!r}, computed {actual!r}); "
-            "the bundle was modified or corrupted after it was saved"
-        )
-    mmap_backed = any(isinstance(array, np.memmap) for array in arrays.values())
-    try:
-        return _Decoder(arrays, copy=not mmap_backed).decode(spec)
-    except ArtifactError:
-        raise
-    except (KeyError, IndexError, TypeError, ValueError) as error:
-        # Internally inconsistent spec/arrays (e.g. a node array shorter
-        # than its siblings): surface the documented error type.
-        raise ArtifactError(
-            f"bundle {bundle} has an inconsistent spec ({type(error).__name__}: {error}); "
-            "it was not written by save_model() or was edited afterwards"
-        ) from error
-
+    manifest, arrays = read_bundle(
+        bundle,
+        format_name=ARTIFACT_FORMAT,
+        supported_versions=SUPPORTED_ARTIFACT_VERSIONS,
+        kind="artifact",
+        header_field="spec",
+        manifest=manifest,
+        error=ArtifactError,
+    )
+    with decoding(f"bundle {bundle}", ArtifactError):
+        return _Decoder(arrays).decode(manifest["spec"])

@@ -10,7 +10,7 @@ Three sub-commands cover the artifact life-cycle end to end:
 ``score``
     Load a bundle into a :class:`~repro.serve.service.CharacterizationService`
     and score a population — either re-simulated from a scale/seed/cohort or
-    loaded from a population file — printing a table or JSON.  Scores are
+    loaded from a population bundle — printing a table or JSON.  Scores are
     bitwise identical to in-memory prediction, on every runtime backend.
 ``inspect``
     Print a bundle's manifest metadata without loading its arrays.
@@ -34,7 +34,6 @@ from repro.core.characterizer import MExICharacterizer, MExIVariant
 from repro.core.expert_model import EXPERT_CHARACTERISTICS, characterize_population, labels_matrix
 from repro.core.features.cache import FeatureBlockCache
 from repro.experiments.config import SCALE_NAMES, ExperimentConfig
-from repro.io.bundle import BundleLayout
 from repro.serve.artifacts import read_manifest, save_model
 from repro.serve.population import load_population, save_population
 from repro.serve.service import DEFAULT_CHUNK_SIZE, CharacterizationService
@@ -76,15 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument(
         "--save-population",
         default=None,
-        metavar="FILE",
-        help="also save the held-out OAEI cohort as a scoring population file",
-    )
-    fit.add_argument(
-        "--layout",
-        choices=tuple(member.value for member in BundleLayout),
-        default=BundleLayout.MMAP_DIR.value,
-        help="on-disk array layout of the bundle (default: mmap-dir, the "
-        "memory-mappable serving layout; npz-compressed is smallest)",
+        metavar="DIR",
+        help="also save the held-out OAEI cohort as a scoring population bundle",
     )
 
     score = commands.add_parser("score", help="score a population against a saved bundle")
@@ -92,8 +84,9 @@ def build_parser() -> argparse.ArgumentParser:
     score.add_argument(
         "--population",
         default=None,
-        metavar="FILE",
-        help="population file to score (default: simulate from --scale/--seed/--cohort)",
+        metavar="PATH",
+        help="population bundle (or legacy .npz file) to score "
+        "(default: simulate from --scale/--seed/--cohort)",
     )
     score.add_argument("--scale", choices=SCALE_NAMES, default="tiny", help="simulated scale")
     score.add_argument("--seed", type=int, default=42, help="simulation seed")
@@ -153,7 +146,7 @@ def _fit(args: argparse.Namespace) -> int:
         cache=FeatureBlockCache(),
     )
     model.fit(matchers, labels)
-    bundle = save_model(model, args.out, layout=args.layout)
+    bundle = save_model(model, args.out)
     manifest = read_manifest(bundle)
     print(f"saved {manifest['model_type']} bundle to {bundle}")
     print(f"  format_version: {manifest['format_version']}")

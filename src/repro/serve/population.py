@@ -1,4 +1,4 @@
-"""Scoring-population files: matcher behaviour in a flat columnar encoding.
+"""Scoring-population bundles: matcher behaviour in a flat columnar encoding.
 
 A *population* carries exactly what the serving path reads from a
 :class:`~repro.matching.matcher.HumanMatcher` — the identifier, the full
@@ -9,146 +9,108 @@ stored: they are training/evaluation context, never consumed by feature
 extraction, so a loaded population produces bitwise-identical feature
 blocks and predictions (its content fingerprints match the originals).
 
-Ragged per-matcher sequences are stored as concatenated arrays plus an
-offsets vector, the standard flat encoding for variable-length data.
-
-Two on-disk forms exist:
-
-* **format version 1** — the historical single compressed ``.npz`` file
-  (the default of :func:`save_population`, smallest on disk);
-* **format version 2** — a bundle *directory* written through the shared
-  :mod:`repro.io.bundle` codec when a ``layout`` is requested.  With the
-  ``mmap-dir`` layout the columns are memory-mapped on load
-  (``np.load(mmap_mode="r")``) and sliced per matcher **zero-copy**: the
-  per-matcher movement columns are read-only views into the file-backed
-  arrays, so load cost is O(pages-touched) and concurrent scorers share
-  physical pages.
-
-Both forms hold identical arrays; :func:`load_population` detects the
-form from the path (file vs. directory) and returns matchers with
-identical behaviour either way.
+Ragged per-matcher sequences use the flat-plus-offsets codec of
+:mod:`repro.io.bundle`.  :func:`save_population` writes a format-version-2
+bundle *directory* through that shared contract; its columns are
+memory-mapped on load and sliced per matcher **zero-copy** — the
+per-matcher movement columns are read-only views into the file-backed
+arrays, so load cost is O(pages-touched) and concurrent scorers share
+physical pages.  :func:`load_population` also reads the historical
+format-version-1 single compressed ``.npz`` file, detecting the form
+from the path (file vs. directory).
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Optional, Sequence, Union
-import json
-import zipfile
+from typing import Sequence
 
 import numpy as np
 
 from repro.io.bundle import (
-    BundleLayout,
-    arrays_fingerprint,
     atomic_bundle_dir,
-    read_arrays,
-    read_bundle_manifest,
-    write_arrays,
+    check_arrays,
+    decoding,
+    ragged_decode,
+    ragged_encode,
+    read_bundle,
+    read_npz,
+    write_bundle,
 )
-from repro.matching.events import EVENT_CODES, N_EVENT_TYPES
+from repro.matching.events import check_event_columns
 from repro.matching.history import Decision, DecisionHistory
 from repro.matching.matcher import HumanMatcher
-from repro.matching.mouse import MouseEventType, MovementMap
+from repro.matching.mouse import MovementMap
 from repro.serve.artifacts import ArtifactError
 
 #: Bundle format identifier written into version-2 population manifests.
 POPULATION_FORMAT = "repro-population-bundle"
 
-#: Current population format version (2 = bundle directory through the
-#: shared codec; 1 = the historical single compressed ``.npz`` file).
+#: Current population format version (2 = bundle directory; 1 = the
+#: historical single compressed ``.npz`` file).
 POPULATION_FORMAT_VERSION = 2
 
 #: The single-file format version stamped into (and accepted from) the
 #: legacy ``.npz`` form.
 _LEGACY_FILE_VERSION = 1
 
-#: Stable event-type codes (the columnar store's codes — identical to the
-#: feature cache's fingerprint codes and to all previously written files).
-_EVENT_CODES: dict[MouseEventType, int] = {
-    kind: EVENT_CODES[kind.value] for kind in MouseEventType
-}
 
-_REQUIRED_ARRAYS = (
-    "ids",
-    "history_offsets",
-    "history_rows",
-    "history_cols",
-    "history_confidences",
-    "history_timestamps",
-    "history_shapes",
-    "movement_offsets",
-    "movement_x",
-    "movement_y",
-    "movement_codes",
-    "movement_timestamps",
-    "movement_screens",
-)
-
-
-def _population_arrays(matchers: Sequence[HumanMatcher]) -> dict[str, np.ndarray]:
-    """Flatten matchers into the columnar arrays both formats store."""
-    matchers = list(matchers)
-    history_offsets = np.zeros(len(matchers) + 1, dtype=np.int64)
-    movement_offsets = np.zeros(len(matchers) + 1, dtype=np.int64)
-    rows: list[int] = []
-    cols: list[int] = []
-    confidences: list[float] = []
-    decision_times: list[float] = []
-    shapes = np.zeros((len(matchers), 2), dtype=np.int64)
-    xs: list[np.ndarray] = []
-    ys: list[np.ndarray] = []
-    codes: list[np.ndarray] = []
-    event_times: list[np.ndarray] = []
-    screens = np.zeros((len(matchers), 2), dtype=np.int64)
-
-    n_events = 0
-    for index, matcher in enumerate(matchers):
-        history = matcher.history
-        for decision in history:
-            rows.append(decision.row)
-            cols.append(decision.col)
-            confidences.append(decision.confidence)
-            decision_times.append(decision.timestamp)
-        history_offsets[index + 1] = len(rows)
-        shapes[index] = history.shape
-
-        # The movement map is columnar: persist its arrays directly.
-        data = matcher.movement.data
-        xs.append(data.x)
-        ys.append(data.y)
-        codes.append(data.codes)
-        event_times.append(data.t)
-        n_events += len(data)
-        movement_offsets[index + 1] = n_events
-        screens[index] = matcher.movement.screen
-
+def _schema(n: int) -> dict:
+    """``check_arrays`` schema of an ``n``-matcher population."""
     return {
-        "ids": np.array([matcher.matcher_id for matcher in matchers], dtype=np.str_),
-        "history_offsets": history_offsets,
-        "history_rows": np.array(rows, dtype=np.int64),
-        "history_cols": np.array(cols, dtype=np.int64),
-        "history_confidences": np.array(confidences, dtype=np.float64),
-        "history_timestamps": np.array(decision_times, dtype=np.float64),
-        "history_shapes": shapes,
-        "movement_offsets": movement_offsets,
-        "movement_x": np.concatenate(xs) if xs else np.zeros(0, dtype=np.float64),
-        "movement_y": np.concatenate(ys) if ys else np.zeros(0, dtype=np.float64),
-        "movement_codes": np.concatenate(codes) if codes else np.zeros(0, dtype=np.int64),
-        "movement_timestamps": (
-            np.concatenate(event_times) if event_times else np.zeros(0, dtype=np.float64)
-        ),
-        "movement_screens": screens,
+        "ids": ("U", (n,)),
+        "history_offsets": ("iu", (n + 1,)),
+        "history_rows": ("iu", (None,)),
+        "history_cols": ("iu", (None,)),
+        "history_confidences": ("f", (None,)),
+        "history_timestamps": ("f", (None,)),
+        "history_shapes": ("iu", (n, 2)),
+        "movement_offsets": ("iu", (n + 1,)),
+        "movement_x": ("f", (None,)),
+        "movement_y": ("f", (None,)),
+        "movement_codes": ("iu", (None,)),
+        "movement_timestamps": ("f", (None,)),
+        "movement_screens": ("iu", (n, 2)),
     }
 
 
-def save_population(
-    matchers: Sequence[HumanMatcher],
-    path,
-    *,
-    layout: Optional[Union[str, BundleLayout]] = None,
-) -> Path:
-    """Write a scoring population.
+def _population_arrays(matchers: Sequence[HumanMatcher]) -> dict[str, np.ndarray]:
+    """Flatten matchers into the columnar arrays a population stores."""
+    matchers = list(matchers)
+    # One (row, col, confidence, timestamp) row per decision, memoised per history.
+    history, history_offsets = ragged_encode(
+        [matcher.history.columns() for matcher in matchers], np.float64
+    )
+    # One (x, y, code, timestamp) row per event; codes are small exact integers.
+    events = [matcher.movement.data for matcher in matchers]
+    movement, movement_offsets = ragged_encode(
+        [np.column_stack((e.x, e.y, e.codes, e.t)) for e in events], np.float64
+    )
+    history = history.reshape(-1, 4)
+    movement = movement.reshape(-1, 4)
+    return {
+        "ids": np.array([matcher.matcher_id for matcher in matchers], dtype=np.str_),
+        "history_offsets": history_offsets,
+        "history_rows": history[:, 0].astype(np.int64),
+        "history_cols": history[:, 1].astype(np.int64),
+        "history_confidences": history[:, 2],
+        "history_timestamps": history[:, 3],
+        "history_shapes": np.array(
+            [matcher.history.shape for matcher in matchers], dtype=np.int64
+        ).reshape(-1, 2),
+        "movement_offsets": movement_offsets,
+        "movement_x": movement[:, 0],
+        "movement_y": movement[:, 1],
+        "movement_codes": movement[:, 2].astype(np.int64),
+        "movement_timestamps": movement[:, 3],
+        "movement_screens": np.array(
+            [matcher.movement.screen for matcher in matchers], dtype=np.int64
+        ).reshape(-1, 2),
+    }
+
+
+def save_population(matchers: Sequence[HumanMatcher], path) -> Path:
+    """Write a scoring population as a format-version-2 bundle directory.
 
     Args
     ----
@@ -156,56 +118,33 @@ def save_population(
         The matchers to persist (their task / reference context is
         intentionally dropped — see the module docstring).
     path:
-        Destination.  Without a ``layout`` this is a single file
-        (conventionally ``*.npz``); with one it is a bundle directory.
-    layout:
-        ``None`` (default) writes the historical format-version-1
-        compressed ``.npz`` file.  A :class:`~repro.io.bundle.BundleLayout`
-        (or its string value) writes a format-version-2 bundle directory
-        through the shared codec — ``mmap-dir`` is the memory-mappable
-        serving layout.
+        The bundle directory to create.
 
     Returns
     -------
     pathlib.Path
-        The written file or bundle directory.
+        The written bundle directory.
     """
     arrays = _population_arrays(matchers)
     destination = Path(path)
-    if layout is None:
-        destination.parent.mkdir(parents=True, exist_ok=True)
-        with open(destination, "wb") as handle:
-            np.savez_compressed(
-                handle, format_version=np.int64(_LEGACY_FILE_VERSION), **arrays
-            )
-        return destination
     with atomic_bundle_dir(destination, error=ArtifactError) as staging:
-        info = write_arrays(staging, arrays, layout=layout, error=ArtifactError)
         manifest = {
             "format": POPULATION_FORMAT,
             "format_version": POPULATION_FORMAT_VERSION,
             "n_matchers": int(arrays["ids"].shape[0]),
-            "arrays": info,
-            "fingerprint": arrays_fingerprint(arrays),
         }
-        (staging / "manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-        )
+        write_bundle(staging, manifest, arrays, error=ArtifactError)
     return destination
 
 
-def load_population(path, *, mmap: bool = True) -> list[HumanMatcher]:
+def load_population(path) -> list[HumanMatcher]:
     """Load a population written by :func:`save_population` (either form).
 
     Args
     ----
     path:
-        A format-version-1 ``.npz`` file or a format-version-2 bundle
-        directory.
-    mmap:
-        For ``mmap-dir`` bundles, memory-map the columns and build each
-        matcher's movement map as zero-copy read-only slices of the
-        file-backed arrays.  ``False`` forces owned in-RAM copies.
+        A format-version-2 bundle directory (memory-mapped, sliced
+        zero-copy) or a format-version-1 ``.npz`` file.
 
     Returns
     -------
@@ -217,43 +156,24 @@ def load_population(path, *, mmap: bool = True) -> list[HumanMatcher]:
     ------
     ArtifactError
         If the path is missing, unreadable, from an unsupported format
-        version, fails fingerprint verification (bundle form), or is
-        missing required arrays.
+        version, fails fingerprint verification (bundle form), or holds
+        missing, malformed or inconsistent arrays.
     """
     source = Path(path)
     if source.is_dir():
-        manifest = read_bundle_manifest(
+        _, data = read_bundle(
             source,
             format_name=POPULATION_FORMAT,
             supported_versions=(POPULATION_FORMAT_VERSION,),
             kind="population",
             error=ArtifactError,
         )
-        data = read_arrays(source, manifest.get("arrays"), mmap=mmap, error=ArtifactError)
-        _check_required(data, source)
-        actual = arrays_fingerprint(data)
-        if actual != manifest.get("fingerprint"):
-            raise ArtifactError(
-                f"population bundle {source} failed content-fingerprint verification "
-                f"(expected {manifest.get('fingerprint')!r}, computed {actual!r}); "
-                "the bundle was modified or corrupted after it was saved"
-            )
-        return _matchers_from_arrays(data, source)
+        return _matchers_from_arrays(data, f"population bundle {source}")
     if not source.is_file():
         raise ArtifactError(f"population file {source} does not exist")
-    try:
-        with np.load(source, allow_pickle=False) as npz:
-            data = {key: np.array(npz[key]) for key in npz.files}
-    except (zipfile.BadZipFile, ValueError, OSError, EOFError) as error:
-        raise ArtifactError(
-            f"population file {source} is unreadable ({error}); it may be truncated"
-        ) from error
-    if "format_version" not in data:
-        raise ArtifactError(
-            f"population file {source} is missing arrays ['format_version']; "
-            "was it written by save_population()?"
-        )
-    _check_required(data, source)
+    where = f"population file {source}"
+    data = read_npz(source, what=where, error=ArtifactError)
+    check_arrays(data, {"format_version": ("iu", ())}, where=where, error=ArtifactError)
     version = int(data["format_version"])
     if version != _LEGACY_FILE_VERSION:
         raise ArtifactError(
@@ -261,61 +181,51 @@ def load_population(path, *, mmap: bool = True) -> list[HumanMatcher]:
             f"file version {_LEGACY_FILE_VERSION} (or bundle version "
             f"{POPULATION_FORMAT_VERSION} directories)"
         )
-    return _matchers_from_arrays(data, source)
+    return _matchers_from_arrays(data, where)
 
 
-def _check_required(data: dict, source: Path) -> None:
-    missing = [key for key in _REQUIRED_ARRAYS if key not in data]
-    if missing:
-        raise ArtifactError(
-            f"population file {source} is missing arrays {missing}; "
-            "was it written by save_population()?"
-        )
-
-
-def _matchers_from_arrays(data: dict, source: Path) -> list[HumanMatcher]:
+def _matchers_from_arrays(data: dict, where: str) -> list[HumanMatcher]:
     """Rebuild matchers from the columnar arrays (RAM- or mmap-backed)."""
-    matchers: list[HumanMatcher] = []
-    ids = data["ids"]
-    history_offsets = data["history_offsets"]
-    movement_offsets = data["movement_offsets"]
-    for index in range(ids.shape[0]):
-        h_start, h_end = int(history_offsets[index]), int(history_offsets[index + 1])
-        decisions = [
-            Decision(
-                row=int(data["history_rows"][position]),
-                col=int(data["history_cols"][position]),
-                confidence=float(data["history_confidences"][position]),
-                timestamp=float(data["history_timestamps"][position]),
+    n = len(data["ids"]) if np.ndim(data.get("ids")) == 1 else 0
+    check_arrays(data, _schema(n), where=where, error=ArtifactError)
+
+    def split(column: str, offsets: str) -> list[np.ndarray]:
+        return ragged_decode(
+            data[column], data[offsets], n, name=offsets, where=where, error=ArtifactError
+        )
+
+    rows, cols, confidences, decision_times = (
+        split(f"history_{column}", "history_offsets")
+        for column in ("rows", "cols", "confidences", "timestamps")
+    )
+    xs, ys, codes, event_times = (
+        split(f"movement_{column}", "movement_offsets")
+        for column in ("x", "y", "codes", "timestamps")
+    )
+    with decoding(where, ArtifactError):
+        check_event_columns(data["movement_codes"], data["movement_timestamps"])
+        matchers: list[HumanMatcher] = []
+        for index in range(n):
+            decisions = [
+                Decision(row=int(row), col=int(col), confidence=float(confidence),
+                         timestamp=float(timestamp))
+                for row, col, confidence, timestamp in zip(
+                    rows[index], cols[index], confidences[index], decision_times[index]
+                )
+            ]
+            shape = tuple(int(value) for value in data["history_shapes"][index])
+            history = DecisionHistory(decisions, shape=shape)
+            screen = tuple(int(value) for value in data["movement_screens"][index])
+            # Movement columns were persisted from an EventArray, which is
+            # time-sorted by construction: assume_sorted keeps the slices
+            # zero-copy (no argsort reshuffle) for mmap-backed bundles.
+            movement = MovementMap.from_arrays(
+                xs[index], ys[index], codes[index], event_times[index],
+                screen=screen, assume_sorted=True, validate=False,
             )
-            for position in range(h_start, h_end)
-        ]
-        shape = (int(data["history_shapes"][index, 0]), int(data["history_shapes"][index, 1]))
-        history = DecisionHistory(decisions, shape=shape)
-
-        m_start, m_end = int(movement_offsets[index]), int(movement_offsets[index + 1])
-        codes = data["movement_codes"][m_start:m_end]
-        if codes.size and (codes.min() < 0 or codes.max() >= N_EVENT_TYPES):
-            bad = int(codes[(codes < 0) | (codes >= N_EVENT_TYPES)][0])
-            raise ArtifactError(f"population file {source} has unknown event code {bad}")
-        timestamps = data["movement_timestamps"][m_start:m_end]
-        if timestamps.size and timestamps.min() < 0:
-            raise ArtifactError(f"population file {source} has a negative event timestamp")
-        screen = (int(data["movement_screens"][index, 0]), int(data["movement_screens"][index, 1]))
-        # Movement columns were persisted from an EventArray, which is
-        # time-sorted by construction: assume_sorted keeps the slices
-        # zero-copy (no argsort reshuffle) for mmap-backed bundles.
-        movement = MovementMap.from_arrays(
-            data["movement_x"][m_start:m_end],
-            data["movement_y"][m_start:m_end],
-            codes,
-            timestamps,
-            screen=screen,
-            assume_sorted=True,
-            validate=False,
-        )
-
-        matchers.append(
-            HumanMatcher(matcher_id=str(ids[index]), history=history, movement=movement)
-        )
+            matchers.append(
+                HumanMatcher(
+                    matcher_id=str(data["ids"][index]), history=history, movement=movement
+                )
+            )
     return matchers

@@ -42,7 +42,6 @@ loses all in-memory state and is restored from its checkpoint store).
 from __future__ import annotations
 
 import json
-import os
 import time
 import warnings
 from pathlib import Path
@@ -51,6 +50,7 @@ from typing import Optional, Union
 import numpy as np
 
 from repro import obs
+from repro.io.bundle import decoding, read_json, write_file_atomic
 from repro.matching.mouse import MovementMap
 from repro.runtime import RuntimeSpec
 from repro.runtime.faults import InjectedFault, ReproRuntimeWarning, active_injector
@@ -525,10 +525,10 @@ class ShardFleet:
             "queue_slots": self.queue_slots,
             "keep": self.keep,
         }
-        target = self.checkpoint_root / FLEET_MANIFEST_NAME
-        staged = self.checkpoint_root / f".{FLEET_MANIFEST_NAME}.tmp.{os.getpid()}"
-        staged.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-        os.replace(staged, target)
+        write_file_atomic(
+            self.checkpoint_root / FLEET_MANIFEST_NAME,
+            json.dumps(manifest, indent=2, sort_keys=True) + "\n",
+        )
 
     @classmethod
     def restore(
@@ -544,24 +544,22 @@ class ShardFleet:
         latest-good checkpoint (cold when it has none).
         """
         root = Path(checkpoint_root)
-        try:
-            manifest = json.loads((root / FLEET_MANIFEST_NAME).read_text())
-        except (OSError, json.JSONDecodeError) as error:
-            raise CheckpointError(
-                f"fleet manifest {root / FLEET_MANIFEST_NAME} is unreadable: {error}"
+        path = root / FLEET_MANIFEST_NAME
+        manifest = read_json(path, what="fleet manifest", error=CheckpointError)
+        with decoding(f"fleet manifest {path}", CheckpointError):
+            router = ShardRouter.from_spec(manifest["router"])
+            clock = int(manifest.get("clock", 0))
+            fleet = cls(
+                service,
+                router.n_shards,
+                seed=router.seed,
+                replicas=router.replicas,
+                queue_slots=int(manifest.get("queue_slots", DEFAULT_QUEUE_SLOTS)),
+                keep=int(manifest.get("keep", 3)),
+                checkpoint_root=root,
+                **kwargs,
             )
-        router = ShardRouter.from_spec(manifest["router"])
-        fleet = cls(
-            service,
-            router.n_shards,
-            seed=router.seed,
-            replicas=router.replicas,
-            queue_slots=int(manifest.get("queue_slots", DEFAULT_QUEUE_SLOTS)),
-            keep=int(manifest.get("keep", 3)),
-            checkpoint_root=root,
-            **kwargs,
-        )
-        fleet._clock = int(manifest.get("clock", 0))
+        fleet._clock = clock
         for worker in fleet._workers:
             if worker.store is not None and worker.store.checkpoints():
                 worker.manager = worker.store.restore(

@@ -1,44 +1,41 @@
 """Session-state checkpoints: snapshot/restore a whole :class:`SessionManager`.
 
-A checkpoint follows the serve artifact format conventions
-(:mod:`repro.serve.artifacts`): a directory bundle holding
+A checkpoint is a bundle of the shared :mod:`repro.io.bundle` contract
+(the one model artifacts use): a directory holding
 
 * ``manifest.json`` — format name/version, the producing ``repro``
   version, a keyless blake2b **content fingerprint** over the arrays,
-  session counters, and (when the service was loaded from a bundle) the
-  model bundle's fingerprint: loading against a *different* bundle
-  fingerprint is refused, and loading into an in-memory service (which
-  has no fingerprint to verify) warns instead of proceeding silently;
-* the session arrays — every session's exact state as flat arrays: the
-  event buffer (committed and pending columns, arrival sequence numbers,
-  watermark scalars), the incremental feature maintainers (heat-map
-  grid, type counts, motion-statistics vector), the decision history,
-  the dirty flag and the latest scores.  Ragged per-session data uses
-  the concatenated-arrays-plus-offsets encoding of
-  :mod:`repro.serve.population`.  Arrays are written through the shared
-  :mod:`repro.io.bundle` codec: format version 2 defaults to the
-  memory-mappable ``mmap-dir`` layout (restores load columns with
-  ``np.load(mmap_mode="r")`` and copy only what sessions own), while
+  session counters, the manager settings, and (when the service was
+  loaded from a bundle) the model bundle's fingerprint: loading against
+  a *different* bundle fingerprint is refused, and loading into an
+  in-memory service (which has no fingerprint to verify) warns instead
+  of proceeding silently;
+* ``arrays/`` — every session's exact state as flat arrays, one ``.npy``
+  file each: the event buffer (committed and pending columns, arrival
+  sequence numbers, watermark scalars), the incremental feature
+  maintainers (heat-map grid, type counts, motion-statistics vector),
+  the decision history, the dirty flag and the latest scores.  Ragged
+  per-session data uses the shared flat-plus-offsets codec.  Restores
+  load the columns memory-mapped and copy only what sessions own;
   format-version-1 checkpoints (a single compressed ``arrays.npz``)
-  remain fully readable.
+  remain readable.
 
 Restore rebuilds sessions whose future behaviour is *identical* to the
 saved ones: ``tests/stream/test_checkpoint.py`` asserts that
 checkpoint → restore → continue produces bitwise-identical final scores
 to an uninterrupted run.  Corruption (truncated arrays, tampered bytes,
-missing keys, wrong format version) raises :class:`CheckpointError`
-instead of resuming wrong state.
+missing keys, wrong format version) and hostile content the fingerprint
+does not cover (the manager settings and counters, or forged arrays)
+raise :class:`CheckpointError` instead of resuming wrong state.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import shutil
 import time
 import warnings
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -46,16 +43,18 @@ import repro
 from repro import obs
 from repro.core.expert_model import EXPERT_CHARACTERISTICS
 from repro.io.bundle import (
-    BundleLayout,
-    arrays_fingerprint,
     atomic_bundle_dir,
-    fsync_dir,
-    read_arrays,
+    check_arrays,
+    decoding,
+    ragged_decode,
+    ragged_encode,
+    read_bundle,
     read_bundle_manifest,
-    write_arrays,
+    write_bundle,
+    write_file_atomic,
 )
 from repro.runtime.faults import ReproRuntimeWarning, active_injector
-from repro.matching.events import N_EVENT_TYPES
+from repro.matching.events import N_EVENT_TYPES, check_event_columns
 from repro.matching.history import Decision
 from repro.matching.mouse import MovementMap
 from repro.serve.artifacts import ArtifactError
@@ -67,15 +66,12 @@ from repro.stream.session import MatcherSession, SessionManager
 #: Checkpoint format identifier written into every manifest.
 CHECKPOINT_FORMAT = "repro-stream-checkpoint"
 
-#: Current checkpoint format version (2 = shared-codec layouts; 1 = the
+#: Current checkpoint format version (2 = ``arrays/`` directory; 1 = the
 #: historical compressed ``arrays.npz``).
 CHECKPOINT_FORMAT_VERSION = 2
 
 #: Format versions load_checkpoint / read_checkpoint_manifest accept.
 SUPPORTED_CHECKPOINT_VERSIONS = (1, 2)
-
-MANIFEST_NAME = "manifest.json"
-ARRAYS_NAME = "arrays.npz"
 
 #: Buffer column groups persisted per session (matching
 #: ``StreamingEventBuffer.state()`` keys).
@@ -83,6 +79,12 @@ _BUFFER_KEYS = (
     "committed_x", "committed_y", "committed_codes", "committed_t",
     "pending_x", "pending_y", "pending_codes", "pending_t", "pending_seq",
 )
+
+#: The integer-valued buffer columns; the rest are float64.
+_INT_BUFFER_KEYS = ("committed_codes", "pending_codes", "pending_seq")
+
+#: Width of the ``StreamingEventBuffer.state()["scalars"]`` vector.
+_BUFFER_SCALARS_WIDTH = 5
 
 #: Width of the ``IncrementalMotionStats.state()`` vector.
 _MOTION_STATE_WIDTH = 18
@@ -95,23 +97,33 @@ class CheckpointError(ArtifactError):
     """Raised when a checkpoint cannot be written or restored."""
 
 
-def _ragged(chunks: list[np.ndarray], dtype) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenate per-session chunks and return (flat, offsets)."""
-    offsets = np.zeros(len(chunks) + 1, dtype=np.int64)
-    for index, chunk in enumerate(chunks):
-        offsets[index + 1] = offsets[index] + chunk.size
-    if chunks:
-        flat = np.concatenate([np.asarray(c, dtype=dtype) for c in chunks])
-    else:
-        flat = np.zeros(0, dtype=dtype)
-    return flat.astype(dtype, copy=False), offsets
+def _schema(n: int) -> dict:
+    """``check_arrays`` schema of an ``n``-session checkpoint."""
+    schema = {
+        "ids": ("U", (n,)),
+        "buffer_scalars": ("f", (n, _BUFFER_SCALARS_WIDTH)),
+        "decisions": ("f", (None,)),
+        "decision_offsets": ("iu", (n + 1,)),
+        "heat_grids": ("f", (n, *SESSION_HEAT_SHAPE)),
+        "type_counts": ("iu", (n, N_EVENT_TYPES)),
+        "motion_states": ("f", (n, _MOTION_STATE_WIDTH)),
+        "shapes": ("iu", (n, 2)),
+        "screens": ("iu", (n, 2)),
+        "flags": ("f", (n, 3)),
+        "activity": ("f", (n,)),
+        "labels": ("iu", (n, _N_LABELS)),
+        "probabilities": ("f", (n, _N_LABELS)),
+    }
+    for key in _BUFFER_KEYS:
+        schema[key] = ("iu" if key in _INT_BUFFER_KEYS else "f", (None,))
+        schema[f"{key}_offsets"] = ("iu", (n + 1,))
+    return schema
 
 
 def save_checkpoint(
     manager: SessionManager,
     path,
     *,
-    layout: Union[str, BundleLayout] = BundleLayout.MMAP_DIR,
     workload: Optional[dict] = None,
 ) -> Path:
     """Write the manager's complete session state as a checkpoint bundle.
@@ -127,12 +139,6 @@ def save_checkpoint(
         The session manager to snapshot.
     path:
         Checkpoint bundle directory to create.
-    layout:
-        On-disk array layout (:class:`~repro.io.bundle.BundleLayout` or
-        its string value); the default ``mmap-dir`` restores via
-        memory-mapped columns, ``npz-compressed`` reproduces the smaller
-        format-version-1 payload.  The content fingerprint is
-        layout-independent.
     workload:
         Optional provenance of the ingested workload (adapter
         ``source``, ``fingerprint``, ``trace_version``); recorded
@@ -173,7 +179,7 @@ def save_checkpoint(
             np.array(
                 [(d.row, d.col, d.confidence, d.timestamp) for d in session.decisions],
                 dtype=np.float64,
-            ).reshape(-1, 4)
+            ).reshape(-1)
         )
         heat_grids[index] = features.heat.counts
         type_counts[index] = features.type_counts.counts
@@ -189,17 +195,15 @@ def save_checkpoint(
             probabilities[index] = session.last_probabilities
 
     for key in _BUFFER_KEYS:
-        dtype = np.int64 if key in ("committed_codes", "pending_codes", "pending_seq") else np.float64
-        flat, offsets = _ragged(buffer_chunks[key], dtype)
-        arrays[key] = flat
-        arrays[f"{key}_offsets"] = offsets
-    decisions_flat, decision_offsets = _ragged(
-        [chunk.ravel() for chunk in decision_chunks], np.float64
+        dtype = np.int64 if key in _INT_BUFFER_KEYS else np.float64
+        arrays[key], arrays[f"{key}_offsets"] = ragged_encode(buffer_chunks[key], dtype)
+    arrays["decisions"], arrays["decision_offsets"] = ragged_encode(
+        decision_chunks, np.float64
     )
-    arrays["decisions"] = decisions_flat
-    arrays["decision_offsets"] = decision_offsets
     arrays["buffer_scalars"] = (
-        np.vstack(buffer_scalars) if buffer_scalars else np.zeros((0, 5))
+        np.vstack(buffer_scalars)
+        if buffer_scalars
+        else np.zeros((0, _BUFFER_SCALARS_WIDTH))
     )
     arrays["ids"] = np.array(
         [session.session_id for session in sessions], dtype=np.str_
@@ -217,7 +221,6 @@ def save_checkpoint(
     bundle = Path(path)
     injector = active_injector()
     with atomic_bundle_dir(bundle, error=CheckpointError) as staging:
-        info = write_arrays(staging, arrays, layout=layout, error=CheckpointError)
         bundle_info = getattr(manager.service, "_bundle_info", None) or {}
         manifest = {
             "format": CHECKPOINT_FORMAT,
@@ -231,15 +234,11 @@ def save_checkpoint(
                 "reorder_window": manager.reorder_window,
                 "screen": list(manager.screen),
             },
-            "arrays": info,
             "model_fingerprint": bundle_info.get("fingerprint"),
-            "fingerprint": arrays_fingerprint(arrays),
         }
         if workload is not None:
             manifest["workload"] = dict(workload)
-        (staging / MANIFEST_NAME).write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-        )
+        write_bundle(staging, manifest, arrays, error=CheckpointError)
         # The checkpoint.write seam fires after the staging tree is fully
         # written but before publication — the injected crash a torn
         # write would have been.  The atomic context discards the staging
@@ -269,7 +268,6 @@ def read_checkpoint_manifest(path) -> dict:
         format_name=CHECKPOINT_FORMAT,
         supported_versions=SUPPORTED_CHECKPOINT_VERSIONS,
         kind="checkpoint",
-        manifest_name=MANIFEST_NAME,
         error=CheckpointError,
     )
 
@@ -311,22 +309,16 @@ def load_checkpoint(
             f"injected read failure for checkpoint {bundle.name!r} "
             "(fault seam 'checkpoint.read')"
         )
-    manifest = read_checkpoint_manifest(bundle)
-
-    # Version-2 manifests carry the layout entry; version-1 checkpoints
-    # (no entry) fall back to the historical arrays.npz.  The mmap-dir
-    # layout restores through read-only file-backed views — every
+    # The arrays are read-only memory maps of the checkpoint files: every
     # session-owned buffer below copies out of them, so the restored
     # manager never aliases the checkpoint files.
-    arrays = read_arrays(bundle, manifest.get("arrays"), mmap=True, error=CheckpointError)
-
-    actual = arrays_fingerprint(arrays)
-    if actual != manifest.get("fingerprint"):
-        raise CheckpointError(
-            f"checkpoint {bundle} failed content-fingerprint verification "
-            f"(expected {manifest.get('fingerprint')!r}, computed {actual!r}); "
-            "the bundle is corrupt or was modified"
-        )
+    manifest, arrays = read_bundle(
+        bundle,
+        format_name=CHECKPOINT_FORMAT,
+        supported_versions=SUPPORTED_CHECKPOINT_VERSIONS,
+        kind="checkpoint",
+        error=CheckpointError,
+    )
 
     saved_model = manifest.get("model_fingerprint")
     bundle_info = getattr(service, "_bundle_info", None) or {}
@@ -349,77 +341,80 @@ def load_checkpoint(
             stacklevel=2,
         )
 
-    settings = manifest.get("manager", {})
-    manager = SessionManager(
-        service,
-        max_sessions=settings.get("max_sessions"),
-        idle_timeout=settings.get("idle_timeout"),
-        reorder_window=float(settings.get("reorder_window", 0.0)),
-        screen=tuple(settings.get("screen", MovementMap.DEFAULT_SCREEN)),
-        on_evict=on_evict,
-        quarantine=quarantine,
-    )
-    manager.n_evicted = int(manifest.get("n_evicted", 0))
-
-    n_sessions = int(manifest.get("n_sessions", 0))
-    required = [
-        "ids", "buffer_scalars", "decisions", "decision_offsets", "heat_grids",
-        "type_counts", "motion_states", "shapes", "screens", "flags",
-        "activity", "labels", "probabilities",
-    ]
-    required += [key for name in _BUFFER_KEYS for key in (name, f"{name}_offsets")]
-    missing = [key for key in required if key not in arrays]
-    if missing:
-        raise CheckpointError(f"checkpoint {bundle} is missing arrays {missing}")
-    if arrays["ids"].shape[0] != n_sessions:
-        raise CheckpointError(
-            f"checkpoint {bundle} declares {n_sessions} sessions but stores "
-            f"{arrays['ids'].shape[0]}"
+    # The manager block and the counters are not covered by the content
+    # fingerprint, and forged arrays can be re-signed: whatever the
+    # constructors below reject surfaces as CheckpointError.
+    where = f"checkpoint {bundle}"
+    with decoding(where, CheckpointError):
+        settings = manifest.get("manager", {})
+        width, height = (
+            int(value) for value in settings.get("screen", MovementMap.DEFAULT_SCREEN)
         )
-
-    for index in range(n_sessions):
-        shape = (int(arrays["shapes"][index, 0]), int(arrays["shapes"][index, 1]))
-        screen = (int(arrays["screens"][index, 0]), int(arrays["screens"][index, 1]))
-        session = MatcherSession(
-            str(arrays["ids"][index]), shape, screen=screen,
-            reorder_window=manager.reorder_window,
+        manager = SessionManager(
+            service,
+            max_sessions=settings.get("max_sessions"),
+            idle_timeout=settings.get("idle_timeout"),
+            reorder_window=float(settings.get("reorder_window", 0.0)),
+            screen=(width, height),
+            on_evict=on_evict,
             quarantine=quarantine,
         )
+        manager.n_evicted = int(manifest.get("n_evicted", 0))
+        n_sessions = int(manifest.get("n_sessions", 0))
 
-        state = {"scalars": arrays["buffer_scalars"][index]}
-        for key in _BUFFER_KEYS:
-            offsets = arrays[f"{key}_offsets"]
-            state[key] = arrays[key][int(offsets[index]) : int(offsets[index + 1])]
-        session.buffer = StreamingEventBuffer.from_state(state)
-
-        # Write the saved (folded) state directly: reading the features
-        # property here would fold against the restored drain cursor.
-        features = session._features
-        features.heat.counts = arrays["heat_grids"][index].copy()
-        features.type_counts.counts = arrays["type_counts"][index].copy()
-        features.motion = IncrementalMotionStats.from_state(
-            arrays["motion_states"][index]
-        )
-
-        start = int(arrays["decision_offsets"][index])
-        end = int(arrays["decision_offsets"][index + 1])
-        rows = arrays["decisions"][start:end].reshape(-1, 4)
-        session.decisions = [
-            Decision(
-                row=int(entry[0]), col=int(entry[1]),
-                confidence=float(entry[2]), timestamp=float(entry[3]),
+        check_arrays(arrays, _schema(n_sessions), where=where, error=CheckpointError)
+        columns = {
+            key: ragged_decode(
+                arrays[key], arrays[f"{key}_offsets"], n_sessions,
+                name=f"{key}_offsets", where=where, error=CheckpointError,
             )
-            for entry in rows
-        ]
+            for key in _BUFFER_KEYS
+        }
+        decisions = ragged_decode(
+            arrays["decisions"], arrays["decision_offsets"], n_sessions,
+            name="decision_offsets", where=where, error=CheckpointError,
+        )
+        for stage in ("committed", "pending"):
+            check_event_columns(arrays[f"{stage}_codes"], arrays[f"{stage}_t"])
 
-        session.dirty = bool(arrays["flags"][index, 0])
-        session.n_characterizations = int(arrays["flags"][index, 2])
-        session.last_activity = float(arrays["activity"][index])
-        if arrays["flags"][index, 1]:
-            session.last_labels = arrays["labels"][index].copy()
-            session.last_probabilities = arrays["probabilities"][index].copy()
+        for index in range(n_sessions):
+            shape = (int(arrays["shapes"][index, 0]), int(arrays["shapes"][index, 1]))
+            screen = (int(arrays["screens"][index, 0]), int(arrays["screens"][index, 1]))
+            session = MatcherSession(
+                str(arrays["ids"][index]), shape, screen=screen,
+                reorder_window=manager.reorder_window,
+                quarantine=quarantine,
+            )
 
-        manager._sessions[session.session_id] = session
+            state = {key: columns[key][index] for key in _BUFFER_KEYS}
+            state["scalars"] = arrays["buffer_scalars"][index]
+            session.buffer = StreamingEventBuffer.from_state(state)
+
+            # Write the saved (folded) state directly: reading the features
+            # property here would fold against the restored drain cursor.
+            features = session._features
+            features.heat.counts = arrays["heat_grids"][index].copy()
+            features.type_counts.counts = arrays["type_counts"][index].copy()
+            features.motion = IncrementalMotionStats.from_state(
+                arrays["motion_states"][index]
+            )
+
+            session.decisions = [
+                Decision(
+                    row=int(entry[0]), col=int(entry[1]),
+                    confidence=float(entry[2]), timestamp=float(entry[3]),
+                )
+                for entry in decisions[index].reshape(-1, 4)
+            ]
+
+            session.dirty = bool(arrays["flags"][index, 0])
+            session.n_characterizations = int(arrays["flags"][index, 2])
+            session.last_activity = float(arrays["activity"][index])
+            if arrays["flags"][index, 1]:
+                session.last_labels = arrays["labels"][index].copy()
+                session.last_probabilities = arrays["probabilities"][index].copy()
+
+            manager._sessions[session.session_id] = session
     return manager
 
 
@@ -474,14 +469,18 @@ class CheckpointStore:
         )
 
     def latest_good(self) -> Optional[Path]:
-        """The checkpoint named by the pointer (``None`` when unset/stale)."""
-        pointer = self.root / LATEST_GOOD_NAME
+        """The checkpoint named by the pointer (``None`` when unset/stale).
+
+        The pointer is untrusted input: one that cannot be read or
+        decoded, or that names anything but one of this store's own
+        checkpoint directories (``../x``, a file, a missing bundle), is
+        treated as unset, so :meth:`restore` falls back.
+        """
         try:
-            name = pointer.read_text().strip()
-        except OSError:
+            name = (self.root / LATEST_GOOD_NAME).read_text(encoding="utf-8").strip()
+        except (OSError, ValueError):  # ValueError: not UTF-8
             return None
-        candidate = self.root / name
-        return candidate if name and candidate.is_dir() else None
+        return next((entry for entry in self.checkpoints() if entry.name == name), None)
 
     def _next_name(self) -> str:
         existing = self.checkpoints()
@@ -493,12 +492,7 @@ class CheckpointStore:
 
     # -- writing ------------------------------------------------------- #
 
-    def save(
-        self,
-        manager: SessionManager,
-        *,
-        layout: Union[str, BundleLayout] = BundleLayout.MMAP_DIR,
-    ) -> Path:
+    def save(self, manager: SessionManager) -> Path:
         """Atomically write the next checkpoint, advance the pointer, prune.
 
         A failed write (crash or injected ``checkpoint.write`` fault)
@@ -508,14 +502,8 @@ class CheckpointStore:
         started = time.perf_counter()
         bundle = self.root / self._next_name()
         with obs.trace_span("checkpoint.save", bundle=bundle.name):
-            save_checkpoint(manager, bundle, layout=layout)
-            pointer = self.root / LATEST_GOOD_NAME
-            staged = self.root / f".{LATEST_GOOD_NAME}.tmp.{os.getpid()}"
-            staged.write_text(bundle.name + "\n")
-            with open(staged, "rb") as handle:
-                os.fsync(handle.fileno())
-            os.replace(staged, pointer)
-            fsync_dir(self.root)
+            save_checkpoint(manager, bundle)
+            write_file_atomic(self.root / LATEST_GOOD_NAME, bundle.name + "\n")
             self.prune()
         if obs.obs_enabled():
             obs.histogram(

@@ -46,7 +46,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.matching.events import EventArray, N_EVENT_TYPES
+from repro.matching.events import EventArray, N_EVENT_TYPES, check_event_columns
 
 #: Initial capacity (events) of the growable committed region.
 INITIAL_CAPACITY = 64
@@ -219,12 +219,7 @@ class StreamingEventBuffer:
             raise ValueError("event columns must have equal lengths")
         if t.size == 0:
             return
-        if not np.isfinite(t).all():
-            raise ValueError("timestamps must be finite")
-        if t.min() < 0:
-            raise ValueError("timestamp must be non-negative")
-        if codes.size and (codes.min() < 0 or codes.max() >= N_EVENT_TYPES):
-            raise ValueError(f"event codes must lie in [0, {N_EVENT_TYPES})")
+        check_event_columns(codes, t)
         # The watermark advances as the batch is scanned: an entry may not
         # be older than the window behind the newest entry before it.
         running_max = np.maximum.accumulate(t)

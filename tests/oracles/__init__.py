@@ -19,4 +19,8 @@ the reference path.
   per-line parsers of the three formats.
 * :mod:`tests.oracles.simulation` -- the scalar consumer of the mouse
   simulator's pre-drawn randomness blocks.
+* :mod:`tests.oracles.bundles` -- writers of the bundle forms production
+  no longer writes (format-version-1 ``arrays.npz`` bundles, legacy
+  ``.npz`` population files) and a reference ``mmap-dir`` writer that
+  pins the bytes of the one layout it does write.
 """

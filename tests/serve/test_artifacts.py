@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import json
+import shutil
 
 import numpy as np
 import pytest
 
 from repro.core.features.cache import matcher_fingerprint
-from repro.io.bundle import BundleLayout
+from repro.io.bundle import MANIFEST_NAME
 from repro.ml.boosting import GradientBoostingClassifier
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.linear import LinearSVC, LogisticRegression
@@ -22,15 +23,15 @@ from repro.nn.network import Sequential
 from repro.nn.optimizers import Adam
 from repro.nn.recurrent import LSTM
 from repro.serve.artifacts import (
-    ARRAYS_NAME,
     ARTIFACT_FORMAT_VERSION,
-    MANIFEST_NAME,
     ArtifactError,
     load_model,
     read_manifest,
     save_model,
 )
 from repro.serve.population import load_population, save_population
+
+from tests.oracles.bundles import forge_bundle, to_v1_bundle, write_legacy_population
 
 ESTIMATOR_FACTORIES = {
     "decision_tree": lambda: DecisionTreeClassifier(max_depth=4, random_state=0),
@@ -235,49 +236,31 @@ def test_manifest_metadata(offline_model, tmp_path):
 
 
 # --------------------------------------------------------------------- #
-# Layouts and memory-mapped loading (format version 2)
+# Memory-mapped loading (format version 2) and format-version-1 bundles
 # --------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("layout", [member.value for member in BundleLayout])
-def test_every_layout_roundtrips_bitwise(classification_data, tmp_path, layout):
-    """All three array layouts reload to bitwise-identical predictions."""
-    X, y, X_new = classification_data
-    model = RandomForestClassifier(n_estimators=6, max_depth=4, random_state=0).fit(X, y)
-    bundle = save_model(model, tmp_path / layout, layout=layout)
-    manifest = read_manifest(bundle)
-    assert manifest["arrays"]["layout"] == layout
-    for loaded in (load_model(bundle), load_model(bundle, mmap=False)):
-        assert np.array_equal(loaded.predict(X_new), model.predict(X_new))
-        assert np.array_equal(loaded.predict_proba(X_new), model.predict_proba(X_new))
-
-
-def test_mmap_dir_load_is_file_backed(classification_data, tmp_path):
-    """The default layout decodes zero-copy onto read-only memmaps."""
+def test_load_is_file_backed(classification_data, tmp_path):
+    """Bundles decode zero-copy onto read-only memmaps."""
     X, _, X_new = classification_data
     scaler = StandardScaler().fit(X)
     bundle = save_model(scaler, tmp_path / "scaler")
+    assert read_manifest(bundle)["arrays"]["layout"] == "mmap-dir"
     loaded = load_model(bundle)
     assert isinstance(loaded.mean_, np.memmap)
     assert not loaded.mean_.flags.writeable
     assert np.array_equal(loaded.transform(X_new), scaler.transform(X_new))
-    # mmap=False materializes owned in-RAM copies instead.
-    owned = load_model(bundle, mmap=False)
-    assert not isinstance(owned.mean_, np.memmap)
-    assert np.array_equal(owned.transform(X_new), scaler.transform(X_new))
 
 
 def test_legacy_v1_bundle_still_loads(classification_data, tmp_path):
-    """A format-version-1 manifest (no arrays entry) reads arrays.npz."""
+    """A format-version-1 bundle (arrays.npz, no arrays entry) loads bitwise."""
     X, y, X_new = classification_data
-    model = GaussianNB().fit(X, y)
-    bundle = save_model(model, tmp_path / "v1", layout="npz-compressed")
-    manifest = json.loads((bundle / MANIFEST_NAME).read_text())
-    assert (bundle / ARRAYS_NAME).is_file()
-    manifest["format_version"] = 1
-    del manifest["arrays"]
-    (bundle / MANIFEST_NAME).write_text(json.dumps(manifest))
+    model = RandomForestClassifier(n_estimators=6, max_depth=4, random_state=0).fit(X, y)
+    bundle = to_v1_bundle(save_model(model, tmp_path / "v1"))
+    assert (bundle / "arrays.npz").is_file()
+    assert read_manifest(bundle)["format_version"] == 1
     loaded = load_model(bundle)
+    assert np.array_equal(loaded.predict(X_new), model.predict(X_new))
     assert np.array_equal(loaded.predict_proba(X_new), model.predict_proba(X_new))
 
 
@@ -294,7 +277,7 @@ def test_mmap_dir_tamper_fails_fingerprint(classification_data, tmp_path):
 
 def test_characterizer_mmap_roundtrip_bitwise(offline_model, serve_dataset, tmp_path):
     """The full characterizer served off memmapped arrays is bitwise exact."""
-    bundle = save_model(offline_model, tmp_path / "mexi-mmap", layout="mmap-dir")
+    bundle = save_model(offline_model, tmp_path / "mexi-mmap")
     loaded = load_model(bundle)
     cohort = serve_dataset.oaei_matchers
     assert np.array_equal(loaded.predict(cohort), offline_model.predict(cohort))
@@ -333,32 +316,43 @@ def test_load_rejects_wrong_format_version(classification_data, tmp_path):
         load_model(bundle)
 
 
-def test_load_rejects_truncated_arrays(classification_data, tmp_path):
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+@pytest.mark.parametrize("form", ["mmap-dir", "v1"])
+def test_load_rejects_truncated_arrays(classification_data, tmp_path, form):
     X, y, _ = classification_data
-    bundle = save_model(GaussianNB().fit(X, y), tmp_path / "truncated", layout="npz-compressed")
-    arrays_path = bundle / ARRAYS_NAME
-    arrays_path.write_bytes(arrays_path.read_bytes()[: arrays_path.stat().st_size // 2])
+    bundle = save_model(GaussianNB().fit(X, y), tmp_path / "truncated")
+    if form == "v1":
+        _truncate(to_v1_bundle(bundle) / "arrays.npz")
+    else:
+        _truncate(max((bundle / "arrays").iterdir(), key=lambda path: path.stat().st_size))
     with pytest.raises(ArtifactError):
         load_model(bundle)
 
 
-def test_load_rejects_missing_arrays(classification_data, tmp_path):
+@pytest.mark.parametrize("form", ["mmap-dir", "v1"])
+def test_load_rejects_missing_arrays(classification_data, tmp_path, form):
     X, y, _ = classification_data
-    bundle = save_model(GaussianNB().fit(X, y), tmp_path / "no-arrays", layout="npz-compressed")
-    (bundle / ARRAYS_NAME).unlink()
+    bundle = save_model(GaussianNB().fit(X, y), tmp_path / "no-arrays")
+    if form == "v1":
+        (to_v1_bundle(bundle) / "arrays.npz").unlink()
+    else:
+        shutil.rmtree(bundle / "arrays")
     with pytest.raises(ArtifactError, match="missing"):
         load_model(bundle)
 
 
 def test_load_rejects_tampered_content(classification_data, tmp_path):
-    """Modifying an array without re-signing fails fingerprint verification."""
+    """Modifying a v1 array without re-signing fails fingerprint verification."""
     X, y, _ = classification_data
-    bundle = save_model(GaussianNB().fit(X, y), tmp_path / "tampered", layout="npz-compressed")
-    with np.load(bundle / ARRAYS_NAME, allow_pickle=False) as npz:
+    bundle = to_v1_bundle(save_model(GaussianNB().fit(X, y), tmp_path / "tampered"))
+    with np.load(bundle / "arrays.npz", allow_pickle=False) as npz:
         arrays = {key: np.array(npz[key]) for key in npz.files}
     first = next(iter(arrays))
     arrays[first] = arrays[first] + 1.0
-    with open(bundle / ARRAYS_NAME, "wb") as handle:
+    with open(bundle / "arrays.npz", "wb") as handle:
         np.savez_compressed(handle, **arrays)
     with pytest.raises(ArtifactError, match="fingerprint"):
         load_model(bundle)
@@ -372,30 +366,30 @@ def test_load_rejects_invalid_manifest_json(classification_data, tmp_path):
         load_model(bundle)
 
 
-def test_load_wraps_inconsistent_spec_errors(classification_data, tmp_path):
-    """Cross-array inconsistencies surface as ArtifactError, not raw IndexError.
-
-    The bundle is re-signed after shortening one node array, so it passes
-    fingerprint verification and the decoder itself must catch the clash.
-    """
-    from repro.serve.artifacts import _content_fingerprint
-
-    X, y, _ = classification_data
-    tree = DecisionTreeClassifier(max_depth=3, random_state=0).fit(X, y)
-    bundle = save_model(tree, tmp_path / "inconsistent", layout="npz-compressed")
-    manifest = json.loads((bundle / MANIFEST_NAME).read_text())
-    with np.load(bundle / ARRAYS_NAME, allow_pickle=False) as npz:
-        arrays = {key: np.array(npz[key]) for key in npz.files}
+def _shorten_class_counts(manifest, arrays):
     counts_key = next(key for key in arrays if key.endswith("tree/class_counts"))
     arrays[counts_key] = arrays[counts_key][:1]
-    manifest["fingerprint"] = _content_fingerprint(
-        json.dumps(manifest["spec"], sort_keys=True), arrays
-    )
-    (bundle / MANIFEST_NAME).write_text(json.dumps(manifest))
-    with open(bundle / ARRAYS_NAME, "wb") as handle:
-        np.savez_compressed(handle, **arrays)
-    with pytest.raises(ArtifactError, match="inconsistent"):
+
+
+def _empty_tree_nodes(manifest, arrays):
+    manifest["spec"]["nodes"] = []
+
+
+@pytest.mark.parametrize(
+    "edit", [_shorten_class_counts, _empty_tree_nodes], ids=["short-array", "nodes-list"]
+)
+def test_load_wraps_inconsistent_spec_errors(classification_data, tmp_path, edit):
+    """Spec/array clashes surface as ArtifactError, not raw IndexError/AttributeError.
+
+    The bundle is re-signed after the edit, so it passes fingerprint
+    verification and the decoder itself must catch the clash.
+    """
+    X, y, _ = classification_data
+    tree = DecisionTreeClassifier(max_depth=3, random_state=0).fit(X, y)
+    bundle = forge_bundle(save_model(tree, tmp_path / "inconsistent"), edit, header_field="spec")
+    with pytest.raises(ArtifactError, match="inconsistent") as raised:
         load_model(bundle)
+    assert raised.type is ArtifactError
 
 
 def _add_retired_split_param(spec) -> int:
@@ -415,23 +409,19 @@ def _add_retired_split_param(spec) -> int:
 
 def test_bundle_with_retired_split_search_still_loads(classification_data, tmp_path):
     """Tree and forest bundles that stored ``split_search`` load and predict bitwise."""
-    from repro.serve.artifacts import _content_fingerprint
-
     X, y, X_new = classification_data
     models = {
         "tree": DecisionTreeClassifier(max_depth=4, random_state=0).fit(X, y),
         "forest": RandomForestClassifier(n_estimators=6, max_depth=4, random_state=0).fit(X, y),
     }
     for name, model in models.items():
-        bundle = save_model(model, tmp_path / name, layout="npz-compressed")
-        manifest = json.loads((bundle / MANIFEST_NAME).read_text())
-        assert _add_retired_split_param(manifest["spec"]) >= 1
-        with np.load(bundle / ARRAYS_NAME, allow_pickle=False) as npz:
-            arrays = {key: np.array(npz[key]) for key in npz.files}
-        manifest["fingerprint"] = _content_fingerprint(
-            json.dumps(manifest["spec"], sort_keys=True), arrays
+        stamped = []
+        bundle = forge_bundle(
+            save_model(model, tmp_path / name),
+            lambda manifest, arrays: stamped.append(_add_retired_split_param(manifest["spec"])),
+            header_field="spec",
         )
-        (bundle / MANIFEST_NAME).write_text(json.dumps(manifest))
+        assert stamped[0] >= 1
         loaded = load_model(bundle)
         for data in (X, X_new):
             assert np.array_equal(loaded.predict(data), model.predict(data))
@@ -466,16 +456,30 @@ def test_tree_arrays_reject_cycles(classification_data):
 # --------------------------------------------------------------------- #
 
 
-def test_population_roundtrip_preserves_behaviour(serve_dataset, tmp_path):
-    """Saved matchers reload with identical behavioural content fingerprints."""
-    original = serve_dataset.oaei_matchers
-    path = save_population(original, tmp_path / "pop.npz")
-    loaded = load_population(path)
+def _assert_same_population(loaded, original):
     assert [m.matcher_id for m in loaded] == [m.matcher_id for m in original]
     for saved, fresh in zip(original, loaded):
         assert matcher_fingerprint(fresh) == matcher_fingerprint(saved)
         assert fresh.history.shape == saved.history.shape
         assert fresh.movement.screen == saved.movement.screen
+
+
+def test_population_roundtrip_preserves_behaviour(serve_dataset, tmp_path):
+    """Saved matchers reload with identical behavioural content fingerprints."""
+    original = serve_dataset.oaei_matchers
+    bundle = save_population(original, tmp_path / "pop")
+    assert bundle.is_dir()
+    assert json.loads((bundle / MANIFEST_NAME).read_text())["format_version"] == 2
+    _assert_same_population(load_population(bundle), original)
+
+
+def test_legacy_population_file_still_loads(serve_dataset, tmp_path):
+    """A format-version-1 single .npz file loads to the same matchers."""
+    original = serve_dataset.oaei_matchers
+    path = write_legacy_population(
+        save_population(original, tmp_path / "pop"), tmp_path / "pop.npz"
+    )
+    _assert_same_population(load_population(path), original)
 
 
 def test_population_missing_file(tmp_path):
@@ -484,8 +488,10 @@ def test_population_missing_file(tmp_path):
 
 
 def test_population_truncated_file(serve_dataset, tmp_path):
-    path = save_population(serve_dataset.oaei_matchers, tmp_path / "pop.npz")
-    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+    path = write_legacy_population(
+        save_population(serve_dataset.oaei_matchers, tmp_path / "pop"), tmp_path / "pop.npz"
+    )
+    _truncate(path)
     with pytest.raises(ArtifactError):
         load_population(path)
 
@@ -498,23 +504,9 @@ def test_population_missing_arrays(tmp_path):
         load_population(path)
 
 
-@pytest.mark.parametrize("layout", [member.value for member in BundleLayout])
-def test_population_bundle_roundtrip(serve_dataset, tmp_path, layout):
-    """Format-version-2 bundle directories reload with identical behaviour."""
-    original = serve_dataset.oaei_matchers
-    bundle = save_population(original, tmp_path / layout, layout=layout)
-    assert bundle.is_dir()
-    for loaded in (load_population(bundle), load_population(bundle, mmap=False)):
-        assert [m.matcher_id for m in loaded] == [m.matcher_id for m in original]
-        for saved, fresh in zip(original, loaded):
-            assert matcher_fingerprint(fresh) == matcher_fingerprint(saved)
-
-
-def test_population_mmap_dir_slices_are_views(serve_dataset, tmp_path):
-    """mmap-dir populations hand out zero-copy file-backed movement columns."""
-    bundle = save_population(
-        serve_dataset.oaei_matchers, tmp_path / "pop-dir", layout="mmap-dir"
-    )
+def test_population_slices_are_views(serve_dataset, tmp_path):
+    """Population bundles hand out zero-copy file-backed movement columns."""
+    bundle = save_population(serve_dataset.oaei_matchers, tmp_path / "pop-dir")
     loaded = load_population(bundle)
     data = loaded[0].movement.data
     base = data.x
@@ -525,9 +517,7 @@ def test_population_mmap_dir_slices_are_views(serve_dataset, tmp_path):
 
 
 def test_population_bundle_tamper_fails_fingerprint(serve_dataset, tmp_path):
-    bundle = save_population(
-        serve_dataset.oaei_matchers, tmp_path / "pop-dir", layout="mmap-dir"
-    )
+    bundle = save_population(serve_dataset.oaei_matchers, tmp_path / "pop-dir")
     manifest = json.loads((bundle / "manifest.json").read_text())
     target = bundle / "arrays" / manifest["arrays"]["files"]["movement_x"]
     np.save(target, np.load(target) + 1.0)
@@ -536,9 +526,7 @@ def test_population_bundle_tamper_fails_fingerprint(serve_dataset, tmp_path):
 
 
 def test_population_bundle_rejects_wrong_version(serve_dataset, tmp_path):
-    bundle = save_population(
-        serve_dataset.oaei_matchers, tmp_path / "pop-dir", layout="npz"
-    )
+    bundle = save_population(serve_dataset.oaei_matchers, tmp_path / "pop-dir")
     manifest = json.loads((bundle / "manifest.json").read_text())
     manifest["format_version"] = 99
     (bundle / "manifest.json").write_text(json.dumps(manifest))

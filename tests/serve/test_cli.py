@@ -22,7 +22,7 @@ def cli_bundle(tmp_path_factory):
     """One CLI ``fit`` shared by the whole module (tiny scale, offline sets)."""
     root = tmp_path_factory.mktemp("cli")
     bundle = root / "bundle"
-    population = root / "population.npz"
+    population = root / "population"
     exit_code = main(
         [
             "fit",
@@ -105,7 +105,7 @@ def test_cli_fit_then_score_reproduces_in_memory_bitwise(
 
 
 def test_cli_score_population_file_matches_simulated(cli_bundle, capsys):
-    """Scoring the saved population file == scoring the re-simulated cohort."""
+    """Scoring the saved population bundle == scoring the re-simulated cohort."""
     bundle, population = cli_bundle
     from_file = _scored_json(
         capsys,

@@ -1,16 +1,20 @@
 """ShardFleet unit behaviour: routing, dispatch faults, the shared primary
-service, rebalance bookkeeping, ops payloads."""
+service, rebalance bookkeeping, ops payloads, the fleet manifest."""
+
+import json
 
 import pytest
 
 from repro import obs
 from repro.runtime.faults import injected
 from repro.shard import (
+    FLEET_MANIFEST_NAME,
     ReplayDriver,
     ShardDispatchError,
     ShardFleet,
     synthetic_traces,
 )
+from repro.stream import CheckpointError
 
 
 @pytest.fixture
@@ -187,3 +191,58 @@ class TestOpsPayloads:
         assert len(scores) == 7
         for entry in scores.values():
             assert entry["probabilities"].shape == (4,)
+
+
+def _edit(field, value):
+    def mutate(manifest):
+        manifest[field] = value
+        return json.dumps(manifest)
+
+    return mutate
+
+
+#: name -> parsed fleet.json -> replacement text (or bytes).
+HOSTILE_FLEET_MANIFESTS = {
+    "json-list": lambda manifest: "[1, 2]",
+    "missing-router": lambda manifest: json.dumps(
+        {key: value for key, value in manifest.items() if key != "router"}
+    ),
+    "router-string": _edit("router", "zzz"),
+    "router-zero-shards": _edit("router", {"n_shards": 0}),
+    "clock-string": _edit("clock", "x"),
+    "keep-zero": _edit("keep", 0),
+    "not-utf8": lambda manifest: b"\xff\xfe{",
+    "deep-nesting": lambda manifest: "[" * 200_000,
+}
+
+
+class TestFleetManifest:
+    @pytest.fixture
+    def fleet_root(self, shard_service, tmp_path):
+        root = tmp_path / "fleet"
+        with ShardFleet(shard_service, 2, seed=3, checkpoint_root=root) as fleet:
+            _open_all(fleet, synthetic_traces(4, seed=5, n_events=4, n_decisions=1))
+            fleet.checkpoint_all()
+        return root
+
+    def test_manifest_round_trips_without_residue(self, fleet_root, shard_service):
+        manifest = json.loads((fleet_root / FLEET_MANIFEST_NAME).read_text())
+        assert manifest["router"]["n_shards"] == 2
+        assert not [path for path in fleet_root.iterdir() if ".tmp" in path.name]
+        with ShardFleet.restore(fleet_root, shard_service) as restored:
+            assert restored.n_shards == 2
+            assert len(restored) == 4
+
+    @pytest.mark.parametrize("payload", sorted(HOSTILE_FLEET_MANIFESTS))
+    def test_hostile_manifest_raises_checkpoint_error(
+        self, fleet_root, shard_service, payload
+    ):
+        path = fleet_root / FLEET_MANIFEST_NAME
+        hostile = HOSTILE_FLEET_MANIFESTS[payload](json.loads(path.read_text()))
+        if isinstance(hostile, bytes):
+            path.write_bytes(hostile)
+        else:
+            path.write_text(hostile)
+        with pytest.raises(CheckpointError) as raised:
+            ShardFleet.restore(fleet_root, shard_service)
+        assert raised.type is CheckpointError

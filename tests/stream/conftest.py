@@ -7,9 +7,12 @@ import pytest
 
 from repro.core.characterizer import MExICharacterizer, MExIVariant
 from repro.core.expert_model import characterize_population, labels_matrix
+from repro.serve.artifacts import ArtifactError, load_model, save_model
+from repro.serve.population import load_population, save_population
 from repro.serve.service import CharacterizationService
 from repro.simulation.dataset import build_dataset
-from repro.stream.cli import _workload
+from repro.stream import CheckpointError, SessionManager, load_checkpoint, save_checkpoint
+from repro.stream.cli import _replay, _workload
 
 
 @pytest.fixture(scope="session")
@@ -35,6 +38,44 @@ def stream_service(stream_model):
 def workload():
     """Five archetype-cycled live matchers to replay as sessions."""
     return _workload(seed=3, n_sessions=5)
+
+
+@pytest.fixture(scope="session")
+def replayed_manager(stream_model, workload):
+    """Every workload trace half streamed: committed and pending events,
+    decisions and scores in every session (save it, never mutate it)."""
+    manager = SessionManager(
+        CharacterizationService(stream_model, chunk_size=4),
+        reorder_window=1.0,
+        idle_timeout=500.0,
+    )
+    _replay(
+        manager, workload, steps=6, report_every=3, runtime=None, chunk_size=4,
+        stop_after=3,
+    )
+    return manager
+
+
+@pytest.fixture
+def bundle_formats(stream_model, stream_service, workload, replayed_manager):
+    """format -> (write a valid bundle at a path, read it back, the reader's error)."""
+    return {
+        "model": (
+            lambda path: save_model(stream_model, path),
+            load_model,
+            ArtifactError,
+        ),
+        "checkpoint": (
+            lambda path: save_checkpoint(replayed_manager, path),
+            lambda path: load_checkpoint(path, stream_service),
+            CheckpointError,
+        ),
+        "population": (
+            lambda path: save_population(workload, path),
+            load_population,
+            ArtifactError,
+        ),
+    }
 
 
 def random_trace(rng, n, screen=(768, 1024), horizon=100.0):

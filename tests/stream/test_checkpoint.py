@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.io.bundle import read_arrays
+from repro.io.bundle import _read_arrays  # test-side access to the array layer
 from repro.serve.artifacts import ArtifactError, save_model
 from repro.serve.service import CharacterizationService
 from repro.stream import (
@@ -17,6 +17,7 @@ from repro.stream import (
 )
 from repro.stream.cli import _replay
 
+from tests.oracles.bundles import to_v1_bundle
 from tests.stream.conftest import jittered, random_trace
 
 
@@ -98,14 +99,13 @@ class TestRoundTrip:
                 actual[session_id]["probabilities"], entry["probabilities"]
             )
 
-    @pytest.mark.parametrize("layout", ["npz-compressed", "npz", "mmap-dir"])
-    def test_every_layout_round_trips(
-        self, half_replayed, stream_service, tmp_path, layout
-    ):
-        """All three array layouts restore sessions exactly (v2 bundles)."""
-        bundle = save_checkpoint(half_replayed, tmp_path / layout, layout=layout)
-        manifest = read_checkpoint_manifest(bundle)
-        assert manifest["arrays"]["layout"] == layout
+    @pytest.mark.parametrize("form", ["mmap-dir", "v1"])
+    def test_every_form_round_trips(self, half_replayed, stream_service, tmp_path, form):
+        """Version-2 bundles and format-version-1 arrays.npz bundles restore exactly."""
+        bundle = save_checkpoint(half_replayed, tmp_path / "ckpt")
+        assert read_checkpoint_manifest(bundle)["arrays"]["layout"] == "mmap-dir"
+        if form == "v1":
+            to_v1_bundle(bundle)
         restored = load_checkpoint(bundle, stream_service)
         assert restored.session_ids() == half_replayed.session_ids()
         for session_id in half_replayed.session_ids():
@@ -163,7 +163,7 @@ class TestFoldOrder:
         buffer = interrupted.session("s").buffer
         assert buffer._drained < buffer.n_committed  # an unfolded tail exists
 
-        bundle = save_checkpoint(interrupted, tmp_path / "mid", layout="npz")
+        bundle = save_checkpoint(interrupted, tmp_path / "mid")
         resumed = load_checkpoint(bundle, stream_service)
         for lo, hi in chunks[half:]:
             resumed.ingest_events("s", *(column[lo:hi] for column in columns))
@@ -203,16 +203,14 @@ class TestFoldOrder:
         manager.open("s", (6, 6))
         for lo, hi in _chunks(120, rng):
             manager.ingest_events("s", *(column[lo:hi] for column in columns))
-        first = save_checkpoint(manager, tmp_path / "first", layout="npz")
-        second = save_checkpoint(
-            load_checkpoint(first, stream_service), tmp_path / "second", layout="npz"
-        )
+        first = save_checkpoint(manager, tmp_path / "first")
+        second = save_checkpoint(load_checkpoint(first, stream_service), tmp_path / "second")
         assert (
             read_checkpoint_manifest(first)["fingerprint"]
             == read_checkpoint_manifest(second)["fingerprint"]
         )
-        arrays_first = read_arrays(first, read_checkpoint_manifest(first)["arrays"])
-        arrays_second = read_arrays(second, read_checkpoint_manifest(second)["arrays"])
+        arrays_first = _read_arrays(first, read_checkpoint_manifest(first)["arrays"])
+        arrays_second = _read_arrays(second, read_checkpoint_manifest(second)["arrays"])
         assert arrays_first.keys() == arrays_second.keys()
         for key, array in arrays_first.items():
             np.testing.assert_array_equal(arrays_second[key], array, err_msg=key)
@@ -264,22 +262,24 @@ class TestCorruption:
         with pytest.raises(CheckpointError, match="JSON"):
             load_checkpoint(bundle, stream_service)
 
-    def test_truncated_arrays(self, half_replayed, stream_service, tmp_path):
-        bundle = save_checkpoint(half_replayed, tmp_path / "ckpt", layout="npz-compressed")
-        arrays_path = bundle / "arrays.npz"
-        arrays_path.write_bytes(arrays_path.read_bytes()[: arrays_path.stat().st_size // 2])
+    @pytest.mark.parametrize("form", ["mmap-dir", "v1"])
+    def test_truncated_arrays(self, half_replayed, stream_service, tmp_path, form):
+        bundle = save_checkpoint(half_replayed, tmp_path / "ckpt")
+        if form == "v1":
+            target = to_v1_bundle(bundle) / "arrays.npz"
+        else:
+            target = max((bundle / "arrays").iterdir(), key=lambda path: path.stat().st_size)
+        target.write_bytes(target.read_bytes()[: target.stat().st_size // 2])
         with pytest.raises(CheckpointError):
             load_checkpoint(bundle, stream_service)
 
     def test_tampered_arrays_fail_fingerprint(
         self, half_replayed, stream_service, tmp_path
     ):
-        bundle = save_checkpoint(half_replayed, tmp_path / "ckpt", layout="npz-compressed")
-        with np.load(bundle / "arrays.npz", allow_pickle=False) as npz:
-            arrays = {key: np.array(npz[key]) for key in npz.files}
-        arrays["activity"] = arrays["activity"] + 1.0
-        with open(bundle / "arrays.npz", "wb") as handle:
-            np.savez_compressed(handle, **arrays)
+        bundle = save_checkpoint(half_replayed, tmp_path / "ckpt")
+        files = read_checkpoint_manifest(bundle)["arrays"]["files"]
+        target = bundle / "arrays" / files["activity"]
+        np.save(target, np.load(target) + 1.0)
         with pytest.raises(CheckpointError, match="fingerprint"):
             load_checkpoint(bundle, stream_service)
 

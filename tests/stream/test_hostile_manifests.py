@@ -1,21 +1,31 @@
 """Hostile bundle manifests: every bundle reader raises its own typed error.
 
-The three readers of the shared bundle codec — ``load_model``,
+The three readers of the shared bundle contract — ``load_model``,
 ``load_checkpoint`` and ``load_population`` — each take a valid bundle
 whose ``manifest.json`` an attacker (or a bad disk) has rewritten.  Each
 payload must surface as the reader's documented error class, never as a
-bare ``UnicodeDecodeError`` / ``AttributeError`` / ``TypeError``, and a
-manifest naming files outside the bundle directory must be refused rather
-than followed.
+bare ``UnicodeDecodeError`` / ``AttributeError`` / ``TypeError`` /
+``RecursionError``, and a manifest naming files outside the bundle
+directory must be refused rather than followed.  The checkpoint fields
+the content fingerprint does not cover (the ``manager`` block and the
+session counters) get the same treatment, and a retained store falls
+back past a checkpoint that fails them.  A store's ``latest-good``
+pointer is untrusted too: one that is not UTF-8 or names anything but
+the store's own checkpoints is treated as unset.
 """
 
 import json
 
 import pytest
 
-from repro.serve.artifacts import ArtifactError, load_model, save_model
-from repro.serve.population import load_population, save_population
-from repro.stream import CheckpointError, SessionManager, load_checkpoint, save_checkpoint
+from repro.runtime.faults import ReproRuntimeWarning
+from repro.stream import (
+    CheckpointError,
+    CheckpointStore,
+    SessionManager,
+    load_checkpoint,
+    save_checkpoint,
+)
 
 
 def _first_file(info):
@@ -95,6 +105,7 @@ PAYLOADS = {
     "json-list": lambda bundle, manifest: [1, 2],
     "json-string": lambda bundle, manifest: "x",
     "json-null": lambda bundle, manifest: None,
+    "deep-nesting": lambda bundle, manifest: b"[" * 200_000,
     "dir-not-string": _set_arrays("dir", 5),
     "file-not-string": _set_arrays("files", 7),
     "unknown-layout": _set_arrays("layout", "tar"),
@@ -109,32 +120,12 @@ PAYLOADS = {
 }
 
 
-@pytest.fixture
-def readers(stream_model, stream_service, workload):
-    """reader name -> (write a valid bundle at path, read it back, its error)."""
-    return {
-        "model": (
-            lambda path: save_model(stream_model, path),
-            load_model,
-            ArtifactError,
-        ),
-        "checkpoint": (
-            lambda path: save_checkpoint(SessionManager(stream_service), path),
-            lambda path: load_checkpoint(path, stream_service),
-            CheckpointError,
-        ),
-        "population": (
-            lambda path: save_population(workload, path, layout="mmap-dir"),
-            load_population,
-            ArtifactError,
-        ),
-    }
-
-
 @pytest.mark.parametrize("payload", sorted(PAYLOADS))
 @pytest.mark.parametrize("reader", ["model", "checkpoint", "population"])
-def test_hostile_manifest_raises_the_readers_error(readers, reader, payload, tmp_path):
-    write, read, error = readers[reader]
+def test_hostile_manifest_raises_the_readers_error(
+    bundle_formats, reader, payload, tmp_path
+):
+    write, read, error = bundle_formats[reader]
     bundle = tmp_path / "bundle"
     write(bundle)
     manifest_path = bundle / "manifest.json"
@@ -146,3 +137,83 @@ def test_hostile_manifest_raises_the_readers_error(readers, reader, payload, tmp
     with pytest.raises(error) as raised:
         read(bundle)
     assert raised.type is error
+
+
+def _set(*path):
+    """Set the checkpoint manifest field at ``path`` to the last argument."""
+    *keys, field, value = path
+
+    def mutate(manifest):
+        target = manifest
+        for key in keys:
+            target = target[key]
+        target[field] = value
+
+    return mutate
+
+
+#: Checkpoint manifest fields outside the content fingerprint.
+UNSIGNED_FIELDS = {
+    "manager-not-object": _set("manager", []),
+    "screen-not-pair": _set("manager", "screen", 5),
+    "screen-not-numbers": _set("manager", "screen", ["a", "b"]),
+    "max-sessions-string": _set("manager", "max_sessions", "x"),
+    "reorder-window-string": _set("manager", "reorder_window", "abc"),
+    "reorder-window-negative": _set("manager", "reorder_window", -1),
+    "n-sessions-string": _set("n_sessions", "x"),
+    "n-sessions-wrong": _set("n_sessions", 1),
+    "n-evicted-list": _set("n_evicted", [1]),
+}
+
+
+def _rewrite_manifest(bundle, mutate):
+    path = bundle / "manifest.json"
+    manifest = json.loads(path.read_text())
+    mutate(manifest)
+    path.write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize("field", sorted(UNSIGNED_FIELDS))
+def test_unsigned_checkpoint_fields_raise_checkpoint_error(
+    replayed_manager, stream_service, field, tmp_path
+):
+    bundle = save_checkpoint(replayed_manager, tmp_path / "ckpt")
+    _rewrite_manifest(bundle, UNSIGNED_FIELDS[field])
+    with pytest.raises(CheckpointError) as raised:
+        load_checkpoint(bundle, stream_service)
+    assert raised.type is CheckpointError
+
+
+def test_store_falls_back_past_a_tampered_manager_block(
+    replayed_manager, stream_service, tmp_path
+):
+    store = CheckpointStore(tmp_path / "store", keep=3)
+    good = store.save(replayed_manager)
+    newest = store.save(replayed_manager)
+    assert store.latest_good() == newest
+    _rewrite_manifest(newest, UNSIGNED_FIELDS["manager-not-object"])
+    with pytest.warns(ReproRuntimeWarning, match=f"{newest.name}.*not restorable"):
+        restored = store.restore(stream_service)
+    assert restored.session_ids() == replayed_manager.session_ids()
+    assert good.name != newest.name
+
+
+@pytest.mark.parametrize(
+    "pointer",
+    [b"\xff\xfe not utf-8", b"../outside\n", b"latest-good\n", b"ckpt-999999\n", b""],
+    ids=["non-utf8", "escape", "a-file", "missing", "empty"],
+)
+def test_store_treats_a_hostile_pointer_as_unset(
+    pointer, replayed_manager, stream_service, tmp_path
+):
+    """A bad ``latest-good`` pointer is never followed; restore uses the newest bundle."""
+    save_checkpoint(SessionManager(stream_service), tmp_path / "outside")  # no sessions
+    store = CheckpointStore(tmp_path / "store", keep=3)
+    store.save(replayed_manager)
+    store.save(replayed_manager)
+    (store.root / "latest-good").write_bytes(pointer)
+    assert store.latest_good() is None
+    assert "latest_good=None" in repr(store)
+    restored = store.restore(stream_service)
+    assert len(restored) > 0 and restored.session_ids() == replayed_manager.session_ids()
+    assert [entry.name for entry in store.prune()] == []
