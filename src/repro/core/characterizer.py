@@ -32,7 +32,7 @@ from repro.core.submatchers import (
     generate_submatchers,
 )
 from repro.matching.matcher import HumanMatcher
-from repro.ml.base import BaseClassifier, clone
+from repro.ml.base import BaseClassifier
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.linear import LinearSVC, LogisticRegression
 from repro.ml.metrics import accuracy_score
@@ -99,6 +99,32 @@ class _ScaledFeatures:
         if key not in self._by_scaler:
             self._by_scaler[key] = scaler.transform(self._features)
         return self._by_scaler[key]
+
+
+def _fold_scores(
+    candidate: BaseClassifier,
+    X: np.ndarray,
+    Y: np.ndarray,
+    train_index: np.ndarray,
+    test_index: np.ndarray,
+) -> list[float]:
+    """Test accuracy of ``candidate`` on one CV fold, for every label of ``Y``.
+
+    A label whose training fold holds one class predicts that class.  The
+    others are fitted with one ``fit_many`` call; the fitted models are
+    dropped on return, so one fold's models are alive at a time.
+    """
+    Y_train, Y_test = Y[train_index], Y[test_index]
+    live = [label for label in range(Y.shape[1]) if np.unique(Y_train[:, label]).size > 1]
+    fitted = candidate.fit_many(X[train_index], [Y_train[:, label] for label in live])
+    models = dict(zip(live, fitted))
+    X_test = X[test_index]
+    return [
+        accuracy_score(Y_test[:, label], models[label].predict(X_test))
+        if label in models
+        else float(np.mean(Y_test[:, label] == Y_train[0, label]))
+        for label in range(Y.shape[1])
+    ]
 
 
 @dataclass
@@ -186,37 +212,48 @@ class MExICharacterizer:
             self.pipeline.transform_blocks(list(predict_matchers))
         return self
 
-    def _select_classifier(
-        self, X: np.ndarray, y: np.ndarray
-    ) -> tuple[BaseClassifier, str, float]:
-        """Cross-validate the bank and return the best (refitted) classifier."""
-        best_score = -1.0
-        best_classifier: Optional[BaseClassifier] = None
-        n_samples = X.shape[0]
+    def _select_classifiers(
+        self, X: np.ndarray, Y: np.ndarray
+    ) -> list[tuple[BaseClassifier, str, float]]:
+        """Cross-validate the bank for every label column; refit each winner.
+
+        Every label shares ``X`` and the folds, so each candidate fits all
+        labels of one training fold with one ``fit_many`` call.  Each
+        per-label fit is a fresh clone, exactly as fitting label by label.
+        """
+        n_samples, n_labels = Y.shape
         n_folds = min(self.selection_folds, n_samples)
-        for candidate in self._classifier_bank():
-            if n_folds >= 2 and np.unique(y).size > 1:
-                folds = KFold(n_splits=n_folds, shuffle=True, random_state=self.random_state)
-                scores = []
-                for train_index, test_index in folds.split(X):
-                    if np.unique(y[train_index]).size < 2:
-                        scores.append(float(np.mean(y[test_index] == y[train_index][0])))
-                        continue
-                    model = clone(candidate)
-                    model.fit(X[train_index], y[train_index])
-                    scores.append(accuracy_score(y[test_index], model.predict(X[test_index])))
-                score = float(np.mean(scores))
-            else:
-                model = clone(candidate)
-                model.fit(X, y)
-                score = accuracy_score(y, model.predict(X))
-            if score > best_score:
-                best_score = score
-                best_classifier = candidate
-        assert best_classifier is not None
-        final = clone(best_classifier)
-        final.fit(X, y)
-        return final, type(best_classifier).__name__, best_score
+        bank = self._classifier_bank()
+        if n_folds >= 2:
+            folds = KFold(n_splits=n_folds, shuffle=True, random_state=self.random_state)
+            splits = list(folds.split(X))
+        else:
+            # Too few samples to split: score on the training set itself.
+            everything = np.arange(n_samples)
+            splits = [(everything, everything)]
+        scores = np.empty((len(bank), n_labels))
+        for candidate_index, candidate in enumerate(bank):
+            fold_scores = [
+                _fold_scores(candidate, X, Y, train_index, test_index)
+                for train_index, test_index in splits
+            ]
+            # A 1-D mean per label, as fitting label by label takes: along
+            # axis 0, numpy would not sum pairwise from 8 folds on.
+            scores[candidate_index] = [float(np.mean(label)) for label in zip(*fold_scores)]
+        # The first candidate with the top score wins, as in a strict ``>`` scan.
+        winners = np.argmax(scores, axis=0)
+        selected: list[Optional[tuple[BaseClassifier, str, float]]] = [None] * n_labels
+        for candidate_index in np.unique(winners):
+            candidate = bank[candidate_index]
+            labels = np.flatnonzero(winners == candidate_index)
+            finals = candidate.fit_many(X, [Y[:, label] for label in labels])
+            for label, final in zip(labels, finals):
+                selected[label] = (
+                    final,
+                    type(candidate).__name__,
+                    float(scores[candidate_index, label]),
+                )
+        return selected
 
     def fit(
         self,
@@ -268,10 +305,12 @@ class MExICharacterizer:
         scaler = StandardScaler()
         X = scaler.fit_transform(features)
 
+        Y = augmented_labels.astype(int)
+        live = [label for label in range(Y.shape[1]) if np.unique(Y[:, label]).size > 1]
+        selected = dict(zip(live, self._select_classifiers(X, Y[:, live]))) if live else {}
         self._label_models = []
-        for label_index, characteristic in enumerate(EXPERT_CHARACTERISTICS):
-            y = augmented_labels[:, label_index].astype(int)
-            if np.unique(y).size < 2:
+        for label_index in range(Y.shape[1]):
+            if label_index not in selected:
                 # Degenerate training label: remember the constant.
                 self._label_models.append(
                     _FittedLabelModel(
@@ -279,11 +318,11 @@ class MExICharacterizer:
                         scaler=scaler,
                         classifier_name="constant",
                         cv_score=1.0,
-                        constant_label=int(y[0]),
+                        constant_label=int(Y[0, label_index]),
                     )
                 )
                 continue
-            classifier, name, score = self._select_classifier(X, y)
+            classifier, name, score = selected[label_index]
             self._label_models.append(
                 _FittedLabelModel(
                     classifier=classifier,

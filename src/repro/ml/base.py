@@ -5,7 +5,7 @@ from __future__ import annotations
 import copy
 import inspect
 from abc import ABC, abstractmethod
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -82,6 +82,19 @@ class BaseClassifier(BaseEstimator, ABC):
 
     def fit(self, X: Any, y: Any) -> "BaseClassifier":
         """Fit the classifier on features ``X`` and labels ``y``."""
+        self._fit(*self._begin_fit(X, y))
+        return self
+
+    def fit_many(self, X: Any, targets: Sequence[Any]) -> list["BaseClassifier"]:
+        """One fitted clone per label vector in ``targets``, all on ``X``.
+
+        Equal to ``[clone(self).fit(X, y) for y in targets]``, which is the
+        default; a model that can share work across targets overrides it.
+        """
+        return [clone(self).fit(X, y) for y in targets]
+
+    def _begin_fit(self, X: Any, y: Any) -> tuple[np.ndarray, np.ndarray]:
+        """Validate ``X`` and ``y`` and record the classes and feature count."""
         features = _as_2d_float(X)
         labels = _as_1d(y)
         if features.shape[0] != labels.shape[0]:
@@ -92,8 +105,7 @@ class BaseClassifier(BaseEstimator, ABC):
             raise ValueError("cannot fit on an empty dataset")
         self.classes_ = np.unique(labels)
         self.n_features_in_ = features.shape[1]
-        self._fit(features, labels)
-        return self
+        return features, labels
 
     def predict_proba(self, X: Any) -> np.ndarray:
         """Class-membership probabilities, one row per sample."""

@@ -39,11 +39,7 @@ class BinaryRelevance:
     def fit(self, X: Sequence, Y: Sequence) -> "BinaryRelevance":
         features, labels = _validate_multilabel(X, Y)
         self.n_labels_ = labels.shape[1]
-        self.estimators_ = []
-        for label_index in range(self.n_labels_):
-            estimator = clone(self.base_estimator)
-            estimator.fit(features, labels[:, label_index])
-            self.estimators_.append(estimator)
+        self.estimators_ = self.base_estimator.fit_many(features, list(labels.T))
         return self
 
     def predict(self, X: Sequence) -> np.ndarray:

@@ -65,7 +65,7 @@ from repro.core.features.sequential import SequentialFeatures
 from repro.core.features.spatial import SpatialFeatures
 from repro.ml.boosting import GradientBoostingClassifier, _RegressionTree
 from repro.ml.forest import RandomForestClassifier
-from repro.ml.linear import LinearSVC, LogisticRegression, _BinaryLinearModel
+from repro.ml.linear import LinearSVC, LogisticRegression
 from repro.ml.naive_bayes import GaussianNB
 from repro.ml.neighbors import KNeighborsClassifier
 from repro.ml.preprocessing import StandardScaler
@@ -356,17 +356,13 @@ class _LinearCodecBase:
 
     def encode(self, model: Any, encoder: _Encoder) -> dict:
         _require_fitted(model, model.is_fitted)
-        weights = np.array([binary.weights for binary in model._models], dtype=float)
-        biases = np.array([binary.bias for binary in model._models], dtype=float)
-        if not model._models:
-            weights = weights.reshape(0, model.n_features_in_)
         return {
             "params": {name: getattr(model, name) for name in self.param_names},
             **_classifier_state(model, encoder),
             "feature_mean": encoder.put("feature_mean", model._feature_mean),
             "feature_scale": encoder.put("feature_scale", model._feature_scale),
-            "weights": encoder.put("weights", weights),
-            "biases": encoder.put("biases", biases),
+            "weights": encoder.put("weights", model._weights),
+            "biases": encoder.put("biases", model._biases),
         }
 
     def decode(self, spec: dict, decoder: _Decoder) -> Any:
@@ -374,12 +370,8 @@ class _LinearCodecBase:
         _restore_classifier_state(model, spec, decoder)
         model._feature_mean = decoder.get(spec["feature_mean"])
         model._feature_scale = decoder.get(spec["feature_scale"])
-        weights = decoder.get(spec["weights"])
-        biases = decoder.get(spec["biases"])
-        model._models = [
-            _BinaryLinearModel(weights[index].copy(), float(biases[index]))
-            for index in range(weights.shape[0])
-        ]
+        model._weights = decoder.get(spec["weights"])
+        model._biases = decoder.get(spec["biases"])
         return model
 
 

@@ -190,13 +190,17 @@ class OpsServer:
             return 413, {"error": f"body exceeds {MAX_BODY_BYTES} bytes"}
         try:
             request = json.loads(body) if body else {}
-        except json.JSONDecodeError as error:
+        except (ValueError, RecursionError) as error:
+            # JSONDecodeError and UnicodeDecodeError are ValueErrors;
+            # RecursionError is a too deeply nested body.
             return 400, {"error": f"invalid JSON body: {error}"}
         if not isinstance(request, dict):
             return 400, {"error": "request body must be a JSON object"}
         try:
             return self._dispatch_route(method, path, request)
-        except (KeyError, TypeError, ValueError) as error:
+        except (KeyError, TypeError, ValueError, OverflowError) as error:
+            # OverflowError: a float field of 1e400 parses to inf, and
+            # ``int(inf)`` overflows.
             return 400, {"error": str(error)}
         except ShardDispatchError as error:
             return 503, {"error": str(error)}
