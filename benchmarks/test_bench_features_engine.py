@@ -5,11 +5,11 @@ Times the 11-configuration Table III ablation twice over the same split:
 * **seed-equivalent baseline** — reproduces the seed implementation's cost
   profile: per-matcher scalar extraction (one pipeline pass per matcher, so
   the neural sets predict one sample at a time), no feature-block cache
-  (every configuration re-extracts and refits everything) and the
-  historical scalar split search (``tests/oracles/ml.py``, installed with
-  ``monkeypatch``) in the tree-based classifiers;
+  (every configuration re-extracts and refits everything) and trees grown
+  one at a time with the historical scalar split search (the recursive
+  grower in ``tests/oracles/ml.py``, installed with ``monkeypatch``);
 * **cached engine** — batched extraction, one shared
-  :class:`FeatureBlockCache` and the vectorized split search (the only
+  :class:`FeatureBlockCache` and lockstep tree growth (the only
   production path).
 
 Both runs must produce bitwise-identical accuracy rows, and the cached
@@ -30,7 +30,7 @@ from repro.core.features import FeatureBlockCache, FeaturePipeline
 from repro.ml.model_selection import train_test_split
 from repro.ml.tree import DecisionTreeClassifier
 from repro.simulation.dataset import build_dataset
-from tests.oracles.ml import best_split_scalar
+from tests.oracles.ml import RecursiveTree, best_split_scalar, grow_recursive
 
 
 class _PerMatcherPipeline(FeaturePipeline):
@@ -114,7 +114,8 @@ def test_bench_features_engine(bench_config, stage_timings, monkeypatch):
 
     # Stage: the 11-configuration ablation, seed-equivalent baseline.
     with monkeypatch.context() as patch:
-        patch.setattr(DecisionTreeClassifier, "_best_split", best_split_scalar)
+        patch.setattr(DecisionTreeClassifier, "_grow", staticmethod(grow_recursive))
+        patch.setattr(RecursiveTree, "_best_split", best_split_scalar)
         start = time.perf_counter()
         seed_rows = _run_seed_equivalent(train, train_labels, test, test_labels, bench_config)
         seed_seconds = time.perf_counter() - start

@@ -167,13 +167,17 @@ class FeaturePipeline:
         candidate = self._neural_factories[name]()
         if isinstance(candidate, SequentialFeatures):
             candidate.consensus = consensus
+        # Spatial fits share their pre-trained donor trunks through the cache.
+        fit_args = {"cache": self.cache} if isinstance(candidate, SpatialFeatures) else {}
         fingerprint_method = getattr(candidate, "fit_fingerprint", None)
         if self.cache is None or fingerprint_method is None or labels is None:
-            self._extractors[name] = candidate.fit(matchers, labels)
+            self._extractors[name] = candidate.fit(matchers, labels, **fit_args)
             return
         label_matrix = np.asarray(labels, dtype=float)
         fit_key = f"{name}:{fingerprint_method(matchers, label_matrix)}"
-        fitted = self.cache.get_or_fit(fit_key, lambda: candidate.fit(matchers, labels))
+        fitted = self.cache.get_or_fit(
+            fit_key, lambda: candidate.fit(matchers, labels, **fit_args)
+        )
         assert isinstance(fitted, FeatureExtractor)
         self._extractors[name] = fitted
 

@@ -13,7 +13,7 @@ runs one batched forward pass per channel over the whole population.
 from __future__ import annotations
 
 import hashlib
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
@@ -26,7 +26,18 @@ from repro.nn.layers import Dense, ReLU, Sigmoid
 from repro.nn.losses import BinaryCrossEntropy
 from repro.nn.network import Sequential
 from repro.nn.optimizers import Adam
-from repro.nn.pretrained import HEATMAP_INPUT_SHAPE, pretrain_on_synthetic_regions
+from repro.nn.pretrained import (
+    HEATMAP_INPUT_SHAPE,
+    build_heatmap_cnn,
+    pretrain_on_synthetic_regions,
+)
+
+if TYPE_CHECKING:
+    from repro.core.features.cache import FeatureBlockCache
+
+#: The donor CNN layers whose weights seed each channel network (the two
+#: convolutions of the shared trunk).
+TRUNK_LAYERS = (0, 3)
 
 #: Short names for the four heat-map channels, matching the paper's notation.
 HEATMAP_CHANNELS: dict[str, MouseEventType] = {
@@ -98,15 +109,12 @@ class SpatialFeatures(FeatureExtractor):
     # Training / extraction
     # ------------------------------------------------------------------ #
 
-    def _pretrain_head_on_regions(self, seed: Optional[int]) -> Sequential:
-        """Build a channel network, optionally warm-starting its conv trunk."""
-        network = _multilabel_head(self.n_filters, seed)
-        if not self.pretrain:
-            return network
-        # Pre-train a single-output clone on the synthetic region task and
-        # copy the convolutional trunk's weights (transfer learning).
-        from repro.nn.pretrained import build_heatmap_cnn
+    def _pretrained_trunk(self, seed: Optional[int]) -> list[dict[str, np.ndarray]]:
+        """Pre-train a single-output donor on the synthetic region task.
 
+        Returns the weights of its convolutional trunk, one dict per
+        :data:`TRUNK_LAYERS` entry.
+        """
         donor = build_heatmap_cnn(self.input_shape, n_filters=self.n_filters, seed=seed)
         pretrain_on_synthetic_regions(
             donor,
@@ -115,16 +123,45 @@ class SpatialFeatures(FeatureExtractor):
             input_shape=self.input_shape,
             random_state=self.random_state,
         )
-        # Copy weights of the shared trunk: Conv2D / Conv2D layers (indices 0 and 3).
-        for layer_index in (0, 3):
-            for name, value in donor.layers[layer_index].params.items():
+        return [dict(donor.layers[index].params) for index in TRUNK_LAYERS]
+
+    def _pretrain_head_on_regions(
+        self, seed: Optional[int], cache: Optional["FeatureBlockCache"] = None
+    ) -> Sequential:
+        """Build a channel network, optionally warm-starting its conv trunk.
+
+        The donor's trunk depends only on the configuration and the seeds,
+        so a run's ``cache`` memoises it (unless ``random_state`` is None,
+        which makes every pre-training draw fresh randomness).
+        """
+        network = _multilabel_head(self.n_filters, seed)
+        if not self.pretrain:
+            return network
+        if cache is None or self.random_state is None:
+            trunk = self._pretrained_trunk(seed)
+        else:
+            key = (
+                f"pretrain:shape={self.input_shape},f={self.n_filters},seed={seed},"
+                f"n={self.pretrain_samples},state={self.random_state}"
+            )
+            trunk = cache.get_or_fit(key, lambda: self._pretrained_trunk(seed))
+        # Transfer learning: copy the trunk's weights into the channel network.
+        for layer_index, params in zip(TRUNK_LAYERS, trunk):
+            for name, value in params.items():
                 network.layers[layer_index].params[name][...] = value
         return network
 
     def fit(
-        self, matchers: Sequence[HumanMatcher], labels: np.ndarray | None = None
+        self,
+        matchers: Sequence[HumanMatcher],
+        labels: np.ndarray | None = None,
+        cache: Optional["FeatureBlockCache"] = None,
     ) -> "SpatialFeatures":
-        """Fine-tune one CNN per heat-map channel on the training matchers."""
+        """Fine-tune one CNN per heat-map channel on the training matchers.
+
+        ``cache``, the run's feature cache, memoises the pre-trained donor
+        trunks across fits.
+        """
         if labels is None:
             raise ValueError("SpatialFeatures.fit requires the training label matrix")
         label_matrix = np.asarray(labels, dtype=float)
@@ -135,7 +172,7 @@ class SpatialFeatures(FeatureExtractor):
         self._networks = {}
         for channel_index, (channel, event_type) in enumerate(HEATMAP_CHANNELS.items()):
             seed = None if self.random_state is None else self.random_state + 10 * channel_index
-            network = self._pretrain_head_on_regions(seed)
+            network = self._pretrain_head_on_regions(seed, cache)
             batch = self._batch(matchers, event_type)
             network.fit(
                 batch,

@@ -88,10 +88,21 @@ class BaseClassifier(BaseEstimator, ABC):
     def fit_many(self, X: Any, targets: Sequence[Any]) -> list["BaseClassifier"]:
         """One fitted clone per label vector in ``targets``, all on ``X``.
 
-        Equal to ``[clone(self).fit(X, y) for y in targets]``, which is the
-        default; a model that can share work across targets overrides it.
+        Equal to ``[clone(self).fit(X, y) for y in targets]``; a model that
+        can share work across targets overrides :meth:`_fit_stack`.
         """
-        return [clone(self).fit(X, y) for y in targets]
+        models = [clone(self) for _ in targets]
+        fits = [model._begin_fit(X, y) for model, y in zip(models, targets)]
+        if fits:
+            self._fit_stack(models, fits[0][0], [labels for _, labels in fits])
+        return models
+
+    def _fit_stack(
+        self, models: list["BaseClassifier"], X: np.ndarray, labels: list[np.ndarray]
+    ) -> None:
+        """Fit ``models`` (clones of ``self``, classes recorded) on ``X``, one each."""
+        for model, y in zip(models, labels):
+            model._fit(X, y)
 
     def _begin_fit(self, X: Any, y: Any) -> tuple[np.ndarray, np.ndarray]:
         """Validate ``X`` and ``y`` and record the classes and feature count."""

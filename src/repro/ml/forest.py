@@ -8,21 +8,6 @@ import numpy as np
 
 from repro.ml.base import BaseClassifier
 from repro.ml.tree import DecisionTreeClassifier
-from repro.runtime import RuntimeSpec, resolve_runner
-
-
-def _fit_tree_task(task, shared) -> DecisionTreeClassifier:
-    """Fit one tree from pre-drawn randomness (module-level for pickling).
-
-    ``shared`` carries the training matrices and tree parameters common to
-    every task (delivered once per process worker); ``task`` is the tree's
-    own pre-drawn material.
-    """
-    params, X, y = shared
-    sample_indices, seed = task
-    tree = DecisionTreeClassifier(random_state=seed, **params)
-    tree.fit(X[sample_indices], y[sample_indices])
-    return tree
 
 
 class RandomForestClassifier(BaseClassifier):
@@ -31,11 +16,9 @@ class RandomForestClassifier(BaseClassifier):
     Probabilities are the average of the per-tree leaf distributions, the
     usual soft-voting scheme.
 
-    Tree fits are independent once their bootstrap indices and seeds are
-    drawn, so ``fit`` pre-draws all randomness in the serial order and fans
-    the fits out on the selected runtime (``runtime`` parameter or the
-    ``REPRO_RUNTIME`` environment variable).  Every backend and worker count
-    produces bitwise-identical forests; ``serial`` is the oracle.
+    ``fit`` draws every tree's bootstrap indices and seed up front, in the
+    order a tree-by-tree loop would, then grows all trees in lockstep;
+    ``fit_many`` grows the trees of every target's forest together.
     """
 
     def __init__(
@@ -47,7 +30,6 @@ class RandomForestClassifier(BaseClassifier):
         max_features: Optional[int | str] = "sqrt",
         bootstrap: bool = True,
         random_state: Optional[int] = None,
-        runtime: RuntimeSpec = None,
     ) -> None:
         super().__init__()
         if n_estimators < 1:
@@ -59,45 +41,51 @@ class RandomForestClassifier(BaseClassifier):
         self.max_features = max_features
         self.bootstrap = bootstrap
         self.random_state = random_state
-        self.runtime = runtime
         self.estimators_: list[DecisionTreeClassifier] = []
         self.feature_importances_: np.ndarray | None = None
         self._tree_column_maps: list[np.ndarray] = []
 
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
-        rng = np.random.default_rng(self.random_state)
+        self._fit_stack([self], X, [y])
+
+    def _fit_stack(
+        self, models: list["RandomForestClassifier"], X: np.ndarray, labels: list[np.ndarray]
+    ) -> None:
+        """Fit ``models`` (clones of ``self``) on ``X``, every tree in one lockstep."""
         n_samples = X.shape[0]
-
-        # Pre-draw every tree's randomness in the exact order the historical
-        # serial loop consumed it: bootstrap indices first, then the seed.
-        draws: list[tuple[np.ndarray, int]] = []
-        for _ in range(self.n_estimators):
-            if self.bootstrap:
-                sample_indices = rng.integers(0, n_samples, size=n_samples)
-            else:
-                sample_indices = np.arange(n_samples)
-            seed = int(rng.integers(0, 2**31 - 1))
-            draws.append((sample_indices, seed))
-
         params = dict(
             max_depth=self.max_depth,
             min_samples_split=self.min_samples_split,
             min_samples_leaf=self.min_samples_leaf,
             max_features=self.max_features,
         )
-        self.estimators_ = resolve_runner(self.runtime).map(
-            _fit_tree_task, draws, context=(params, X, y)
-        )
+        trees, samples, targets = [], [], []
+        for forest, y in zip(models, labels):
+            # Each tree's randomness in the order a tree-by-tree loop draws
+            # it: bootstrap indices first, then the tree's seed.
+            rng = np.random.default_rng(forest.random_state)
+            forest.estimators_ = []
+            for _ in range(self.n_estimators):
+                if self.bootstrap:
+                    sample_indices = rng.integers(0, n_samples, size=n_samples)
+                else:
+                    sample_indices = np.arange(n_samples)
+                seed = int(rng.integers(0, 2**31 - 1))
+                tree = DecisionTreeClassifier(random_state=seed, **params)
+                forest.estimators_.append(tree)
+                trees.append(tree)
+                samples.append(sample_indices)
+                targets.append(y[sample_indices])
+        DecisionTreeClassifier._grow(X, trees, samples, targets)
 
-        # Importances are summed in tree order, matching the serial loop.
-        importances = np.zeros(X.shape[1])
-        for tree in self.estimators_:
-            if tree.feature_importances_ is not None:
+        for forest in models:
+            # Importances are summed in tree order.
+            importances = np.zeros(X.shape[1])
+            for tree in forest.estimators_:
                 importances += tree.feature_importances_
-        total = importances.sum()
-        self.feature_importances_ = importances / total if total > 0 else importances
-
-        self._tree_column_maps = [self._tree_column_map(tree) for tree in self.estimators_]
+            total = importances.sum()
+            forest.feature_importances_ = importances / total if total > 0 else importances
+            forest._tree_column_maps = [forest._tree_column_map(tree) for tree in forest.estimators_]
 
     def _tree_column_map(self, tree: DecisionTreeClassifier) -> np.ndarray:
         """Forest column index of each tree class.
@@ -113,13 +101,11 @@ class RandomForestClassifier(BaseClassifier):
         assert self.classes_ is not None
         if self.classes_.size == 1:
             return self._single_class_proba(X.shape[0])
-        if len(getattr(self, "_tree_column_maps", [])) != len(self.estimators_):
-            # Forests fitted before the maps existed (e.g. old pickles,
-            # which restore __dict__ without running __init__).
-            self._tree_column_maps = [self._tree_column_map(t) for t in self.estimators_]
+        # X is validated once here; each tree's probabilities already lie
+        # in [0, 1], so the trees skip predict_proba's checks and clip.
         stacked = np.zeros((X.shape[0], self.classes_.size))
         for tree, columns in zip(self.estimators_, self._tree_column_maps):
-            stacked[:, columns] += tree.predict_proba(X)
+            stacked[:, columns] += tree._predict_proba(X)
         stacked /= len(self.estimators_)
         totals = stacked.sum(axis=1, keepdims=True)
         totals[totals == 0] = 1.0

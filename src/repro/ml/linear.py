@@ -11,11 +11,9 @@ descending each problem on its own (``tests/oracles/ml.py``).
 from __future__ import annotations
 
 from abc import abstractmethod
-from typing import Any, Sequence
-
 import numpy as np
 
-from repro.ml.base import BaseClassifier, clone
+from repro.ml.base import BaseClassifier
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -51,18 +49,13 @@ class _OneVsRestLinear(BaseClassifier):
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
         self._fit_stack([self], X, [y])
 
-    def fit_many(self, X: Any, targets: Sequence[Any]) -> list[BaseClassifier]:
-        """One fitted clone per target, every class of every target in one descent."""
-        models = [clone(self) for _ in targets]
-        fits = [model._begin_fit(X, y) for model, y in zip(models, targets)]
-        if fits:
-            self._fit_stack(models, fits[0][0], [labels for _, labels in fits])
-        return models
-
     def _fit_stack(
         self, models: list["_OneVsRestLinear"], X: np.ndarray, labels: list[np.ndarray]
     ) -> None:
-        """Fit ``models`` (clones of ``self``, classes recorded) on ``X``, one each."""
+        """Fit ``models`` (clones of ``self``, classes recorded) on ``X``, one each.
+
+        Every class of every target descends in one stack.
+        """
         mean = X.mean(axis=0)
         scale = X.std(axis=0)
         scale[scale == 0] = 1.0

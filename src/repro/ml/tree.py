@@ -1,42 +1,378 @@
-"""CART-style decision tree classifier (Gini impurity, axis-aligned splits)."""
+"""CART-style decision tree classifier (Gini impurity, axis-aligned splits).
+
+Trees grow in lockstep: :meth:`DecisionTreeClassifier._grow` fits any
+number of trees together -- one per target of ``fit_many``, every tree of
+every forest of a ``RandomForestClassifier.fit_many``.  Each step takes the
+next pre-order node of every tree that still has one, evaluates all of
+their candidate splits with one batched search and applies every split at
+once.  Fitted trees are bitwise equal to growing each tree alone by
+recursion (``tests/oracles/ml.py``).
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from repro.ml.base import BaseClassifier
 
+#: Most (node, candidate feature, sample position) cells one batched split
+#: search holds.  A step with more is searched in chunks, which bounds the
+#: search's memory; a node larger than the budget is searched alone.
+SEARCH_BUDGET = 2048
 
-@dataclass
-class _TreeNode:
-    """A node of the fitted tree: either a split or a leaf distribution."""
-
-    class_counts: np.ndarray
-    feature: Optional[int] = None
-    threshold: float = 0.0
-    left: Optional["_TreeNode"] = None
-    right: Optional["_TreeNode"] = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
-
-    def probabilities(self) -> np.ndarray:
-        total = self.class_counts.sum()
-        if total == 0:
-            return np.full_like(self.class_counts, 1.0 / self.class_counts.size, dtype=float)
-        return self.class_counts / total
+#: Names of the pre-order node arrays, in bundle order.
+NODE_ARRAYS = ("feature", "threshold", "children_left", "children_right", "class_counts")
 
 
-def _gini(class_counts: np.ndarray) -> float:
-    total = class_counts.sum()
-    if total == 0:
-        return 0.0
-    probabilities = class_counts / total
-    return float(1.0 - (probabilities**2).sum())
+def _class_sum(terms: np.ndarray) -> np.ndarray:
+    """``terms.sum(axis=-1)``: per-class terms added as numpy adds them.
+
+    Two terms have a single association, so the binary case is one add;
+    more classes use numpy's own reduction, which the per-node search used.
+    """
+    if terms.shape[-1] == 2:
+        return terms[..., 0] + terms[..., 1]
+    return terms.sum(axis=-1)
+
+
+def _gini_rows(counts: np.ndarray) -> np.ndarray:
+    """Gini impurity of each row of a non-empty class-count matrix."""
+    probabilities = counts / counts.sum(axis=1, keepdims=True)
+    return 1.0 - _class_sum(probabilities**2)
+
+
+def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(s, s + n) for s, n in zip(starts, sizes)])``."""
+    offsets = np.cumsum(sizes) - sizes
+    return np.repeat(starts - offsets, sizes) + np.arange(int(sizes.sum()))
+
+
+def _best_splits(
+    X: np.ndarray,
+    rows: np.ndarray,
+    labels: np.ndarray,
+    starts: np.ndarray,
+    sizes: np.ndarray,
+    candidates: np.ndarray,
+    counts: np.ndarray,
+    impurity: np.ndarray,
+    min_samples_leaf: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The impurity-minimising split of each node, searched in one batch.
+
+    Node ``i`` holds the samples ``rows[starts[i]:starts[i] + sizes[i]]``
+    (rows of ``X``, labels alongside) and considers the features
+    ``candidates[i]``.  The search runs on ``(node, candidate, position)``
+    cells, each node padded to the largest: one stable sort orders every
+    (node, candidate) column by value, padding last; cumulative integer
+    class counts give the left/right Gini of every split position; each
+    column keeps its first minimum.  A node splits on the first candidate
+    reaching its minimum, if that beats ``impurity - 1e-12`` -- the order
+    of the per-threshold scan, so splits are bitwise identical.
+
+    Returns the split feature of each node (``-1`` for none) and its
+    threshold.
+    """
+    n_nodes = sizes.size
+    width = int(sizes.max())
+    position = np.arange(width)
+    real = position < sizes[:, None]
+    samples = np.where(real, starts[:, None] + position, starts[:, None])
+    values = X[rows[samples][:, None, :], candidates[:, :, None]]
+    values[~np.broadcast_to(real[:, None, :], values.shape)] = np.inf
+    order = np.argsort(values, axis=2, kind="stable")
+    values = np.take_along_axis(values, order, axis=2)
+    sorted_labels = labels[samples][np.arange(n_nodes)[:, None, None], order]
+    del order
+    # Cumulative class counts of every left side: exact integers.
+    left = np.cumsum(sorted_labels[..., None] == np.arange(counts.shape[1]), axis=2).astype(float)
+    del sorted_labels
+    right = counts[:, None, None, :] - left
+
+    n = sizes.astype(float)[:, None, None]
+    n_left = position + 1.0
+    n_right = n - n_left
+    valid = np.zeros(values.shape, dtype=bool)
+    valid[:, :, :-1] = values[:, :, 1:] != values[:, :, :-1]
+    valid &= (n_right > 0) & (n_left >= min_samples_leaf) & (n_right >= min_samples_leaf)
+    # weighted = (n_left * gini_left + n_right * gini_right) / n, where a
+    # side's Gini is 1 - sum((class_counts / side_size) ** 2).
+    left /= n_left[:, None]
+    right /= np.where(n_right > 0, n_right, 1.0)[..., None]
+    weighted = np.subtract(1.0, _class_sum(np.square(left, out=left)))
+    gini_right = np.subtract(1.0, _class_sum(np.square(right, out=right)))
+    del left, right
+    weighted *= n_left
+    gini_right *= n_right
+    weighted += gini_right
+    weighted /= n
+    weighted[~valid] = np.inf
+
+    nodes = np.arange(n_nodes)
+    first = np.argmin(weighted, axis=2)
+    scores = np.take_along_axis(weighted, first[:, :, None], axis=2)[:, :, 0]
+    column = scores.argmin(axis=1)
+    splits = scores[nodes, column] < impurity - 1e-12
+    at = first[nodes, column][splits]
+    split_values = values[nodes[splits], column[splits]]
+    threshold = np.zeros(n_nodes)
+    threshold[splits] = (
+        split_values[np.arange(at.size), at + 1] + split_values[np.arange(at.size), at]
+    ) / 2.0
+    return np.where(splits, candidates[nodes, column], -1), threshold
+
+
+class _Growth:
+    """One tree's growth state: its pending nodes and its pre-order lists.
+
+    A pending node is ``(start, stop, depth, class_counts, parent)``: its
+    samples are ``start:stop`` of the group's sample arrays, and ``parent``
+    is the index of the node whose right child it is (``-1`` for the root
+    and left children, whose index is their parent's plus one).
+    """
+
+    __slots__ = ("tree", "rng", "stack", "feature", "threshold", "right", "counts")
+
+    def __init__(self, tree: "DecisionTreeClassifier", root: tuple) -> None:
+        self.tree = tree
+        self.rng = np.random.default_rng(tree.random_state)
+        self.stack = [root]
+        self.feature: list[int] = []
+        self.threshold: list[float] = []
+        self.right: list[int] = []
+        self.counts: list[np.ndarray] = []
+
+
+class _Step(NamedTuple):
+    """The nodes of one lockstep step, one per growing tree."""
+
+    slots: np.ndarray  # position of each node's tree in the group
+    indices: list[int]  # pre-order index of each node in its tree
+    depths: np.ndarray
+    starts: np.ndarray
+    sizes: np.ndarray
+    counts: np.ndarray  # (nodes, classes)
+    impurity: np.ndarray
+
+
+class _Lockstep:
+    """Trees that share their class count and growth parameters, grown together.
+
+    The trees' samples lie in two arrays, tree after tree (``rows`` of
+    ``X`` and encoded ``labels``); a node is a contiguous range of them,
+    and a split partitions its range in place, left samples first.
+    """
+
+    def __init__(
+        self,
+        X: np.ndarray,
+        trees: list["DecisionTreeClassifier"],
+        samples: list[np.ndarray],
+        encoded: list[np.ndarray],
+    ) -> None:
+        self.X = X
+        self.params = trees[0]
+        self.n_classes = trees[0].classes_.size
+        self.n_candidates = trees[0]._n_split_features(X.shape[1])
+        sizes = np.array([sample.size for sample in samples])
+        bases = np.cumsum(sizes) - sizes
+        self.rows = np.concatenate(samples)
+        self.labels = np.concatenate(encoded)
+        root_counts = np.bincount(
+            np.repeat(np.arange(len(trees)) * self.n_classes, sizes) + self.labels,
+            minlength=len(trees) * self.n_classes,
+        ).reshape(len(trees), self.n_classes).astype(float)
+        self.growths = [
+            _Growth(tree, (int(base), int(base + size), 0, counts, -1))
+            for tree, base, size, counts in zip(trees, bases, sizes, root_counts)
+        ]
+        self.importances = np.zeros((len(trees), X.shape[1]))
+
+    def grow(self) -> None:
+        active = list(range(len(self.growths)))
+        while active:
+            step = self._pop(active)
+            eligible = (
+                (step.sizes >= self.params.min_samples_split)
+                & (step.sizes >= 2)
+                & (np.count_nonzero(step.counts, axis=1) != 1)
+                & (step.impurity != 0.0)
+            )
+            if self.params.max_depth is not None:
+                eligible &= step.depths < self.params.max_depth
+            searched = np.flatnonzero(eligible)
+            if searched.size:
+                feature, threshold = self._search(step, searched)
+                found = feature >= 0
+                self._split(step, searched[found], feature[found], threshold[found])
+            active = [slot for slot in active if self.growths[slot].stack]
+        self._finish()
+
+    def _pop(self, active: list[int]) -> _Step:
+        """Take the next pre-order node of every tree in ``active``."""
+        indices, starts, stops, depths, counts = [], [], [], [], []
+        for slot in active:
+            growth = self.growths[slot]
+            start, stop, depth, node_counts, parent = growth.stack.pop()
+            index = len(growth.feature)
+            if parent >= 0:
+                growth.right[parent] = index
+            growth.feature.append(-1)
+            growth.threshold.append(0.0)
+            growth.right.append(-1)
+            growth.counts.append(node_counts)
+            indices.append(index)
+            starts.append(start)
+            stops.append(stop)
+            depths.append(depth)
+            counts.append(node_counts)
+        counts_array = np.array(counts)
+        starts_array = np.array(starts)
+        return _Step(
+            np.array(active),
+            indices,
+            np.array(depths),
+            starts_array,
+            np.array(stops) - starts_array,
+            counts_array,
+            _gini_rows(counts_array),
+        )
+
+    def _search(self, step: _Step, searched: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Split feature (``-1`` for none) and threshold of each ``searched`` node.
+
+        Feature subsets are drawn per tree, in pre-order, so each generator
+        sees exactly the calls it would growing alone.  The search runs in
+        chunks of at most :data:`SEARCH_BUDGET` cells, largest nodes first,
+        so each chunk pads its nodes to a similar size; a node's search
+        does not depend on its chunk.
+        """
+        candidates = np.array(
+            [
+                self.growths[step.slots[i]].rng.choice(
+                    self.X.shape[1], size=self.n_candidates, replace=False
+                )
+                for i in searched
+            ]
+        ).reshape(searched.size, self.n_candidates)
+        sizes = step.sizes[searched]
+        feature = np.empty(searched.size, dtype=np.int64)
+        threshold = np.empty(searched.size)
+        by_size = np.argsort(-sizes, kind="stable")
+        begin = 0
+        while begin < by_size.size:
+            cells = int(sizes[by_size[begin]]) * self.n_candidates
+            chunk = by_size[begin : begin + max(1, SEARCH_BUDGET // cells)]
+            nodes = searched[chunk]
+            feature[chunk], threshold[chunk] = _best_splits(
+                self.X,
+                self.rows,
+                self.labels,
+                step.starts[nodes],
+                step.sizes[nodes],
+                candidates[chunk],
+                step.counts[nodes],
+                step.impurity[nodes],
+                self.params.min_samples_leaf,
+            )
+            begin += chunk.size
+        return feature, threshold
+
+    def _split(
+        self, step: _Step, nodes: np.ndarray, feature: np.ndarray, threshold: np.ndarray
+    ) -> None:
+        """Split ``nodes`` (positions in ``step``) on their found splits, all at once.
+
+        A split sending every sample one way leaves the node a leaf.  Each
+        tree splits at most once per step, so the importance gains add
+        with one fancy-index add, in each tree's pre-order.
+        """
+        sizes = step.sizes[nodes]
+        elements = _ranges(step.starts[nodes], sizes)
+        owner = np.repeat(np.arange(nodes.size), sizes)
+        goes_left = self.X[self.rows[elements], feature[owner]] <= threshold[owner]
+        side = owner * 2 + ~goes_left
+        n_classes = self.n_classes
+        child_counts = np.bincount(
+            side * n_classes + self.labels[elements], minlength=nodes.size * 2 * n_classes
+        ).reshape(nodes.size, 2, n_classes).astype(float)
+        order = np.argsort(side, kind="stable")
+        self.rows[elements] = self.rows[elements[order]]
+        self.labels[elements] = self.labels[elements[order]]
+
+        n_left = child_counts[:, 0].sum(axis=1).astype(np.int64)
+        real = (n_left > 0) & (n_left < sizes)
+        nodes, feature, threshold = nodes[real], feature[real], threshold[real]
+        sizes, n_left, child_counts = sizes[real], n_left[real], child_counts[real]
+        weighted_child = (
+            n_left * _gini_rows(child_counts[:, 0])
+            + (sizes - n_left) * _gini_rows(child_counts[:, 1])
+        ) / sizes
+        slots = step.slots[nodes]
+        self.importances[slots, feature] += sizes * (step.impurity[nodes] - weighted_child)
+
+        for i, position in enumerate(nodes):
+            growth = self.growths[slots[i]]
+            index = step.indices[position]
+            growth.feature[index] = int(feature[i])
+            growth.threshold[index] = float(threshold[i])
+            start = int(step.starts[position])
+            middle = start + int(n_left[i])
+            depth = int(step.depths[position]) + 1
+            growth.stack.append((middle, start + int(sizes[i]), depth, child_counts[i, 1], index))
+            growth.stack.append((start, middle, depth, child_counts[i, 0], -1))
+
+    def _finish(self) -> None:
+        """Write each tree's pre-order arrays and normalised importances."""
+        for growth, importances in zip(self.growths, self.importances):
+            feature = np.array(growth.feature, dtype=np.int64)
+            n_nodes = feature.size
+            growth.tree._nodes = {
+                "feature": feature,
+                "threshold": np.array(growth.threshold, dtype=np.float64),
+                "children_left": np.where(feature >= 0, np.arange(1, n_nodes + 1), -1),
+                "children_right": np.array(growth.right, dtype=np.int64),
+                "class_counts": np.array(growth.counts, dtype=np.float64).reshape(
+                    n_nodes, self.n_classes
+                ),
+            }
+            total = importances.sum()
+            growth.tree.feature_importances_ = (
+                importances / total if total > 0 else importances.copy()
+            )
+
+
+def grow_trees(
+    X: np.ndarray,
+    trees: Sequence["DecisionTreeClassifier"],
+    samples: Sequence[np.ndarray],
+    labels: Sequence[np.ndarray],
+) -> None:
+    """Fit ``trees[i]`` on rows ``samples[i]`` of ``X`` with ``labels[i]``, in lockstep.
+
+    The trees must share their growth parameters (clones differing only
+    in ``random_state``).  ``labels[i]`` is aligned with ``samples[i]``;
+    rows are gathered through ``samples``, so ``X`` is never copied per
+    tree.  Trees with different class counts grow in separate groups, so
+    every Gini sum runs over each tree's own classes.
+    """
+    groups: dict[int, list[int]] = {}
+    encoded = []
+    for index, (tree, y) in enumerate(zip(trees, labels)):
+        tree.classes_ = np.unique(y)
+        tree.n_features_in_ = X.shape[1]
+        # classes_ is sorted-unique, so searchsorted is the index mapping.
+        encoded.append(np.searchsorted(tree.classes_, y))
+        groups.setdefault(tree.classes_.size, []).append(index)
+    for members in groups.values():
+        _Lockstep(
+            X,
+            [trees[i] for i in members],
+            [np.asarray(samples[i], dtype=np.int64) for i in members],
+            [encoded[i] for i in members],
+        ).grow()
 
 
 class DecisionTreeClassifier(BaseClassifier):
@@ -71,8 +407,7 @@ class DecisionTreeClassifier(BaseClassifier):
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self.random_state = random_state
-        self._root: Optional[_TreeNode] = None
-        self._rng = np.random.default_rng(random_state)
+        self._nodes: Optional[dict[str, np.ndarray]] = None
         self.feature_importances_: np.ndarray | None = None
 
     # ------------------------------------------------------------------ #
@@ -88,201 +423,53 @@ class DecisionTreeClassifier(BaseClassifier):
             return max(1, min(self.max_features, n_features))
         raise ValueError(f"unsupported max_features value {self.max_features!r}")
 
-    def _class_counts(self, y_encoded: np.ndarray) -> np.ndarray:
-        assert self.classes_ is not None
-        return np.bincount(y_encoded, minlength=self.classes_.size).astype(float)
-
-    def _best_split(
-        self, X: np.ndarray, y_encoded: np.ndarray
-    ) -> Optional[tuple[int, float, np.ndarray]]:
-        """Find the impurity-minimising (feature, threshold) split, if any.
-
-        The candidate evaluation is vectorised over split positions: per
-        feature, cumulative class counts give every left/right Gini in one
-        shot.  Selection order (feature order, first index achieving the
-        minimum, strict improvement over the running best) matches the
-        historical per-threshold scan exactly, so fitted trees are bitwise
-        identical to it (``tests/oracles/ml.py`` keeps that scan).
-        """
-        n_samples, n_features = X.shape
-        parent_counts = self._class_counts(y_encoded)
-        parent_impurity = _gini(parent_counts)
-        if parent_impurity == 0.0 or n_samples < 2:
-            return None
-
-        candidate_features = self._rng.choice(
-            n_features, size=self._n_split_features(n_features), replace=False
-        )
-
-        # Sort every candidate column at once; cumulative one-hot class
-        # counts give the left/right Gini of every (position, feature) pair.
-        candidates = X[:, candidate_features]
-        order = np.argsort(candidates, axis=0, kind="stable")
-        values = np.take_along_axis(candidates, order, axis=0)
-        one_hot = np.identity(parent_counts.size)[y_encoded[order]]
-        left_counts = one_hot.cumsum(axis=0)[:-1]
-        right_counts = parent_counts - left_counts
-
-        n_left = np.arange(1, n_samples, dtype=float)
-        n_right = n_samples - n_left
-        leaf_ok = (n_left >= self.min_samples_leaf) & (n_right >= self.min_samples_leaf)
-        valid = leaf_ok[:, None] & (values[1:] != values[:-1])
-        if not valid.any():
-            return None
-
-        gini_left = 1.0 - ((left_counts / n_left[:, None, None]) ** 2).sum(axis=2)
-        gini_right = 1.0 - ((right_counts / n_right[:, None, None]) ** 2).sum(axis=2)
-        weighted = (n_left[:, None] * gini_left + n_right[:, None] * gini_right) / n_samples
-        weighted[~valid] = np.inf
-
-        # Selection order matches the per-threshold scan: features in candidate
-        # order, first index achieving each feature's minimum, strict
-        # improvement over the running best.
-        best: Optional[tuple[int, float, np.ndarray]] = None
-        best_score = parent_impurity - 1e-12
-        best_offsets = np.argmin(weighted, axis=0)
-        best_scores = weighted[best_offsets, np.arange(candidate_features.size)]
-        for column, feature in enumerate(candidate_features):
-            score = float(best_scores[column])
-            if score < best_score:
-                best_score = score
-                split_index = int(best_offsets[column]) + 1
-                threshold = (values[split_index, column] + values[split_index - 1, column]) / 2.0
-                best = (
-                    int(feature),
-                    float(threshold),
-                    left_counts[split_index - 1, column].copy(),
-                )
-        return best
-
-    def _grow_node(
-        self, X: np.ndarray, y_encoded: np.ndarray, depth: int
-    ) -> tuple[_TreeNode, Optional[np.ndarray]]:
-        """Create one node and, if it splits, record its importance gain.
-
-        Returns the node together with its left-child mask: ``feature`` /
-        ``threshold`` are set for splits (children attached by the caller
-        using the mask) and the mask is ``None`` for leaves.
-        """
-        counts = self._class_counts(y_encoded)
-        node = _TreeNode(class_counts=counts)
-        if (
-            X.shape[0] < self.min_samples_split
-            or (self.max_depth is not None and depth >= self.max_depth)
-            or np.count_nonzero(counts) == 1
-        ):
-            return node, None
-
-        split = self._best_split(X, y_encoded)
-        if split is None:
-            return node, None
-        feature, threshold, _ = split
-        mask = X[:, feature] <= threshold
-        if mask.all() or not mask.any():
-            return node, None
-
-        parent_impurity = _gini(counts)
-        left_labels = y_encoded[mask]
-        right_labels = y_encoded[~mask]
-        weighted_child = (
-            left_labels.size * _gini(self._class_counts(left_labels))
-            + right_labels.size * _gini(self._class_counts(right_labels))
-        ) / y_encoded.size
-        assert self._importances is not None
-        self._importances[feature] += y_encoded.size * (parent_impurity - weighted_child)
-
-        node.feature = feature
-        node.threshold = threshold
-        return node, mask
-
-    def _build(self, X: np.ndarray, y_encoded: np.ndarray, depth: int) -> _TreeNode:
-        """Grow the tree with an explicit stack (pre-order, left subtree first).
-
-        Iterative for the same reason as the traversals: ``max_depth=None``
-        chains can exceed the recursion limit.  Importance gains accumulate
-        in the recursion's exact order — parent, whole left subtree, then
-        right — so fitted trees and importances stay bitwise identical.
-        """
-        # Each entry expands one split node; pushing right before left makes
-        # the stack pop the left subtree first, matching the recursion.
-        stack: list[tuple[_TreeNode, np.ndarray, np.ndarray, int, str]] = []
-
-        def _push_children(
-            node: _TreeNode, mask: Optional[np.ndarray], X_node: np.ndarray, y_node: np.ndarray, level: int
-        ) -> None:
-            if mask is None:
-                return
-            stack.append((node, X_node[~mask], y_node[~mask], level + 1, "right"))
-            stack.append((node, X_node[mask], y_node[mask], level + 1, "left"))
-
-        root, root_mask = self._grow_node(X, y_encoded, depth)
-        _push_children(root, root_mask, X, y_encoded, depth)
-        while stack:
-            parent, X_child, y_child, level, side = stack.pop()
-            child, child_mask = self._grow_node(X_child, y_child, level)
-            if side == "left":
-                parent.left = child
-            else:
-                parent.right = child
-            _push_children(child, child_mask, X_child, y_child, level)
-        return root
+    #: The grower every tree fit goes through (forests included).
+    _grow = staticmethod(grow_trees)
 
     def _fit(self, X: np.ndarray, y: np.ndarray) -> None:
-        assert self.classes_ is not None
-        self._rng = np.random.default_rng(self.random_state)
-        # classes_ is sorted-unique, so searchsorted is the index mapping.
-        y_encoded = np.searchsorted(self.classes_, y)
-        self._importances = np.zeros(X.shape[1])
-        self._root = self._build(X, y_encoded, depth=0)
-        total = self._importances.sum()
-        self.feature_importances_ = (
-            self._importances / total if total > 0 else self._importances.copy()
-        )
+        self._fit_stack([self], X, [y])
+
+    def _fit_stack(
+        self, models: list["DecisionTreeClassifier"], X: np.ndarray, labels: list[np.ndarray]
+    ) -> None:
+        """Grow one tree per target of ``fit_many``, all in lockstep."""
+        rows = np.arange(X.shape[0])
+        self._grow(X, models, [rows] * len(models), labels)
 
     # ------------------------------------------------------------------ #
     # Prediction
     # ------------------------------------------------------------------ #
 
-    def _fill_proba(
-        self, node: _TreeNode, X: np.ndarray, rows: np.ndarray, out: np.ndarray
-    ) -> None:
-        """Route all ``rows`` of ``X`` through the tree at once.
-
-        Traversal uses an explicit stack: unbounded-depth trees
-        (``max_depth=None``) can grow chains deeper than Python's recursion
-        limit.
-        """
-        stack: list[tuple[_TreeNode, np.ndarray]] = [(node, rows)]
-        while stack:
-            current, current_rows = stack.pop()
-            if current.is_leaf:
-                out[current_rows] = current.probabilities()
-                continue
-            assert (
-                current.left is not None
-                and current.right is not None
-                and current.feature is not None
-            )
-            goes_left = X[current_rows, current.feature] <= current.threshold
-            left_rows = current_rows[goes_left]
-            right_rows = current_rows[~goes_left]
-            if left_rows.size:
-                stack.append((current.left, left_rows))
-            if right_rows.size:
-                stack.append((current.right, right_rows))
+    def _leaves(self, X: np.ndarray) -> np.ndarray:
+        """The leaf each row of ``X`` reaches, all rows routed one level at a time."""
+        assert self._nodes is not None
+        feature = self._nodes["feature"]
+        threshold = self._nodes["threshold"]
+        left = self._nodes["children_left"]
+        right = self._nodes["children_right"]
+        node = np.zeros(X.shape[0], dtype=np.int64)
+        live = np.flatnonzero(feature[node] >= 0)
+        while live.size:
+            at = node[live]
+            goes_left = X[live, feature[at]] <= threshold[at]
+            node[live] = np.where(goes_left, left[at], right[at])
+            live = live[feature[node[live]] >= 0]
+        return node
 
     def _predict_proba(self, X: np.ndarray) -> np.ndarray:
-        assert self._root is not None and self.classes_ is not None
-        out = np.zeros((X.shape[0], self.classes_.size))
-        self._fill_proba(self._root, X, np.arange(X.shape[0]), out)
-        return out
+        assert self._nodes is not None
+        counts = self._nodes["class_counts"]
+        totals = counts.sum(axis=1, keepdims=True)
+        uniform = np.full(counts.shape, 1.0 / max(counts.shape[1], 1))
+        probabilities = np.divide(counts, totals, out=uniform, where=totals > 0)
+        return probabilities[self._leaves(X)]
 
     # ------------------------------------------------------------------ #
     # Structured state (artifact serialization)
     # ------------------------------------------------------------------ #
 
     def tree_arrays(self) -> dict[str, np.ndarray]:
-        """Flatten the fitted tree into parallel arrays (pre-order indexing).
+        """The fitted tree as parallel arrays (pre-order indexing).
 
         Returns
         -------
@@ -300,120 +487,74 @@ class DecisionTreeClassifier(BaseClassifier):
             If the tree has not been fitted.
         """
         self._check_fitted()
-        assert self._root is not None and self.classes_ is not None
-        # Iterative pre-order walk (left subtree first) — unbounded-depth
-        # chains can exceed the recursion limit, as in the traversals above.
-        order: list[_TreeNode] = []
-        index_of: dict[int, int] = {}
-        stack: list[_TreeNode] = [self._root]
-        while stack:
-            node = stack.pop()
-            index_of[id(node)] = len(order)
-            order.append(node)
-            if not node.is_leaf:
-                assert node.left is not None and node.right is not None
-                stack.append(node.right)
-                stack.append(node.left)
-        n_nodes = len(order)
-        feature = np.full(n_nodes, -1, dtype=np.int64)
-        threshold = np.zeros(n_nodes, dtype=np.float64)
-        children_left = np.full(n_nodes, -1, dtype=np.int64)
-        children_right = np.full(n_nodes, -1, dtype=np.int64)
-        class_counts = np.zeros((n_nodes, self.classes_.size), dtype=np.float64)
-        for index, node in enumerate(order):
-            class_counts[index] = node.class_counts
-            if not node.is_leaf:
-                assert node.feature is not None
-                feature[index] = node.feature
-                threshold[index] = node.threshold
-                children_left[index] = index_of[id(node.left)]
-                children_right[index] = index_of[id(node.right)]
-        return {
-            "feature": feature,
-            "threshold": threshold,
-            "children_left": children_left,
-            "children_right": children_right,
-            "class_counts": class_counts,
-        }
+        assert self._nodes is not None
+        return {name: self._nodes[name].copy() for name in NODE_ARRAYS}
 
     def set_tree_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        """Rebuild the fitted node structure from :meth:`tree_arrays` output.
+        """Restore the fitted tree from :meth:`tree_arrays` output.
 
         The caller is responsible for restoring ``classes_`` /
         ``n_features_in_`` (done by :mod:`repro.serve.artifacts`); this
-        method only reconstructs the node graph.
+        method only restores the nodes.
 
         Raises
         ------
         ValueError
             If the arrays are inconsistent: empty (a fitted tree always
-            has a root), dangling child indices, or a child index not
-            strictly greater than its parent's (pre-order flattening
-            always yields increasing child indices, and the check makes
-            cycles — which would hang ``predict`` — impossible in arrays
-            from an untrusted bundle).
+            has a root), of mismatched lengths, or with a child index that
+            is dangling or not strictly greater than its parent's
+            (pre-order flattening always yields increasing child indices,
+            and the check makes cycles -- which would hang ``predict`` --
+            impossible in arrays from an untrusted bundle).
         """
-        feature = np.asarray(arrays["feature"], dtype=np.int64)
-        threshold = np.asarray(arrays["threshold"], dtype=np.float64)
-        children_left = np.asarray(arrays["children_left"], dtype=np.int64)
-        children_right = np.asarray(arrays["children_right"], dtype=np.int64)
-        class_counts = np.asarray(arrays["class_counts"], dtype=np.float64)
-        n_nodes = feature.shape[0]
+        nodes = {
+            "feature": np.asarray(arrays["feature"], dtype=np.int64),
+            "threshold": np.asarray(arrays["threshold"], dtype=np.float64),
+            "children_left": np.asarray(arrays["children_left"], dtype=np.int64),
+            "children_right": np.asarray(arrays["children_right"], dtype=np.int64),
+            "class_counts": np.asarray(arrays["class_counts"], dtype=np.float64),
+        }
+        n_nodes = nodes["feature"].shape[0]
         if n_nodes == 0:
             raise ValueError("tree arrays must contain at least one node")
-        nodes = [
-            _TreeNode(
-                class_counts=class_counts[index].copy(),
-                feature=None if feature[index] < 0 else int(feature[index]),
-                threshold=float(threshold[index]),
-            )
-            for index in range(n_nodes)
-        ]
-        for index, node in enumerate(nodes):
-            if node.is_leaf:
-                continue
-            left, right = int(children_left[index]), int(children_right[index])
-            if not (index < left < n_nodes and index < right < n_nodes):
+        for name, array in nodes.items():
+            if array.ndim != (2 if name == "class_counts" else 1) or array.shape[0] != n_nodes:
+                raise ValueError(f"tree array {name!r} must have one entry per node")
+        internal = np.flatnonzero(nodes["feature"] >= 0)
+        for children in (nodes["children_left"], nodes["children_right"]):
+            bad = internal[(children[internal] <= internal) | (children[internal] >= n_nodes)]
+            if bad.size:
                 raise ValueError(
-                    f"tree arrays reference an invalid child at node {index}: "
+                    f"tree arrays reference an invalid child at node {int(bad[0])}: "
                     "child indices must be strictly increasing (acyclic)"
                 )
-            node.left = nodes[left]
-            node.right = nodes[right]
-        self._root = nodes[0]
+        self._nodes = nodes
 
     def depth(self) -> int:
-        """Depth of the fitted tree (a single leaf has depth 0).
-
-        Iterative traversal, safe for chains deeper than the recursion limit.
-        """
+        """Depth of the fitted tree (a single leaf has depth 0)."""
         self._check_fitted()
-        deepest = 0
-        stack: list[tuple[Optional[_TreeNode], int]] = [(self._root, 0)]
-        while stack:
-            node, level = stack.pop()
-            if node is None or node.is_leaf:
-                continue
-            deepest = max(deepest, level + 1)
-            stack.append((node.left, level + 1))
-            stack.append((node.right, level + 1))
-        return deepest
+        return len(self._levels()) - 1
 
     def n_leaves(self) -> int:
-        """Number of leaves of the fitted tree.
-
-        Iterative traversal, safe for chains deeper than the recursion limit.
-        """
+        """Number of leaves of the fitted tree."""
         self._check_fitted()
-        leaves = 0
-        stack: list[Optional[_TreeNode]] = [self._root]
-        while stack:
-            node = stack.pop()
-            if node is None:
-                continue
-            if node.is_leaf:
-                leaves += 1
-                continue
-            stack.append(node.left)
-            stack.append(node.right)
-        return leaves
+        assert self._nodes is not None
+        feature = self._nodes["feature"]
+        return int(sum(np.count_nonzero(feature[level] < 0) for level in self._levels()))
+
+    def _levels(self) -> list[np.ndarray]:
+        """The nodes reachable from the root, one array per depth."""
+        assert self._nodes is not None
+        feature = self._nodes["feature"]
+        levels = [np.zeros(1, dtype=np.int64)]
+        while True:
+            internal = levels[-1][feature[levels[-1]] >= 0]
+            if not internal.size:
+                return levels
+            levels.append(
+                np.unique(
+                    np.concatenate(
+                        [self._nodes["children_left"][internal], self._nodes["children_right"][internal]]
+                    )
+                )
+            )

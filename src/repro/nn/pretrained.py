@@ -65,8 +65,9 @@ def _synthetic_region_maps(
     filters a head start on the spatial statistics of real heat maps.
     """
     rows, cols = input_shape
-    maps = np.zeros((n_samples, rows, cols, 1))
     labels = np.zeros(n_samples)
+    points = []
+    # The per-sample draws stay in order: count, row centres, column centres.
     for index in range(n_samples):
         bottom_heavy = index % 2 == 0
         labels[index] = 1.0 if bottom_heavy else 0.0
@@ -76,13 +77,17 @@ def _synthetic_region_maps(
         else:
             row_centers = rng.normal(rows * 0.25, rows * 0.1, size=n_points)
         col_centers = rng.uniform(0, cols, size=n_points)
-        for row, col in zip(row_centers, col_centers):
-            r = int(np.clip(row, 0, rows - 1))
-            c = int(np.clip(col, 0, cols - 1))
-            maps[index, r, c, 0] += 1.0
-        maximum = maps[index].max()
-        if maximum > 0:
-            maps[index] /= maximum
+        points.append((np.full(n_points, index), row_centers, col_centers))
+    maps = np.zeros((n_samples, rows, cols, 1))
+    if points:
+        samples, row_centers, col_centers = (np.concatenate(column) for column in zip(*points))
+        # Clipped to the grid, so truncation toward zero is the floor.
+        r = np.clip(row_centers, 0, rows - 1).astype(np.int64)
+        c = np.clip(col_centers, 0, cols - 1).astype(np.int64)
+        np.add.at(maps, (samples, r, c, 0), 1.0)
+    maxima = maps.max(axis=(1, 2, 3), initial=0.0)
+    hot = maxima > 0
+    maps[hot] /= maxima[hot, None, None, None]
     return maps, labels
 
 

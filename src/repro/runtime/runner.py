@@ -1,22 +1,23 @@
 """Deterministic parallel execution substrate (``TaskRunner`` / ``parallel_map``).
 
 Every study in this code base is dominated by loops of independent, pure
-tasks: the forest grows its trees one at a time, cross-validation visits its
-folds serially, the Table III ablation runs eleven configurations
-back-to-back and the bootstrap test draws thousands of resamples.
+tasks: cross-validation visits its folds serially, the Table III ablation
+runs eleven configurations back-to-back, the identification experiment
+runs its folds one after another and the bootstrap test draws thousands
+of resamples.
 :class:`TaskRunner` fans such loops out across cores while keeping the
 results **bitwise identical** to the serial loop, which stays the oracle.
 
 The determinism contract rests on two rules:
 
-* **Pre-drawn randomness** — callers draw *all* RNG material (bootstrap
-  sample indices, per-tree seeds, fold shuffles, resample index matrices)
+* **Pre-drawn randomness** — callers draw *all* RNG material (fold
+  shuffles, resample index matrices)
   up front from the existing seed streams, in the exact order the serial
   loop would consume them, and hand each task its own material.  Workers
   never touch a shared generator.
 * **Ordered collection** — :meth:`TaskRunner.map` returns results in task
-  order regardless of completion order, so downstream reductions (summing
-  tree importances, stacking fold scores, assembling table rows) run in
+  order regardless of completion order, so downstream reductions
+  (stacking fold scores, assembling table rows) run in
   the serial order.
 
 Backends
@@ -919,9 +920,9 @@ def resolve_runner(spec: RuntimeSpec = None) -> TaskRunner:
 
     Inside a TaskRunner worker **every** resolution — explicit specs and
     runner instances included — degrades to serial: one loop level fans out
-    at a time.  Without this, an estimator carrying ``runtime="process"``
-    cloned into the workers of a parallel outer loop (grid search, the
-    ablation) would spawn a pool per worker and oversubscribe the machine.
+    at a time.  Without this, a parallel loop nested in the workers of a
+    parallel outer loop (cross-validation inside the ablation, say) would
+    spawn a pool per worker and oversubscribe the machine.
     Results are unaffected either way — every backend is bitwise identical.
     """
     if in_worker():

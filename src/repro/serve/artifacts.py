@@ -83,7 +83,6 @@ from repro.io.bundle import (
     read_bundle_manifest,
     write_bundle,
 )
-from repro.runtime import TaskRunner
 
 #: Bundle format identifier written into every manifest.
 ARTIFACT_FORMAT = "repro-model-bundle"
@@ -213,15 +212,6 @@ def _restore_classifier_state(clf: Any, spec: dict, decoder: _Decoder) -> None:
     clf.n_features_in_ = int(spec["n_features_in"])
 
 
-def _runtime_spec(runtime: Any) -> Optional[str]:
-    """Flatten a RuntimeSpec parameter to a JSON-able ``backend:workers`` string."""
-    if runtime is None or isinstance(runtime, str):
-        return runtime
-    if isinstance(runtime, TaskRunner):
-        return f"{runtime.backend}:{runtime.max_workers}"
-    raise ArtifactError(f"cannot serialize runtime spec {runtime!r}")
-
-
 # --------------------------------------------------------------------- #
 # Classical estimators (repro.ml)
 # --------------------------------------------------------------------- #
@@ -231,9 +221,10 @@ def _construct(cls: type, params: dict):
     """``cls(**params)``, minus the keyword arguments ``cls`` no longer takes.
 
     Bundles from older versions may store retired constructor options
-    (the trees' former scalar/vectorized split-search selector).  Those
-    never changed the fitted model, so dropping them keeps such bundles
-    loadable with bitwise-identical predictions.
+    (the trees' former scalar/vectorized split-search selector, the
+    forests' per-tree fan-out ``runtime``).  Those never changed the
+    fitted model, so dropping them keeps such bundles loadable with
+    bitwise-identical predictions.
     """
     accepted = inspect.signature(cls).parameters
     return cls(**{name: params[name] for name in params if name in accepted})
@@ -280,7 +271,6 @@ class _RandomForestCodec:
                 "max_features": forest.max_features,
                 "bootstrap": forest.bootstrap,
                 "random_state": forest.random_state,
-                "runtime": _runtime_spec(forest.runtime),
             },
             **_classifier_state(forest, encoder),
             "importances": encoder.put_optional("importances", forest.feature_importances_),

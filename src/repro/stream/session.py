@@ -69,9 +69,10 @@ class MatcherSession:
         rows, cols = shape
         if rows <= 0 or cols <= 0:
             raise ValueError("session matrix shape must be positive")
+        width, height = screen
         self.session_id = session_id
         self.shape = (int(rows), int(cols))
-        self.screen = (int(screen[0]), int(screen[1]))
+        self.screen = (int(width), int(height))
         self.buffer = StreamingEventBuffer(reorder_window=reorder_window)
         self._features = SessionFeatureState(self.screen)
         self.quarantine = quarantine

@@ -424,6 +424,37 @@ class TestPipelineWithCache:
         np.testing.assert_array_equal(X_first, X_second)
 
 
+class TestPretrainedTrunkMemo:
+    """Phi_Spa donor trunks are pre-trained once per configuration per cache."""
+
+    @staticmethod
+    def _extractor(random_state=0):
+        from repro.core.features.spatial import SpatialFeatures
+
+        return SpatialFeatures(n_filters=2, epochs=1, pretrain_samples=8, random_state=random_state)
+
+    def test_second_fit_reuses_trunks_bitwise(self, small_cohort, cohort_labels):
+        labels, _ = cohort_labels
+        matchers = small_cohort[:8]
+        cache = FeatureBlockCache()
+        for label_matrix in (labels[:8], 1.0 - labels[:8]):
+            hits = cache.stats()["fit_hits"]
+            cached = self._extractor().fit(matchers, label_matrix, cache=cache)
+            alone = self._extractor().fit(matchers, label_matrix)
+            np.testing.assert_array_equal(
+                cached.extract_batch(matchers).matrix, alone.extract_batch(matchers).matrix
+            )
+        # Four channels, each pre-trained on the first fit and reused on the second.
+        assert cache.stats()["fit_misses"] == 4
+        assert cache.stats()["fit_hits"] - hits == 4
+
+    def test_unseeded_fits_are_not_memoised(self, small_cohort, cohort_labels):
+        labels, _ = cohort_labels
+        cache = FeatureBlockCache()
+        self._extractor(random_state=None).fit(small_cohort[:8], labels[:8], cache=cache)
+        assert cache.stats()["fit_entries"] == 0
+
+
 class TestAblationCacheTransparency:
     def test_identical_accuracies_with_and_without_cache(self, small_cohort, cohort_labels):
         labels, thresholds = cohort_labels

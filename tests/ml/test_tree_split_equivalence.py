@@ -1,10 +1,11 @@
-"""The vectorized split search must be bitwise-equivalent to the scalar scan.
+"""The lockstep grower must be bitwise-equivalent to the scalar scan.
 
 The scalar per-threshold loop is the seed implementation, kept as an
-equivalence oracle in ``tests/oracles/ml.py``; the vectorized search must
-select the same feature, threshold and class counts at every node so that
-fitted models — and every experiment built on them — are reproducible bit
-for bit across the two code paths.
+equivalence oracle in ``tests/oracles/ml.py`` together with the recursive
+grower that fits one tree at a time.  Grown on them, every tree must have
+the same nodes, thresholds, class counts, importances and probabilities
+as the lockstep grower's, so fitted models -- and every experiment built
+on them -- are reproducible bit for bit across the two code paths.
 """
 
 import numpy as np
@@ -12,26 +13,23 @@ import pytest
 
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.tree import DecisionTreeClassifier
-from tests.oracles.ml import best_split_scalar
+from tests.oracles.ml import RecursiveTree, best_split_scalar, grow_recursive
 
 
 def _fit_scalar(monkeypatch, model, X, y):
-    """Fit ``model`` with every tree split found by the scalar scan."""
+    """Fit ``model`` tree by tree, every split found by the scalar scan."""
     with monkeypatch.context() as patch:
-        patch.setattr(DecisionTreeClassifier, "_best_split", best_split_scalar)
+        patch.setattr(DecisionTreeClassifier, "_grow", staticmethod(grow_recursive))
+        patch.setattr(RecursiveTree, "_best_split", best_split_scalar)
         return model.fit(X, y)
 
 
-def _trees_identical(left, right) -> bool:
-    if (left.feature is None) != (right.feature is None):
-        return False
-    if left.feature is None:
-        return np.array_equal(left.class_counts, right.class_counts)
-    return (
-        left.feature == right.feature
-        and left.threshold == right.threshold
-        and _trees_identical(left.left, right.left)
-        and _trees_identical(left.right, right.right)
+def _trees_identical(left: DecisionTreeClassifier, right: DecisionTreeClassifier) -> bool:
+    left_arrays, right_arrays = left.tree_arrays(), right.tree_arrays()
+    return all(
+        left_arrays[name].dtype == right_arrays[name].dtype
+        and np.array_equal(left_arrays[name], right_arrays[name])
+        for name in left_arrays
     )
 
 
@@ -63,7 +61,7 @@ class TestSplitSearchEquivalence:
             )
             scalar = _fit_scalar(monkeypatch, DecisionTreeClassifier(**kwargs), X, y)
             vectorized = DecisionTreeClassifier(**kwargs).fit(X, y)
-            assert _trees_identical(scalar._root, vectorized._root)
+            assert _trees_identical(scalar, vectorized)
             X_test = rng.normal(size=(40, X.shape[1]))
             np.testing.assert_array_equal(
                 scalar.predict_proba(X_test), vectorized.predict_proba(X_test)
@@ -77,11 +75,13 @@ class TestSplitSearchEquivalence:
         X, y = _random_problem(rng)
         scalar = _fit_scalar(
             monkeypatch,
-            RandomForestClassifier(n_estimators=10, max_depth=5, random_state=3, runtime="serial"),
+            RandomForestClassifier(n_estimators=10, max_depth=5, random_state=3),
             X,
             y,
         )
         vectorized = RandomForestClassifier(n_estimators=10, max_depth=5, random_state=3).fit(X, y)
+        for scalar_tree, lockstep_tree in zip(scalar.estimators_, vectorized.estimators_):
+            assert _trees_identical(scalar_tree, lockstep_tree)
         X_test = rng.normal(size=(30, X.shape[1]))
         np.testing.assert_array_equal(
             scalar.predict_proba(X_test), vectorized.predict_proba(X_test)

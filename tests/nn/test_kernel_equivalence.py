@@ -20,6 +20,7 @@ from tests.oracles.nn import (
     maxpool_backward_loop,
     maxpool_forward_loop,
     scatter_patch_grads_loop,
+    synthetic_region_maps_loop,
 )
 
 
@@ -137,6 +138,21 @@ class TestLSTMEquivalence:
         )
         batch = pad_sequences([np.ones((2, 1)), np.ones((5, 1))], max_length=4)
         assert ((batch != 0).any(axis=2) == sequence_length_mask([2, 5], 4).astype(bool)).all()
+
+
+class TestSyntheticRegionMaps:
+    @pytest.mark.parametrize("n_samples", [0, 1, 7, 32])
+    @pytest.mark.parametrize("shape", [(8, 8), (16, 20), (9, 31)])
+    def test_scatter_equals_point_loop(self, n_samples, shape):
+        """One ``np.add.at`` scatter, the same draws and maps as the point loop."""
+        from repro.nn.pretrained import _synthetic_region_maps
+
+        fast_rng, loop_rng = np.random.default_rng(n_samples), np.random.default_rng(n_samples)
+        maps, labels = _synthetic_region_maps(n_samples, shape, fast_rng)
+        expected_maps, expected_labels = synthetic_region_maps_loop(n_samples, shape, loop_rng)
+        np.testing.assert_array_equal(maps, expected_maps)
+        np.testing.assert_array_equal(labels, expected_labels)
+        assert fast_rng.random() == loop_rng.random()  # the same draws were consumed
 
 
 class TestSpatialFitBitwise:

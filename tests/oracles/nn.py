@@ -143,3 +143,29 @@ def lstm_backward_gates(
         dc_next = dc_prev
 
     return grad_input, grads
+
+
+def synthetic_region_maps_loop(
+    n_samples: int, input_shape: tuple[int, int], rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """``repro.nn.pretrained._synthetic_region_maps``, one point at a time."""
+    rows, cols = input_shape
+    maps = np.zeros((n_samples, rows, cols, 1))
+    labels = np.zeros(n_samples)
+    for index in range(n_samples):
+        bottom_heavy = index % 2 == 0
+        labels[index] = 1.0 if bottom_heavy else 0.0
+        n_points = rng.integers(30, 80)
+        if bottom_heavy:
+            row_centers = rng.normal(rows * 0.75, rows * 0.1, size=n_points)
+        else:
+            row_centers = rng.normal(rows * 0.25, rows * 0.1, size=n_points)
+        col_centers = rng.uniform(0, cols, size=n_points)
+        for row, col in zip(row_centers, col_centers):
+            r = int(np.clip(row, 0, rows - 1))
+            c = int(np.clip(col, 0, cols - 1))
+            maps[index, r, c, 0] += 1.0
+        maximum = maps[index].max()
+        if maximum > 0:
+            maps[index] /= maximum
+    return maps, labels

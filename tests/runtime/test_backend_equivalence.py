@@ -1,16 +1,17 @@
 """Backend equivalence: serial is the oracle; every backend must match it bitwise.
 
-Covers the four parallelised training loops: forest probabilities,
-``cross_val_score`` arrays, ablation Table III rows and bootstrap p-values,
-each across the ``thread`` and ``process`` backends with worker counts
-{1, 2, 4}.
+Covers the parallelised loops: chunked service scores,
+``cross_val_score`` arrays, ablation Table III rows, identification folds
+and bootstrap p-values, each across the ``thread`` and ``process``
+backends (most with worker counts {1, 2, 4}).  A forest's trees grow in
+one lockstep and are no longer a fan-out site.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.ablation import run_ablation
-from repro.core.characterizer import MExIVariant
+from repro.core.characterizer import MExICharacterizer, MExIVariant
 from repro.core.expert_model import characterize_population, labels_matrix
 from repro.core.features.cache import FeatureBlockCache
 from repro.experiments.config import ExperimentConfig
@@ -18,6 +19,7 @@ from repro.experiments.identification import run_identification_experiment
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.model_selection import GridSearchCV, KFold, cross_val_score
 from repro.ml.tree import DecisionTreeClassifier
+from repro.serve.service import CharacterizationService
 from repro.simulation.dataset import build_dataset
 from repro.stats.bootstrap import two_sample_bootstrap_test
 
@@ -35,26 +37,39 @@ def classification_data():
     return X, y
 
 
-class TestForestEquivalence:
+class TestServiceEquivalence:
+    """Chunked ``score_batch`` scores on every backend and worker count.
+
+    Scoring fans its feature-extraction chunks out on the runtime, either
+    the service's default or one given per call.
+    """
+
     @pytest.fixture(scope="class")
-    def serial_proba(self, classification_data):
-        X, y = classification_data
-        forest = RandomForestClassifier(n_estimators=10, random_state=5, runtime="serial")
-        return forest.fit(X, y).predict_proba(X)
+    def scoring(self):
+        dataset = build_dataset(n_po_matchers=10, n_oaei_matchers=4, random_state=3)
+        train = dataset.po_matchers
+        profiles, _ = characterize_population(train)
+        model = MExICharacterizer(
+            variant=MExIVariant.SUB_50, feature_sets=("lrsm", "beh", "mou"), random_state=3
+        ).fit(train, labels_matrix(profiles))
+        cohort = dataset.oaei_matchers + train
+        serial = CharacterizationService(model, runtime="serial", chunk_size=3).score_batch(cohort)
+        return model, cohort, serial
 
     @pytest.mark.parametrize("spec", BACKEND_GRID)
-    def test_probabilities_bitwise_identical(self, classification_data, serial_proba, spec):
-        X, y = classification_data
-        forest = RandomForestClassifier(n_estimators=10, random_state=5, runtime=spec)
-        probabilities = forest.fit(X, y).predict_proba(X)
-        assert np.array_equal(serial_proba, probabilities)
+    def test_scores_bitwise_identical(self, scoring, spec):
+        model, cohort, serial = scoring
+        scores = CharacterizationService(model, runtime=spec, chunk_size=3).score_batch(cohort)
+        assert scores.matcher_ids == serial.matcher_ids
+        assert np.array_equal(scores.labels, serial.labels)
+        assert np.array_equal(scores.probabilities, serial.probabilities)
 
     @pytest.mark.parametrize("spec", ["thread:2", "process:2"])
-    def test_importances_bitwise_identical(self, classification_data, spec):
-        X, y = classification_data
-        serial = RandomForestClassifier(n_estimators=10, random_state=5).fit(X, y)
-        parallel = RandomForestClassifier(n_estimators=10, random_state=5, runtime=spec).fit(X, y)
-        assert np.array_equal(serial.feature_importances_, parallel.feature_importances_)
+    def test_per_call_runtime_bitwise_identical(self, scoring, spec):
+        model, cohort, serial = scoring
+        service = CharacterizationService(model, runtime="serial", chunk_size=3)
+        scores = service.score_batch(cohort, runtime=spec)
+        assert np.array_equal(scores.probabilities, serial.probabilities)
 
 
 class TestCrossValidationEquivalence:

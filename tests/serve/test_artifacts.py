@@ -532,3 +532,24 @@ def test_population_bundle_rejects_wrong_version(serve_dataset, tmp_path):
     (bundle / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ArtifactError, match="unsupported population format version"):
         load_population(bundle)
+
+
+@pytest.mark.parametrize("runtime", [None, "serial", "process:2"])
+def test_forest_bundle_with_retired_runtime_still_loads(classification_data, tmp_path, runtime):
+    """Forest manifests that still carry ``params.runtime`` load and predict bitwise.
+
+    Forests used to fan their trees out on that runtime; it never changed
+    the fitted model, and ``_construct`` drops it on load.
+    """
+    X, y, X_new = classification_data
+    forest = RandomForestClassifier(n_estimators=6, max_depth=4, random_state=0).fit(X, y)
+
+    def add_runtime(manifest, arrays):
+        assert "runtime" not in manifest["spec"]["params"]
+        manifest["spec"]["params"]["runtime"] = runtime
+
+    bundle = forge_bundle(save_model(forest, tmp_path / "forest"), add_runtime, header_field="spec")
+    loaded = load_model(bundle)
+    assert not hasattr(loaded, "runtime")
+    for data in (X, X_new):
+        assert np.array_equal(loaded.predict_proba(data), forest.predict_proba(data))

@@ -115,8 +115,9 @@ def test_hostile_field_values_are_answered(server, case):
         ("/ingest", b"\xff\xfe"),
         ("/sessions/open", b"[" * 100_000),
         ("/decision", json.dumps(_BODIES["/decision"]).encode().replace(b'"row": ', b'"row": 1e400, "_": ')),
+        ("/sessions/open", b'{"session_id": "fresh", "shape": [6, 6], "screen": [190]}'),
     ],
-    ids=["not-utf8", "deeply-nested", "overflowing-row"],
+    ids=["not-utf8", "deeply-nested", "overflowing-row", "one-value-screen"],
 )
 def test_reproduced_escapes_are_400(server, path, body):
     assert _answered(server, path, body) == 400
