@@ -75,6 +75,7 @@ class BaseClassifier(BaseEstimator, ABC):
 
     def __init__(self) -> None:
         self.classes_: np.ndarray | None = None
+        self.n_features_in_: int | None = None
 
     @property
     def is_fitted(self) -> bool:

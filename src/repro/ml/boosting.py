@@ -146,9 +146,17 @@ class _RegressionTree:
 
     @classmethod
     def from_arrays(
-        cls, arrays: dict[str, np.ndarray], max_depth: int, min_samples_leaf: int
+        cls,
+        arrays: dict[str, np.ndarray],
+        max_depth: int,
+        min_samples_leaf: int,
+        n_features: Optional[int] = None,
     ) -> "_RegressionTree":
-        """Rebuild a fitted regression tree from :meth:`to_arrays` output."""
+        """Rebuild a fitted regression tree from :meth:`to_arrays` output.
+
+        With ``n_features`` given, a split on a column outside
+        ``[0, n_features)`` is rejected like a dangling child.
+        """
         value = np.asarray(arrays["value"], dtype=np.float64)
         feature = np.asarray(arrays["feature"], dtype=np.int64)
         threshold = np.asarray(arrays["threshold"], dtype=np.float64)
@@ -173,6 +181,11 @@ class _RegressionTree:
         for index, node in enumerate(nodes):
             if node.is_leaf:
                 continue
+            if n_features is not None and node.feature >= n_features:
+                raise ValueError(
+                    f"tree arrays split node {index} on feature {node.feature}, "
+                    f"but the model has {n_features} features"
+                )
             left, right = int(children_left[index]), int(children_right[index])
             # Strictly increasing child indices (pre-order invariant) keep
             # crafted arrays from forming cycles that would hang predict.

@@ -22,25 +22,20 @@ from repro.ml.base import BaseClassifier
 #: search's memory; a node larger than the budget is searched alone.
 SEARCH_BUDGET = 2048
 
-#: Names of the pre-order node arrays, in bundle order.
-NODE_ARRAYS = ("feature", "threshold", "children_left", "children_right", "class_counts")
-
-
-def _class_sum(terms: np.ndarray) -> np.ndarray:
-    """``terms.sum(axis=-1)``: per-class terms added as numpy adds them.
-
-    Two terms have a single association, so the binary case is one add;
-    more classes use numpy's own reduction, which the per-node search used.
-    """
-    if terms.shape[-1] == 2:
-        return terms[..., 0] + terms[..., 1]
-    return terms.sum(axis=-1)
+#: The pre-order node arrays and their dtypes, in bundle order.
+NODE_ARRAYS = {
+    "feature": np.int64,
+    "threshold": np.float64,
+    "children_left": np.int64,
+    "children_right": np.int64,
+    "class_counts": np.float64,
+}
 
 
 def _gini_rows(counts: np.ndarray) -> np.ndarray:
     """Gini impurity of each row of a non-empty class-count matrix."""
     probabilities = counts / counts.sum(axis=1, keepdims=True)
-    return 1.0 - _class_sum(probabilities**2)
+    return 1.0 - (probabilities**2).sum(axis=1)
 
 
 def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -101,8 +96,8 @@ def _best_splits(
     # side's Gini is 1 - sum((class_counts / side_size) ** 2).
     left /= n_left[:, None]
     right /= np.where(n_right > 0, n_right, 1.0)[..., None]
-    weighted = np.subtract(1.0, _class_sum(np.square(left, out=left)))
-    gini_right = np.subtract(1.0, _class_sum(np.square(right, out=right)))
+    weighted = np.subtract(1.0, np.square(left, out=left).sum(axis=-1))
+    gini_right = np.subtract(1.0, np.square(right, out=right).sum(axis=-1))
     del left, right
     weighted *= n_left
     gini_right *= n_right
@@ -494,26 +489,22 @@ class DecisionTreeClassifier(BaseClassifier):
         """Restore the fitted tree from :meth:`tree_arrays` output.
 
         The caller is responsible for restoring ``classes_`` /
-        ``n_features_in_`` (done by :mod:`repro.serve.artifacts`); this
-        method only restores the nodes.
+        ``n_features_in_`` (done by :mod:`repro.serve.artifacts`) before
+        calling this; this method only restores the nodes.
 
         Raises
         ------
         ValueError
             If the arrays are inconsistent: empty (a fitted tree always
-            has a root), of mismatched lengths, or with a child index that
+            has a root), of mismatched lengths, with a child index that
             is dangling or not strictly greater than its parent's
             (pre-order flattening always yields increasing child indices,
             and the check makes cycles -- which would hang ``predict`` --
-            impossible in arrays from an untrusted bundle).
+            impossible in arrays from an untrusted bundle), or, once
+            ``n_features_in_`` is set, with a split on a column outside
+            ``[0, n_features_in_)``.
         """
-        nodes = {
-            "feature": np.asarray(arrays["feature"], dtype=np.int64),
-            "threshold": np.asarray(arrays["threshold"], dtype=np.float64),
-            "children_left": np.asarray(arrays["children_left"], dtype=np.int64),
-            "children_right": np.asarray(arrays["children_right"], dtype=np.int64),
-            "class_counts": np.asarray(arrays["class_counts"], dtype=np.float64),
-        }
+        nodes = {name: np.asarray(arrays[name], dtype=dtype) for name, dtype in NODE_ARRAYS.items()}
         n_nodes = nodes["feature"].shape[0]
         if n_nodes == 0:
             raise ValueError("tree arrays must contain at least one node")
@@ -527,6 +518,14 @@ class DecisionTreeClassifier(BaseClassifier):
                 raise ValueError(
                     f"tree arrays reference an invalid child at node {int(bad[0])}: "
                     "child indices must be strictly increasing (acyclic)"
+                )
+        if self.n_features_in_ is not None:
+            bad = internal[nodes["feature"][internal] >= self.n_features_in_]
+            if bad.size:
+                raise ValueError(
+                    f"tree arrays split node {int(bad[0])} on feature "
+                    f"{int(nodes['feature'][bad[0]])}, but the tree has "
+                    f"{self.n_features_in_} features"
                 )
         self._nodes = nodes
 

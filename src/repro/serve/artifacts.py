@@ -329,6 +329,7 @@ class _GradientBoostingCodec:
                         {name: decoder.get(ref) for name, ref in tree.items()},
                         max_depth=model.max_depth,
                         min_samples_leaf=model.min_samples_leaf,
+                        n_features=model.n_features_in_,
                     )
                     for tree in entry["trees"]
                 ],

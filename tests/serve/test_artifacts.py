@@ -375,8 +375,15 @@ def _empty_tree_nodes(manifest, arrays):
     manifest["spec"]["nodes"] = []
 
 
+def _split_on_missing_column(manifest, arrays):
+    feature_key = next(key for key in arrays if key.endswith("tree/feature"))
+    arrays[feature_key] = np.where(arrays[feature_key] >= 0, 1_000_000, arrays[feature_key])
+
+
 @pytest.mark.parametrize(
-    "edit", [_shorten_class_counts, _empty_tree_nodes], ids=["short-array", "nodes-list"]
+    "edit",
+    [_shorten_class_counts, _empty_tree_nodes, _split_on_missing_column],
+    ids=["short-array", "nodes-list", "missing-column"],
 )
 def test_load_wraps_inconsistent_spec_errors(classification_data, tmp_path, edit):
     """Spec/array clashes surface as ArtifactError, not raw IndexError/AttributeError.
@@ -390,6 +397,21 @@ def test_load_wraps_inconsistent_spec_errors(classification_data, tmp_path, edit
     with pytest.raises(ArtifactError, match="inconsistent") as raised:
         load_model(bundle)
     assert raised.type is ArtifactError
+
+
+def test_load_rejects_boosted_split_on_missing_column(classification_data, tmp_path):
+    """A re-signed boosting bundle naming a column the model lacks fails to load."""
+    X, y, _ = classification_data
+    model = GradientBoostingClassifier(n_estimators=2, max_depth=2, random_state=0).fit(X, y)
+
+    def edit(manifest, arrays):
+        for key in arrays:
+            if key.endswith("/feature"):
+                arrays[key] = np.where(arrays[key] >= 0, X.shape[1], arrays[key])
+
+    bundle = forge_bundle(save_model(model, tmp_path / "boosted"), edit, header_field="spec")
+    with pytest.raises(ArtifactError, match="inconsistent"):
+        load_model(bundle)
 
 
 def _add_retired_split_param(spec) -> int:
