@@ -10,11 +10,24 @@ so a failing order can be rerun)::
 
     python -m pytest -x -q --reverse
     python -m pytest -x -q --shuffle 7
+
+Registers the Hypothesis profile ``explore``: fresh random examples on
+every run (no derandomizing, no example database, no deadline), with the
+reproduction blob of a failure printed.  With an explicit seed a failing
+run replays locally::
+
+    python -m pytest -x -q tests/ml --hypothesis-profile=explore --hypothesis-seed=N
 """
 
 import random
 import sys
 from pathlib import Path
+
+from hypothesis import settings
+
+settings.register_profile(
+    "explore", derandomize=False, deadline=None, database=None, print_blob=True
+)
 
 _SRC = Path(__file__).parent / "src"
 if str(_SRC) not in sys.path:

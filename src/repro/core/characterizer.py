@@ -101,30 +101,46 @@ class _ScaledFeatures:
         return self._by_scaler[key]
 
 
-def _fold_scores(
+def _cv_scores(
     candidate: BaseClassifier,
     X: np.ndarray,
     Y: np.ndarray,
-    train_index: np.ndarray,
-    test_index: np.ndarray,
+    splits: list[tuple[np.ndarray, np.ndarray]],
 ) -> list[float]:
-    """Test accuracy of ``candidate`` on one CV fold, for every label of ``Y``.
+    """Mean test accuracy of ``candidate`` over the CV ``splits``, per label of ``Y``.
 
-    A label whose training fold holds one class predicts that class.  The
-    others are fitted with one ``fit_many`` call; the fitted models are
-    dropped on return, so one fold's models are alive at a time.
+    A label whose training fold holds one class predicts that class on
+    that fold.  Every other (fold, label) pair is fitted by one
+    ``fit_many`` call, each on its fold's training rows, so every fold's
+    models are alive until they are scored.
     """
-    Y_train, Y_test = Y[train_index], Y[test_index]
-    live = [label for label in range(Y.shape[1]) if np.unique(Y_train[:, label]).size > 1]
-    fitted = candidate.fit_many(X[train_index], [Y_train[:, label] for label in live])
-    models = dict(zip(live, fitted))
-    X_test = X[test_index]
-    return [
-        accuracy_score(Y_test[:, label], models[label].predict(X_test))
-        if label in models
-        else float(np.mean(Y_test[:, label] == Y_train[0, label]))
-        for label in range(Y.shape[1])
+    n_labels = Y.shape[1]
+    pairs = [
+        (fold, label)
+        for fold, (train_index, _) in enumerate(splits)
+        for label in range(n_labels)
+        if np.unique(Y[train_index, label]).size > 1
     ]
+    fitted = candidate.fit_many(
+        X,
+        [Y[splits[fold][0], label] for fold, label in pairs],
+        rows=[splits[fold][0] for fold, _ in pairs],
+    )
+    models = dict(zip(pairs, fitted))
+    fold_scores = []
+    for fold, (train_index, test_index) in enumerate(splits):
+        X_test, Y_test = X[test_index], Y[test_index]
+        fold_scores.append(
+            [
+                accuracy_score(Y_test[:, label], models[fold, label].predict(X_test))
+                if (fold, label) in models
+                else float(np.mean(Y_test[:, label] == Y[train_index[0], label]))
+                for label in range(n_labels)
+            ]
+        )
+    # A 1-D mean per label, as fitting label by label takes: along axis 0,
+    # numpy would not sum pairwise from 8 folds on.
+    return [float(np.mean(label)) for label in zip(*fold_scores)]
 
 
 @dataclass
@@ -217,9 +233,11 @@ class MExICharacterizer:
     ) -> list[tuple[BaseClassifier, str, float]]:
         """Cross-validate the bank for every label column; refit each winner.
 
-        Every label shares ``X`` and the folds, so each candidate fits all
-        labels of one training fold with one ``fit_many`` call.  Each
-        per-label fit is a fresh clone, exactly as fitting label by label.
+        Every label shares ``X`` and the folds, so each candidate fits every
+        (fold, label) pair with one ``fit_many`` call over the folds'
+        training rows, and the winners' refits share one call per
+        candidate.  Each fit is a fresh clone, exactly as fitting label by
+        label and fold by fold.
         """
         n_samples, n_labels = Y.shape
         n_folds = min(self.selection_folds, n_samples)
@@ -231,15 +249,7 @@ class MExICharacterizer:
             # Too few samples to split: score on the training set itself.
             everything = np.arange(n_samples)
             splits = [(everything, everything)]
-        scores = np.empty((len(bank), n_labels))
-        for candidate_index, candidate in enumerate(bank):
-            fold_scores = [
-                _fold_scores(candidate, X, Y, train_index, test_index)
-                for train_index, test_index in splits
-            ]
-            # A 1-D mean per label, as fitting label by label takes: along
-            # axis 0, numpy would not sum pairwise from 8 folds on.
-            scores[candidate_index] = [float(np.mean(label)) for label in zip(*fold_scores)]
+        scores = np.array([_cv_scores(candidate, X, Y, splits) for candidate in bank])
         # The first candidate with the top score wins, as in a strict ``>`` scan.
         winners = np.argmax(scores, axis=0)
         selected: list[Optional[tuple[BaseClassifier, str, float]]] = [None] * n_labels

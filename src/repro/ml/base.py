@@ -5,7 +5,7 @@ from __future__ import annotations
 import copy
 import inspect
 from abc import ABC, abstractmethod
-from typing import Any, Sequence
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
@@ -86,38 +86,73 @@ class BaseClassifier(BaseEstimator, ABC):
         self._fit(*self._begin_fit(X, y))
         return self
 
-    def fit_many(self, X: Any, targets: Sequence[Any]) -> list["BaseClassifier"]:
-        """One fitted clone per label vector in ``targets``, all on ``X``.
+    def fit_many(
+        self,
+        X: Any,
+        targets: Sequence[Any],
+        rows: Optional[Sequence[Any]] = None,
+    ) -> list["BaseClassifier"]:
+        """One fitted clone per label vector in ``targets``.
 
-        Equal to ``[clone(self).fit(X, y) for y in targets]``; a model that
-        can share work across targets overrides :meth:`_fit_stack`.
+        Without ``rows``, every clone trains on all of ``X``: equal to
+        ``[clone(self).fit(X, y) for y in targets]``.  With ``rows``,
+        ``rows[i]`` indexes the training rows of ``X`` for ``targets[i]``
+        (so ``targets[i]`` is aligned with ``X[rows[i]]``): equal to
+        ``[clone(self).fit(X[r], y) for r, y in zip(rows, targets)]``.
+        Equality is bitwise; ``X`` is validated once.  A model that can
+        share work across targets (or row subsets) overrides
+        :meth:`_fit_stack`.
         """
+        features = _as_2d_float(X)
+        subsets = None
+        if rows is not None:
+            if len(rows) != len(targets):
+                raise ValueError(f"got {len(rows)} row subsets for {len(targets)} targets")
+            # Indexing an arange normalises lists, masks and negative indices.
+            positions = np.arange(features.shape[0])
+            subsets = [positions[subset] for subset in rows]
+            if any(subset.ndim != 1 for subset in subsets):
+                raise ValueError("each row subset must be a 1-D index array or mask")
         models = [clone(self) for _ in targets]
-        fits = [model._begin_fit(X, y) for model, y in zip(models, targets)]
-        if fits:
-            self._fit_stack(models, fits[0][0], [labels for _, labels in fits])
+        sizes = [features.shape[0]] * len(targets) if subsets is None else [s.size for s in subsets]
+        labels = [
+            model._check_labels(size, features.shape[1], y)
+            for model, size, y in zip(models, sizes, targets)
+        ]
+        if models:
+            self._fit_stack(models, features, labels, subsets)
         return models
 
     def _fit_stack(
-        self, models: list["BaseClassifier"], X: np.ndarray, labels: list[np.ndarray]
+        self,
+        models: list["BaseClassifier"],
+        X: np.ndarray,
+        labels: list[np.ndarray],
+        rows: Optional[list[np.ndarray]] = None,
     ) -> None:
-        """Fit ``models`` (clones of ``self``, classes recorded) on ``X``, one each."""
-        for model, y in zip(models, labels):
-            model._fit(X, y)
+        """Fit ``models`` (clones of ``self``, classes recorded), one each.
+
+        Model ``i`` trains on ``X[rows[i]]`` (all of ``X`` if ``rows`` is
+        ``None``) with ``labels[i]``.
+        """
+        for i, (model, y) in enumerate(zip(models, labels)):
+            model._fit(X if rows is None else X[rows[i]], y)
 
     def _begin_fit(self, X: Any, y: Any) -> tuple[np.ndarray, np.ndarray]:
         """Validate ``X`` and ``y`` and record the classes and feature count."""
         features = _as_2d_float(X)
+        return features, self._check_labels(features.shape[0], features.shape[1], y)
+
+    def _check_labels(self, n_samples: int, n_features: int, y: Any) -> np.ndarray:
+        """Validate ``y`` against ``n_samples`` rows; record the classes and feature count."""
         labels = _as_1d(y)
-        if features.shape[0] != labels.shape[0]:
-            raise ValueError(
-                f"X has {features.shape[0]} rows but y has {labels.shape[0]} entries"
-            )
-        if features.shape[0] == 0:
+        if n_samples != labels.shape[0]:
+            raise ValueError(f"X has {n_samples} rows but y has {labels.shape[0]} entries")
+        if n_samples == 0:
             raise ValueError("cannot fit on an empty dataset")
         self.classes_ = np.unique(labels)
-        self.n_features_in_ = features.shape[1]
-        return features, labels
+        self.n_features_in_ = n_features
+        return labels
 
     def predict_proba(self, X: Any) -> np.ndarray:
         """Class-membership probabilities, one row per sample."""

@@ -2,7 +2,8 @@
 
 Trees grow in lockstep: :meth:`DecisionTreeClassifier._grow` fits any
 number of trees together -- one per target of ``fit_many``, every tree of
-every forest of a ``RandomForestClassifier.fit_many``.  Each step takes the
+every forest of a ``RandomForestClassifier.fit_many``, each on its own
+rows of ``X`` (its bootstrap, its ``rows=`` subset).  Each step takes the
 next pre-order node of every tree that still has one, evaluates all of
 their candidate splits with one batched search and applies every split at
 once.  Fitted trees are bitwise equal to growing each tree alone by
@@ -36,6 +37,13 @@ def _gini_rows(counts: np.ndarray) -> np.ndarray:
     """Gini impurity of each row of a non-empty class-count matrix."""
     probabilities = counts / counts.sum(axis=1, keepdims=True)
     return 1.0 - (probabilities**2).sum(axis=1)
+
+
+def class_distributions(counts: np.ndarray) -> np.ndarray:
+    """Each row's class distribution (uniform for a row without samples)."""
+    totals = counts.sum(axis=1, keepdims=True)
+    uniform = np.full(counts.shape, 1.0 / max(counts.shape[1], 1))
+    return np.divide(counts, totals, out=uniform, where=totals > 0)
 
 
 def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -189,11 +197,13 @@ class _Lockstep:
         active = list(range(len(self.growths)))
         while active:
             step = self._pop(active)
+            # A matrix without columns has no split to search: a root leaf.
             eligible = (
                 (step.sizes >= self.params.min_samples_split)
                 & (step.sizes >= 2)
                 & (np.count_nonzero(step.counts, axis=1) != 1)
                 & (step.impurity != 0.0)
+                & (self.X.shape[1] > 0)
             )
             if self.params.max_depth is not None:
                 eligible &= step.depths < self.params.max_depth
@@ -425,11 +435,16 @@ class DecisionTreeClassifier(BaseClassifier):
         self._fit_stack([self], X, [y])
 
     def _fit_stack(
-        self, models: list["DecisionTreeClassifier"], X: np.ndarray, labels: list[np.ndarray]
+        self,
+        models: list["DecisionTreeClassifier"],
+        X: np.ndarray,
+        labels: list[np.ndarray],
+        rows: Optional[list[np.ndarray]] = None,
     ) -> None:
         """Grow one tree per target of ``fit_many``, all in lockstep."""
-        rows = np.arange(X.shape[0])
-        self._grow(X, models, [rows] * len(models), labels)
+        if rows is None:
+            rows = [np.arange(X.shape[0])] * len(models)
+        self._grow(X, models, rows, labels)
 
     # ------------------------------------------------------------------ #
     # Prediction
@@ -453,11 +468,7 @@ class DecisionTreeClassifier(BaseClassifier):
 
     def _predict_proba(self, X: np.ndarray) -> np.ndarray:
         assert self._nodes is not None
-        counts = self._nodes["class_counts"]
-        totals = counts.sum(axis=1, keepdims=True)
-        uniform = np.full(counts.shape, 1.0 / max(counts.shape[1], 1))
-        probabilities = np.divide(counts, totals, out=uniform, where=totals > 0)
-        return probabilities[self._leaves(X)]
+        return class_distributions(self._nodes["class_counts"])[self._leaves(X)]
 
     # ------------------------------------------------------------------ #
     # Structured state (artifact serialization)

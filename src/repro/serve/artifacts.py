@@ -282,9 +282,7 @@ class _RandomForestCodec:
         _restore_classifier_state(forest, spec, decoder)
         forest.feature_importances_ = decoder.get_optional(spec["importances"])
         forest.estimators_ = [decoder.decode(tree) for tree in spec["estimators"]]
-        forest._tree_column_maps = [
-            forest._tree_column_map(tree) for tree in forest.estimators_
-        ]
+        forest._index_trees()
         return forest
 
 

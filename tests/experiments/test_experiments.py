@@ -1,4 +1,12 @@
-"""Integration tests: every experiment module at tiny scale."""
+"""Integration tests: every experiment module at tiny scale.
+
+Tables IIa, IIb, III and IV are also pinned bitwise: each test hashes
+every per-fold float and significance flag it produced (Table IV: every
+top feature and its importance) with blake2b.  A method change that moves
+a digest states the old and new digests, and why, in CHANGES.md.
+"""
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -16,6 +24,34 @@ from repro.experiments import (
 from repro.experiments.identification import ACCURACY_MEASURES
 from repro.experiments.reporting import format_ascii_heatmap, format_bar_chart, format_table
 from repro.simulation.archetypes import Archetype
+
+
+def _digest(parts) -> str:
+    """blake2b over strings, flags and float arrays, in order."""
+    digest = hashlib.blake2b(digest_size=16)
+    for part in parts:
+        if isinstance(part, str):
+            digest.update(part.encode())
+        elif isinstance(part, bool):
+            digest.update(b"1" if part else b"0")
+        else:
+            digest.update(np.asarray(part, dtype=np.float64).tobytes())
+    return digest.hexdigest()
+
+
+def _methods_digest(methods) -> str:
+    """Every method's per-fold accuracies and significance flags (Table II)."""
+    return _digest(
+        part
+        for method in methods
+        for measure in ACCURACY_MEASURES
+        for part in (
+            method.method,
+            measure,
+            method.per_fold_accuracies[measure],
+            bool(method.significant.get(measure)),
+        )
+    )
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +139,7 @@ class TestIdentification:
         assert result.method("MExI_50").mean_accuracies["A_P"] >= 0.0
         with pytest.raises(KeyError):
             result.method("nonexistent")
+        assert _methods_digest(result.methods) == "016e1aa7b3ca0e6f15a6eba3674c20c3"
 
 
 class TestGeneralization:
@@ -113,6 +150,7 @@ class TestGeneralization:
         assert "MExI_50" in result.format_table()
         for method in result.methods:
             assert set(method.mean_accuracies) == set(ACCURACY_MEASURES)
+        assert _methods_digest(result.methods) == "d8c9cde4603b70efd6b449e98749b6e5"
 
 
 class TestAblationStudy:
@@ -123,6 +161,16 @@ class TestAblationStudy:
         include_rows = result.by_mode("include")
         assert len(include_rows) == len(tiny_config.feature_sets)
         assert "Table III" in result.format_table()
+        digest = _digest(
+            part
+            for row in result.results
+            for part in (
+                row.mode,
+                row.feature_set,
+                [row.accuracies[measure] for measure in ACCURACY_MEASURES],
+            )
+        )
+        assert digest == "6aacd3c4699bddf1f2ea7f264220c04b"
 
 
 class TestFeatureImportance:
@@ -135,6 +183,14 @@ class TestFeatureImportance:
             for features in per_set.values():
                 assert 1 <= len(features) <= 2
         assert "Table IV" in result.format_table()
+        digest = _digest(
+            part
+            for characteristic, per_set in result.top_features.items()
+            for set_name, features in per_set.items()
+            for part in (characteristic, set_name)
+            + tuple(value for name, importance in features for value in (name, importance))
+        )
+        assert digest == "dc157e9b39ad8f04172cc9bafee19fbe"
 
 
 class TestOutcome:

@@ -1,6 +1,6 @@
 """Reference loops for ``repro.ml``: the recursive tree grower and its
-split scans, the per-class linear descent and the per-label classifier
-selection.
+split scans, the per-tree forest prediction, the per-class linear descent
+and the per-label, per-fold classifier selection.
 
 :func:`grow_recursive` has the signature of ``DecisionTreeClassifier._grow``
 (grow each tree alone, node by node, by recursion) and
@@ -22,6 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.ml.base import BaseClassifier, clone
+from repro.ml.forest import RandomForestClassifier
 from repro.ml.linear import LinearSVC, LogisticRegression, _sigmoid
 from repro.ml.metrics import accuracy_score
 from repro.ml.model_selection import KFold
@@ -144,6 +145,7 @@ class RecursiveTree:
             X.shape[0] < self.min_samples_split
             or (self.max_depth is not None and depth >= self.max_depth)
             or np.count_nonzero(counts) == 1
+            or X.shape[1] == 0
         ):
             return node, None
 
@@ -312,6 +314,23 @@ def best_split_scalar(
                 threshold = (values[split_index] + values[split_index - 1]) / 2.0
                 best = (int(feature), float(threshold), left_counts.copy())
     return best
+
+
+def forest_proba_per_tree(forest: RandomForestClassifier, X: np.ndarray) -> np.ndarray:
+    """``RandomForestClassifier._predict_proba``, one tree at a time.
+
+    The loop the one-pass routing replaced: each tree predicts alone and
+    adds its distribution into the forest's class columns, in tree order.
+    """
+    if forest.classes_.size == 1:
+        return forest._single_class_proba(X.shape[0])
+    stacked = np.zeros((X.shape[0], forest.classes_.size))
+    for tree in forest.estimators_:
+        stacked[:, np.searchsorted(forest.classes_, tree.classes_)] += tree._predict_proba(X)
+    stacked /= len(forest.estimators_)
+    totals = stacked.sum(axis=1, keepdims=True)
+    totals[totals == 0] = 1.0
+    return stacked / totals
 
 
 def _logistic_binary(

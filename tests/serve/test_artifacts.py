@@ -414,6 +414,19 @@ def test_load_rejects_boosted_split_on_missing_column(classification_data, tmp_p
         load_model(bundle)
 
 
+def test_load_rejects_forest_without_trees(classification_data, tmp_path):
+    """A re-signed forest bundle listing no trees fails to load, not to predict."""
+    X, y, _ = classification_data
+    forest = RandomForestClassifier(n_estimators=3, max_depth=2, random_state=0).fit(X, y)
+
+    def edit(manifest, arrays):
+        manifest["spec"]["estimators"] = []
+
+    bundle = forge_bundle(save_model(forest, tmp_path / "treeless"), edit, header_field="spec")
+    with pytest.raises(ArtifactError, match="inconsistent"):
+        load_model(bundle)
+
+
 def _add_retired_split_param(spec) -> int:
     """Stamp every tree/forest spec with the former ``split_search`` param."""
     stamped = 0
