@@ -173,6 +173,32 @@ class FeatureBlockCache:
             self._evict(self._blocks)
         return block
 
+    def insert(
+        self,
+        set_name: str,
+        population_key: str,
+        config_fingerprint: str,
+        block: FeatureBlock,
+    ) -> None:
+        """Store a block computed elsewhere, without counting a lookup.
+
+        An existing entry wins (both copies are bitwise identical), as in
+        :meth:`get_or_compute`'s insertion race.
+        """
+        key = (set_name, population_key, config_fingerprint)
+        with self._lock:
+            if key in self._blocks:
+                self._blocks.move_to_end(key)
+                return
+            self._blocks[key] = block
+            self._evict(self._blocks)
+
+    def count_lookups(self, hits: int, misses: int) -> None:
+        """Account block lookups made elsewhere (in a worker's copy of this cache)."""
+        with self._lock:
+            self.hits += hits
+            self.misses += misses
+
     # ------------------------------------------------------------------ #
     # Fitted neural-extractor state
     # ------------------------------------------------------------------ #

@@ -25,6 +25,7 @@ class ConsensusModel:
         self._counts: dict[tuple[int, int], int] = {}
         self._n_matchers: int = 0
         self._lookup: Optional[tuple[int, int, np.ndarray, np.ndarray]] = None
+        self._fingerprint: Optional[str] = None
 
     @property
     def is_fitted(self) -> bool:
@@ -39,6 +40,7 @@ class ConsensusModel:
         self._counts = {}
         self._n_matchers = len(matchers)
         self._lookup = None
+        self._fingerprint = None
         for matcher in matchers:
             for pair in matcher.matrix().nonzero_entries():
                 self._counts[pair] = self._counts.get(pair, 0) + 1
@@ -88,12 +90,18 @@ class ConsensusModel:
         return self.agreements(columns[:, 0], columns[:, 1]).tolist()
 
     def fingerprint(self) -> str:
-        """A stable digest of the fitted state (for feature-block cache keys)."""
-        digest = hashlib.blake2b(digest_size=16)
-        digest.update(str(self._n_matchers).encode())
-        for pair, count in sorted(self._counts.items()):
-            digest.update(f"{pair[0]},{pair[1]}:{count};".encode())
-        return digest.hexdigest()
+        """A stable digest of the fitted state (for feature-block cache keys).
+
+        Memoised: every block lookup of a behavioural extractor asks for
+        it, and :meth:`fit` clears the memo with the state it digests.
+        """
+        if self._fingerprint is None:
+            digest = hashlib.blake2b(digest_size=16)
+            digest.update(str(self._n_matchers).encode())
+            for pair, count in sorted(self._counts.items()):
+                digest.update(f"{pair[0]},{pair[1]}:{count};".encode())
+            self._fingerprint = digest.hexdigest()
+        return self._fingerprint
 
     def __repr__(self) -> str:
         return f"ConsensusModel(n_matchers={self._n_matchers}, pairs={len(self._counts)})"

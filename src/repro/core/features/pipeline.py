@@ -19,6 +19,7 @@ ablation, Table IV importance, Tables IIa/IIb — extract each block once.
 
 from __future__ import annotations
 
+import copy
 from typing import Optional, Sequence
 
 import numpy as np
@@ -224,21 +225,35 @@ class FeaturePipeline:
     # Transformation
     # ------------------------------------------------------------------ #
 
+    def with_cache(self, cache: Optional[FeatureBlockCache]) -> "FeaturePipeline":
+        """A view of this pipeline that looks blocks up in ``cache``.
+
+        The view shares the fitted extractors (and everything else) with
+        this pipeline; only its cache differs, and this pipeline's cache is
+        left as it is.  The serving layer scores through one view per
+        batch, so two services on one model keep their own caches.
+        """
+        view = copy.copy(self)
+        view.cache = cache
+        return view
+
     def transform_blocks(
         self,
         matchers: Sequence[HumanMatcher],
         precomputed: Optional[dict[str, FeatureBlock]] = None,
+        population_key: Optional[str] = None,
     ) -> dict[str, FeatureBlock]:
         """Per-set feature blocks for ``matchers``, keyed by set name.
 
         ``precomputed`` blocks (e.g. shared by a study driver) short-circuit
         extraction for their sets; the remaining sets go through the cache
-        when one is attached.
+        when one is attached.  ``population_key`` is
+        ``population_fingerprint(matchers)`` when the caller already holds
+        it; otherwise it is digested on the first cache lookup.
         """
         if not self._fitted:
             raise RuntimeError("FeaturePipeline must be fitted before transform")
         blocks: dict[str, FeatureBlock] = {}
-        population_key: Optional[str] = None
         for name in self.include:
             if precomputed is not None and name in precomputed:
                 block = precomputed[name]
@@ -265,7 +280,10 @@ class FeaturePipeline:
         return blocks
 
     def store_blocks(
-        self, matchers: Sequence[HumanMatcher], blocks: dict[str, FeatureBlock]
+        self,
+        matchers: Sequence[HumanMatcher],
+        blocks: dict[str, FeatureBlock],
+        population_key: Optional[str] = None,
     ) -> None:
         """Insert externally extracted blocks into the attached cache.
 
@@ -273,7 +291,10 @@ class FeaturePipeline:
         ``process`` backend, worker-side cache insertions die with the
         pool, so the parent re-inserts the returned blocks here to keep
         cache warmth backend-independent.  A no-op without a cache; an
-        existing entry wins (both copies are bitwise identical).
+        existing entry wins (both copies are bitwise identical), and no
+        insertion counts as a cache lookup.  ``population_key`` is
+        ``population_fingerprint(matchers)`` when the caller already holds
+        it.
 
         Raises
         ------
@@ -282,16 +303,18 @@ class FeaturePipeline:
         """
         if self.cache is None:
             return
-        population_key = population_fingerprint(matchers)
+        if population_key is None:
+            population_key = population_fingerprint(matchers)
         for name, block in blocks.items():
             if name not in self._extractors:
                 continue
-            self.cache.get_or_compute(
-                name,
-                matchers,
-                self._extractors[name].config_fingerprint(),
-                lambda block=block: block,
-                population_key,
+            if block.n_matchers != len(matchers):
+                raise ValueError(
+                    f"block for {name!r} has {block.n_matchers} rows "
+                    f"for a population of {len(matchers)}"
+                )
+            self.cache.insert(
+                name, population_key, self._extractors[name].config_fingerprint(), block
             )
 
     def transform(

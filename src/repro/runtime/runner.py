@@ -91,6 +91,11 @@ def _mark_thread_worker() -> None:
 
 def _mark_process_worker() -> None:
     os.environ[_WORKER_ENV_VAR] = "1"
+    # A forked worker inherits the parent's metrics registry, and its
+    # envelopes ship cumulative snapshots back (see _ObsCall): starting
+    # from an empty registry keeps the parent's counts from coming back
+    # with them.
+    obs.set_default_registry(obs.MetricsRegistry())
 
 
 def _mark_process_worker_with_context(context) -> None:

@@ -39,7 +39,7 @@ from repro.serve.population import (
     save_population,
 )
 from repro.serve.service import (
-    DEFAULT_CHUNK_SIZE,
+    MAX_CHUNK_MATCHERS,
     BatchScores,
     CharacterizationService,
 )
@@ -56,7 +56,7 @@ __all__ = [
     "POPULATION_FORMAT_VERSION",
     "save_population",
     "load_population",
-    "DEFAULT_CHUNK_SIZE",
+    "MAX_CHUNK_MATCHERS",
     "BatchScores",
     "CharacterizationService",
 ]

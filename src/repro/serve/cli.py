@@ -36,7 +36,7 @@ from repro.core.features.cache import FeatureBlockCache
 from repro.experiments.config import SCALE_NAMES, ExperimentConfig
 from repro.serve.artifacts import read_manifest, save_model
 from repro.serve.population import load_population, save_population
-from repro.serve.service import DEFAULT_CHUNK_SIZE, CharacterizationService
+from repro.serve.service import CharacterizationService
 from repro.simulation.dataset import build_dataset
 
 _VARIANTS: dict[str, MExIVariant] = {
@@ -97,7 +97,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="which simulated cohort to score (default: the held-out OAEI cohort)",
     )
     score.add_argument(
-        "--chunk-size", type=int, default=DEFAULT_CHUNK_SIZE, help="matchers per scoring task"
+        "--chunk-size",
+        type=int,
+        default=None,
+        help="matchers per extraction chunk (default: one chunk per worker)",
     )
     score.add_argument(
         "--runtime",

@@ -2,11 +2,22 @@
 
 :class:`CharacterizationService` is the serving-side counterpart of the
 training pipeline: it loads an artifact bundle **once**, keeps a warm
-:class:`~repro.core.features.cache.FeatureBlockCache` attached to the
+:class:`~repro.core.features.cache.FeatureBlockCache` of its own for the
 model's feature pipeline, and scores incoming matcher populations in
-chunks fanned out over the deterministic
+extraction chunks fanned out over the deterministic
 :class:`~repro.runtime.TaskRunner` (``serial`` / ``thread`` /
 ``process``).
+
+Chunk plan
+----------
+Chunks exist only to fan extraction out to workers, and each one pays
+fixed costs again (the population kernels' equal-length groups, the
+LRSM stacks, the chunk's cache-key digest).  So unless a caller pins
+``chunk_size``, the plan follows the runner ``score_batch`` resolves: the
+``serial`` backend (and any call already inside a worker, which resolves
+to ``serial``) extracts the batch as one chunk, and a ``thread`` or
+``process`` runner with ``W`` workers gets
+``max(W, ceil(n / MAX_CHUNK_MATCHERS))`` balanced chunks.
 
 Determinism contract
 --------------------
@@ -29,6 +40,7 @@ on every backend and for every chunk size >= 2 (enforced by
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -39,13 +51,17 @@ from repro import obs
 from repro.core.characterizer import MExICharacterizer
 from repro.core.expert_model import EXPERT_CHARACTERISTICS
 from repro.core.features.base import FeatureBlock
-from repro.core.features.cache import FeatureBlockCache
+from repro.core.features.cache import FeatureBlockCache, population_fingerprint
+from repro.core.features.pipeline import FeaturePipeline
 from repro.matching.matcher import HumanMatcher
-from repro.runtime import RuntimeSpec, parallel_map
+from repro.runtime import RuntimeSpec, TaskRunner, resolve_runner
 from repro.serve.artifacts import ArtifactError, load_model, read_manifest
 
-#: Default number of matchers scored per task (one TaskRunner unit of work).
-DEFAULT_CHUNK_SIZE = 64
+#: Most matchers one derived extraction chunk holds.  It changes no
+#: result, only how many chunks a batch takes: it keeps the extractors'
+#: working set (and neural forward passes) memory-bounded on very large
+#: batches.  Every batch up to this size is one chunk on ``serial``.
+MAX_CHUNK_MATCHERS = 1024
 
 
 @dataclass(frozen=True)
@@ -107,10 +123,25 @@ class BatchScores:
 
 
 def _extract_chunk(
-    matchers: list[HumanMatcher], model: MExICharacterizer
-) -> dict[str, FeatureBlock]:
-    """Extract one chunk's feature blocks (module-level for pickling)."""
-    return model.pipeline.transform_blocks(matchers)
+    matchers: list[HumanMatcher], context: tuple[FeaturePipeline, int]
+) -> tuple[str, dict[str, FeatureBlock], Optional[tuple[int, int]]]:
+    """One chunk's population key, feature blocks and foreign cache lookups.
+
+    Module-level for pickling; ``context`` is the cache-bound pipeline
+    and the dispatching process id.  The key travels back with the blocks
+    so the parent stores them without digesting the chunk a second time.
+    A task run in another process looked its blocks up in a copy of the
+    parent's cache, so it also returns that copy's ``(hits, misses)``
+    for the parent to count; an in-process task returns ``None``.
+    """
+    pipeline, parent_pid = context
+    cache = pipeline.cache
+    before = (cache.hits, cache.misses)
+    population_key = population_fingerprint(matchers)
+    blocks = pipeline.transform_blocks(matchers, population_key=population_key)
+    if os.getpid() == parent_pid:
+        return population_key, blocks, None
+    return population_key, blocks, (cache.hits - before[0], cache.misses - before[1])
 
 
 def _chunked(matchers: list[HumanMatcher], size: int) -> list[list[HumanMatcher]]:
@@ -128,6 +159,37 @@ def _chunked(matchers: list[HumanMatcher], size: int) -> list[list[HumanMatcher]
     return chunks
 
 
+def _balanced(matchers: list[HumanMatcher], n_chunks: int) -> list[list[HumanMatcher]]:
+    """Split a population into ``n_chunks`` contiguous chunks of near-equal size.
+
+    The count is capped at ``len(matchers) // 2`` so no chunk is a
+    singleton (see the module docstring).
+    """
+    n_chunks = max(1, min(n_chunks, len(matchers) // 2))
+    size, extra = divmod(len(matchers), n_chunks)
+    chunks, start = [], 0
+    for index in range(n_chunks):
+        stop = start + size + (index < extra)
+        chunks.append(matchers[start:stop])
+        start = stop
+    return chunks
+
+
+def _check_chunk_size(chunk_size: Optional[int]) -> None:
+    if chunk_size is not None and chunk_size < 1:
+        raise ValueError("chunk_size must be at least 1")
+
+
+def _chunk_plan(
+    matchers: list[HumanMatcher], runner: TaskRunner, chunk_size: Optional[int]
+) -> list[list[HumanMatcher]]:
+    """The extraction chunks of one batch (see the module docstring's plan)."""
+    if chunk_size is not None:
+        return _chunked(matchers, chunk_size)
+    workers = 1 if runner.backend == "serial" else runner.max_workers
+    return _balanced(matchers, max(workers, -(-len(matchers) // MAX_CHUNK_MATCHERS)))
+
+
 class CharacterizationService:
     """Long-lived scoring service around one fitted MExI characterizer.
 
@@ -141,14 +203,18 @@ class CharacterizationService:
         (``None`` defers to ``REPRO_RUNTIME``, then ``serial``).  Results
         are bitwise identical on every backend.
     chunk_size:
-        Default matchers per scoring task.  The ``process`` backend
-        delivers the model once per worker through the pool initializer
+        Default matchers per extraction chunk; ``None`` (the default)
+        derives the chunks from the resolved runner (see the module
+        docstring's chunk plan).  The ``process`` backend delivers the
+        feature pipeline once per worker through the pool initializer
         (see :meth:`repro.runtime.TaskRunner.map`).
     cache:
         Feature-block cache to keep warm across ``score_batch`` calls.
         When omitted, the model's existing pipeline cache is adopted if it
         has one (a caller-shared cache is never silently replaced) and a
-        fresh cache is attached otherwise.  Repeat scores of the same
+        fresh cache is created otherwise.  The service looks blocks up in
+        its own cache only: the model is not rebound, so two services on
+        one model keep separate caches.  Repeat scores of the same
         population hit the cache instead of re-extracting.
 
     Raises
@@ -162,28 +228,25 @@ class CharacterizationService:
         model: MExICharacterizer,
         *,
         runtime: RuntimeSpec = None,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
+        chunk_size: Optional[int] = None,
         cache: Optional[FeatureBlockCache] = None,
         bundle_info: Optional[dict] = None,
     ) -> None:
         if not model.is_fitted:
             raise ValueError("CharacterizationService requires a fitted MExICharacterizer")
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be at least 1")
+        _check_chunk_size(chunk_size)
         self.model = model
         self.runtime = runtime
         self.chunk_size = chunk_size
-        # Keep a cache warm across calls: the pipeline consults it for
-        # every block extraction.  An explicit cache wins; otherwise a
-        # cache the model already carries (possibly shared with other
-        # models) is adopted rather than silently replaced.
+        # Keep a cache warm across calls.  An explicit cache wins;
+        # otherwise a cache the model already carries (possibly shared
+        # with other models) is adopted rather than silently replaced.
         if cache is not None:
             self.cache = cache
         elif model.pipeline.cache is not None:
             self.cache = model.pipeline.cache
         else:
             self.cache = FeatureBlockCache()
-        self.model.pipeline.cache = self.cache
         self._bundle_info = dict(bundle_info) if bundle_info else None
 
     @classmethod
@@ -192,7 +255,7 @@ class CharacterizationService:
         path,
         *,
         runtime: RuntimeSpec = None,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
+        chunk_size: Optional[int] = None,
         cache: Optional[FeatureBlockCache] = None,
     ) -> "CharacterizationService":
         """Load an artifact bundle once and wrap it in a service.
@@ -236,7 +299,7 @@ class CharacterizationService:
         runtime: RuntimeSpec = None,
         chunk_size: Optional[int] = None,
     ) -> BatchScores:
-        """Characterize a matcher population in deterministic parallel chunks.
+        """Characterize a matcher population, extracting in deterministic chunks.
 
         Args
         ----
@@ -245,7 +308,8 @@ class CharacterizationService:
         runtime:
             Per-call backend override (defaults to the service's runtime).
         chunk_size:
-            Per-call chunk override (defaults to the service's chunk size).
+            Per-call chunk override (defaults to the service's chunk size;
+            ``None`` there too derives the chunks from the resolved runner).
 
         Returns
         -------
@@ -261,25 +325,27 @@ class CharacterizationService:
         if not matchers:
             return BatchScores(ids, np.zeros((0, n_labels), dtype=int), np.zeros((0, n_labels)))
         size = chunk_size if chunk_size is not None else self.chunk_size
-        if size < 1:
-            raise ValueError("chunk_size must be at least 1")
-        chunks = _chunked(matchers, size)
+        _check_chunk_size(size)
+        runner = resolve_runner(runtime if runtime is not None else self.runtime)
+        chunks = _chunk_plan(matchers, runner, size)
+        pipeline = self.model.pipeline.with_cache(self.cache)
         telemetry = obs.obs_enabled()
         cache_before = dict(self.cache.stats()) if telemetry else {}
         with obs.trace_span("serve.score_batch", matchers=len(matchers), chunks=len(chunks)):
             extract_started = time.perf_counter()
             with obs.trace_span("serve.extract", chunks=len(chunks)):
-                chunk_blocks = parallel_map(
-                    _extract_chunk,
-                    chunks,
-                    runtime=runtime if runtime is not None else self.runtime,
-                    context=self.model,
+                extracted = runner.map(
+                    _extract_chunk, chunks, context=(pipeline, os.getpid())
                 )
-            # Re-insert the extracted blocks into the parent-side cache:
-            # process workers' insertions die with the pool, so without this
-            # the warm-cache fast path would be backend-dependent.
-            for chunk, blocks_of_chunk in zip(chunks, chunk_blocks):
-                self.model.pipeline.store_blocks(chunk, blocks_of_chunk)
+            # Re-insert the extracted blocks into the parent-side cache, and
+            # count the lookups process workers made in their copies of it:
+            # both die with the pool, so without this the warm-cache fast
+            # path and the cache statistics would be backend-dependent.
+            for chunk, (population_key, blocks_of_chunk, lookups) in zip(chunks, extracted):
+                pipeline.store_blocks(chunk, blocks_of_chunk, population_key)
+                if lookups is not None:
+                    self.cache.count_lookups(*lookups)
+            chunk_blocks = [blocks_of_chunk for _, blocks_of_chunk, _ in extracted]
             extract_seconds = time.perf_counter() - extract_started
             # Fuse the per-chunk blocks into full-population blocks, then
             # classify once in the parent: classification sees the exact
@@ -366,3 +432,4 @@ class CharacterizationService:
             f"CharacterizationService(model={self.model!r}, "
             f"chunk_size={self.chunk_size}, runtime={self.runtime!r})"
         )
+

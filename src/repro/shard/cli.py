@@ -38,7 +38,6 @@ import numpy as np
 
 from repro.adapters.base import clock_skew_seconds
 from repro.experiments.config import SCALE_NAMES
-from repro.serve.service import DEFAULT_CHUNK_SIZE
 from repro.shard.fleet import FLEET_MANIFEST_NAME, ShardFleet
 from repro.shard.ops import OpsServer
 from repro.shard.replay import ReplayDriver, synthetic_traces
@@ -57,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--bundle", default=None, metavar="DIR", help="model bundle to serve (default: fit a tiny model in process)")
         sub.add_argument("--scale", choices=SCALE_NAMES, default="tiny", help="in-process model scale")
         sub.add_argument("--seed", type=int, default=42, help="master random seed")
-        sub.add_argument("--chunk-size", type=int, default=DEFAULT_CHUNK_SIZE, help="matchers per extraction chunk")
+        sub.add_argument("--chunk-size", type=int, default=None, help="matchers per extraction chunk (default: one chunk per worker)")
         sub.add_argument("--shards", type=int, default=2, help="number of shard workers")
         sub.add_argument("--ring-seed", type=int, default=0, help="consistent-hash ring seed")
         sub.add_argument("--queue-slots", type=int, default=256, help="per-shard dispatch queue capacity (batches)")

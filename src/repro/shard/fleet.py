@@ -429,7 +429,8 @@ class ShardFleet:
             ``extract_runtime``, then to the primary service's runtime).
         chunk_size:
             Per-call extraction chunk override (defaults to the primary
-            service's chunk size).
+            service's chunk size, which by default derives the chunks from
+            the resolved runner).
         force:
             Score all scoreable sessions, dirty or not (the full-batch
             final-scores comparison the chaos suite uses).

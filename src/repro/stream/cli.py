@@ -53,7 +53,7 @@ from repro.core.features.cache import FeatureBlockCache
 from repro.experiments.config import SCALE_NAMES, ExperimentConfig
 from repro.matching.matcher import HumanMatcher
 from repro.runtime.faults import ReproRuntimeWarning
-from repro.serve.service import DEFAULT_CHUNK_SIZE, CharacterizationService
+from repro.serve.service import CharacterizationService
 from repro.simulation.archetypes import Archetype
 from repro.simulation.dataset import build_dataset
 from repro.simulation.population import simulate_population
@@ -85,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--stop-after", type=int, default=None, metavar="N", help="halt the replay after step N (checkpoint it, resume later with the same --steps)")
     replay.add_argument("--report-every", type=int, default=2, metavar="K", help="re-characterize the dirty sessions every K steps")
     replay.add_argument("--runtime", default=None, metavar="BACKEND[:N]", help="TaskRunner backend for re-characterization (serial, thread[:N], process[:N])")
-    replay.add_argument("--chunk-size", type=int, default=DEFAULT_CHUNK_SIZE, help="matchers per scoring task")
+    replay.add_argument("--chunk-size", type=int, default=None, help="matchers per extraction chunk (default: one chunk per worker)")
     replay.add_argument("--reorder-window", type=float, default=0.0, help="per-session out-of-order tolerance (seconds)")
     replay.add_argument("--max-sessions", type=int, default=None, help="LRU capacity of the session manager")
     replay.add_argument("--idle-timeout", type=float, default=None, help="evict sessions idle longer than this (event-time seconds)")
@@ -105,7 +105,7 @@ def build_service(
     scale: str = "tiny",
     seed: int = 42,
     runtime=None,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
+    chunk_size: Optional[int] = None,
 ) -> CharacterizationService:
     """Load a bundle, or fit a laptop-quick offline-feature model in process.
 
@@ -234,7 +234,7 @@ def _replay(
     steps: int,
     report_every: int,
     runtime,
-    chunk_size: int,
+    chunk_size: Optional[int],
     stop_after: Optional[int] = None,
 ) -> list[dict]:
     """Stream the workload step by step; return the scores-over-time records.

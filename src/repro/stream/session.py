@@ -431,7 +431,9 @@ class SessionManager:
             to :meth:`CharacterizationService.score_batch`.  Scores are
             bitwise identical on every backend.
         chunk_size:
-            Per-call extraction chunk override.
+            Per-call extraction chunk override (defaults to the service's
+            chunk size, which by default derives the chunks from the
+            resolved runner).
         session_ids:
             Restrict the pass to these sessions (still only the dirty,
             scoreable ones among them).

@@ -93,6 +93,15 @@ class TestConsensusModel:
         pair = next(iter(small_cohort[-1].matrix().nonzero_entries()))
         assert model.agreements(np.array([pair[0]]), np.array([pair[1]]))[0] == model.agreement(pair)
 
+    def test_refit_changes_memoised_fingerprint(self, small_cohort):
+        model = ConsensusModel().fit(small_cohort[:4])
+        first = model.fingerprint()
+        assert model.fingerprint() == first
+        model.fit(small_cohort)
+        assert model.fingerprint() != first
+        assert model.fingerprint() == ConsensusModel().fit(small_cohort).fingerprint()
+        assert model.fit(small_cohort[:4]).fingerprint() == first
+
 
 class TestOfflineFeatureSets:
     def test_lrsm_features(self, small_cohort):

@@ -6,7 +6,7 @@ import pytest
 
 from repro import obs
 from repro.obs.tracing import SpanRecord, Tracer
-from repro.runtime.runner import TaskRunner
+from repro.runtime.runner import Supervision, TaskRunner
 
 
 def _square(x: int) -> int:
@@ -116,6 +116,19 @@ class TestCrossBackendParentage:
             family = reg.get("repro_runtime_tasks_total")
             assert family is not None
             assert family.value(backend="process") == 6
+
+    @pytest.mark.parametrize("supervised", [False, True])
+    def test_process_workers_do_not_resend_parent_counts(self, supervised):
+        """Forked workers start from an empty registry: N maps read N."""
+        supervision = Supervision(backoff_base=0.0) if supervised else None
+        with obs.obs_override(True), obs.use_tracer(Tracer()), obs.use_registry() as reg:
+            parent_only = obs.counter("test_parent_only_total", "Parent-side count.")
+            parent_only.inc(5)
+            runner = TaskRunner.from_spec("process:2")
+            for _ in range(3):
+                runner.map(_square, list(range(6)), supervision=supervision)
+            assert reg.get("repro_runtime_tasks_total").value(backend="process") == 18
+            assert parent_only.value() == 5
 
     def test_use_parent_adopts_a_shipped_context(self, fresh_tracer):
         with obs.trace_span("dispatch"):
