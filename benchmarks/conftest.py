@@ -13,8 +13,8 @@ rewrites a tracked file), for example:
 * ``stage_timings`` -> ``BENCH_features.json`` — per-stage feature-engine
   wall-clock (extraction, fit, ablation);
 * ``runtime_timings`` -> ``BENCH_runtime.json`` — per-backend wall-clock of
-  the parallel training runtime (forest fit, 5-fold CV, 11-configuration
-  ablation) plus the measured speedups.
+  the parallel training runtime (forest fit, identification folds,
+  11-configuration ablation) plus the measured speedups.
 
 The end-to-end performance trajectory is ``perfbench/``.  Every payload
 carries the machine context needed to interpret the numbers:

@@ -2,7 +2,8 @@
 
 Times the training-layer hot loops under every TaskRunner backend:
 
-* 5-fold cross-validation of a 20-tree forest,
+* the Table IIa identification folds (every baseline and MExI variant
+  trained per fold, offline feature sets, cold feature cache),
 * the 11-configuration Table III ablation (the end-to-end study loop).
 
 A 40-tree random-forest fit is timed once: its trees grow in one
@@ -15,6 +16,7 @@ wall-clock numbers (and the derived speedups) are recorded into
 ``conftest.py``.
 """
 
+import dataclasses
 import os
 import statistics
 import time
@@ -25,8 +27,9 @@ from repro.core.ablation import run_ablation
 from repro.core.characterizer import MExIVariant
 from repro.core.expert_model import characterize_population, labels_matrix
 from repro.core.features import FeatureBlockCache
+from repro.experiments.identification import run_identification_experiment
 from repro.ml.forest import RandomForestClassifier
-from repro.ml.model_selection import cross_val_score, train_test_split
+from repro.ml.model_selection import train_test_split
 from repro.runtime import BACKENDS, available_workers
 from repro.simulation.dataset import build_dataset
 
@@ -52,11 +55,12 @@ def _forest_data():
     return X, y
 
 
-def test_bench_runtime_forest_and_cv(runtime_timings):
-    """Forest fit (one lockstep, no fan-out) and 5-fold CV under each backend.
+def test_bench_runtime_forest_and_folds(bench_config, runtime_timings):
+    """Forest fit (one lockstep, no fan-out) and the identification folds per backend.
 
-    CV outputs must be identical on every backend; the forest fit is timed
-    once, since its trees grow together and no longer fan out.
+    The per-fold accuracies and significance markers must be identical on
+    every backend; the forest fit is timed once, since its trees grow
+    together and no longer fan out.
     """
     X, y = _forest_data()
 
@@ -65,17 +69,22 @@ def test_bench_runtime_forest_and_cv(runtime_timings):
     runtime_timings["forest_fit"] = seconds
     print(f"forest fit: {seconds:.2f}s")
 
-    scores = {}
+    folds = {}
     for backend in BACKENDS:
-        estimator = RandomForestClassifier(n_estimators=20, max_depth=8, random_state=1)
-        scores[backend], seconds = _timed(
-            lambda: cross_val_score(estimator, X, y, cv=5, runtime=backend)
+        config = dataclasses.replace(bench_config, use_neural_features=False, runtime=backend)
+        # A cold cache per backend, so every backend extracts the same blocks.
+        result, seconds = _timed(
+            lambda: run_identification_experiment(config, cache=FeatureBlockCache())
         )
-        runtime_timings[f"cv_5fold_{backend}"] = seconds
-        print(f"5-fold CV [{backend}]: {seconds:.2f}s")
+        folds[backend] = [
+            (method.method, method.per_fold_accuracies, method.significant)
+            for method in result.methods
+        ]
+        runtime_timings[f"identification_{config.n_folds}fold_{backend}"] = seconds
+        print(f"{config.n_folds}-fold identification [{backend}]: {seconds:.2f}s")
 
     for backend in ("thread", "process"):
-        assert np.array_equal(scores["serial"], scores[backend]), backend
+        assert folds["serial"] == folds[backend], backend
 
 
 def test_bench_runtime_ablation(bench_config, runtime_timings):

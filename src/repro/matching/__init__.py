@@ -13,7 +13,6 @@ Section II of the paper:
 * :mod:`repro.matching.metrics` -- the four expertise measures (Eqs. 2-5)
   and accumulated (elapsed) curves.
 * :mod:`repro.matching.preprocessing` -- warm-up and outlier filtering.
-* :mod:`repro.matching.algorithms` -- simple first-line algorithmic matchers.
 """
 
 from repro.matching.schema import Attribute, Schema, SchemaPair
@@ -33,11 +32,6 @@ from repro.matching.metrics import (
     accumulated_curves,
 )
 from repro.matching.preprocessing import PreprocessingConfig, preprocess_history
-from repro.matching.algorithms import (
-    NameSimilarityMatcher,
-    TokenJaccardMatcher,
-    CompositeMatcher,
-)
 
 __all__ = [
     "Attribute",
@@ -65,7 +59,4 @@ __all__ = [
     "accumulated_curves",
     "PreprocessingConfig",
     "preprocess_history",
-    "NameSimilarityMatcher",
-    "TokenJaccardMatcher",
-    "CompositeMatcher",
 ]

@@ -3,69 +3,41 @@
 The paper trains "a set of state-of-the-art classifiers (e.g., SVM and
 Random Forest)" with scikit-learn and picks the best one per label.  That
 library is not available in this environment, so this package provides
-NumPy implementations with a compatible ``fit`` / ``predict`` /
-``predict_proba`` surface:
+NumPy implementations, with a compatible ``fit`` / ``predict`` /
+``predict_proba`` surface, of the classifiers MExI's default bank
+(:func:`repro.core.characterizer.default_classifier_bank`) selects from:
 
 * linear models: :class:`LogisticRegression`, :class:`LinearSVC`
 * trees and ensembles: :class:`DecisionTreeClassifier`,
-  :class:`RandomForestClassifier`, :class:`GradientBoostingClassifier`
-* instance- and probability-based: :class:`KNeighborsClassifier`,
-  :class:`GaussianNB`
-* preprocessing: :class:`StandardScaler`, :class:`MinMaxScaler`,
-  :class:`SimpleImputer`
-* model selection: :func:`train_test_split`, :class:`KFold`,
-  :func:`cross_val_score`, :class:`GridSearchCV`
-* multi-label: :class:`BinaryRelevance`, :class:`ClassifierChain`
+  :class:`RandomForestClassifier`
+* probability-based: :class:`GaussianNB`
+* preprocessing: :class:`StandardScaler`
+* model selection: :func:`train_test_split`, :class:`KFold`
+* metrics: :func:`accuracy_score` and the multi-label Jaccard accuracy
+  :func:`jaccard_multilabel_score` (Eq. 7)
 """
 
 from repro.ml.base import BaseClassifier, BaseTransformer, clone
-from repro.ml.preprocessing import MinMaxScaler, SimpleImputer, StandardScaler
+from repro.ml.preprocessing import StandardScaler
 from repro.ml.linear import LinearSVC, LogisticRegression
 from repro.ml.tree import DecisionTreeClassifier
 from repro.ml.forest import RandomForestClassifier
-from repro.ml.boosting import GradientBoostingClassifier
-from repro.ml.neighbors import KNeighborsClassifier
 from repro.ml.naive_bayes import GaussianNB
-from repro.ml.metrics import (
-    accuracy_score,
-    confusion_matrix,
-    f1_score,
-    jaccard_multilabel_score,
-    precision_score,
-    recall_score,
-)
-from repro.ml.model_selection import (
-    GridSearchCV,
-    KFold,
-    cross_val_score,
-    train_test_split,
-)
-from repro.ml.multilabel import BinaryRelevance, ClassifierChain
+from repro.ml.metrics import accuracy_score, jaccard_multilabel_score
+from repro.ml.model_selection import KFold, train_test_split
 
 __all__ = [
     "BaseClassifier",
     "BaseTransformer",
     "clone",
     "StandardScaler",
-    "MinMaxScaler",
-    "SimpleImputer",
     "LogisticRegression",
     "LinearSVC",
     "DecisionTreeClassifier",
     "RandomForestClassifier",
-    "GradientBoostingClassifier",
-    "KNeighborsClassifier",
     "GaussianNB",
     "accuracy_score",
-    "precision_score",
-    "recall_score",
-    "f1_score",
-    "confusion_matrix",
     "jaccard_multilabel_score",
     "train_test_split",
     "KFold",
-    "cross_val_score",
-    "GridSearchCV",
-    "BinaryRelevance",
-    "ClassifierChain",
 ]

@@ -23,47 +23,6 @@ def accuracy_score(y_true: Sequence, y_pred: Sequence) -> float:
     return float(np.mean(true == pred))
 
 
-def precision_score(y_true: Sequence, y_pred: Sequence, positive_label=1) -> float:
-    """Precision of the positive class (0 when nothing was predicted positive)."""
-    true, pred = _validate_pair(y_true, y_pred)
-    predicted_positive = pred == positive_label
-    if not predicted_positive.any():
-        return 0.0
-    return float(np.mean(true[predicted_positive] == positive_label))
-
-
-def recall_score(y_true: Sequence, y_pred: Sequence, positive_label=1) -> float:
-    """Recall of the positive class (0 when no positives exist)."""
-    true, pred = _validate_pair(y_true, y_pred)
-    actual_positive = true == positive_label
-    if not actual_positive.any():
-        return 0.0
-    return float(np.mean(pred[actual_positive] == positive_label))
-
-
-def f1_score(y_true: Sequence, y_pred: Sequence, positive_label=1) -> float:
-    """Harmonic mean of precision and recall for the positive class."""
-    p = precision_score(y_true, y_pred, positive_label)
-    r = recall_score(y_true, y_pred, positive_label)
-    if p + r == 0:
-        return 0.0
-    return 2 * p * r / (p + r)
-
-
-def confusion_matrix(y_true: Sequence, y_pred: Sequence) -> np.ndarray:
-    """Confusion matrix with rows = true classes, columns = predicted classes.
-
-    Classes are the sorted union of the labels appearing in either vector.
-    """
-    true, pred = _validate_pair(y_true, y_pred)
-    classes = np.unique(np.concatenate([true, pred]))
-    index = {cls: i for i, cls in enumerate(classes)}
-    matrix = np.zeros((classes.size, classes.size), dtype=int)
-    for t, p in zip(true, pred):
-        matrix[index[t], index[p]] += 1
-    return matrix
-
-
 def jaccard_multilabel_score(Y_true: Sequence, Y_pred: Sequence) -> float:
     """The multi-label accuracy ``A_ML`` of Eq. 7.
 

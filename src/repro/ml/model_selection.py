@@ -1,15 +1,10 @@
-"""Dataset splitting, k-fold cross-validation and grid search."""
+"""Dataset splitting and k-fold cross-validation."""
 
 from __future__ import annotations
 
-import itertools
-from typing import Any, Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
-
-from repro.ml.base import BaseClassifier, clone
-from repro.ml.metrics import accuracy_score
-from repro.runtime import RuntimeSpec, resolve_runner
 
 
 def train_test_split(
@@ -74,126 +69,3 @@ class KFold:
             train_indices = np.concatenate([indices[:start], indices[start + fold_size :]])
             yield train_indices, test_indices
             start += fold_size
-
-
-def _fit_and_score_task(task, shared) -> float:
-    """Fit a clone on one fold and score it (module-level for pickling)."""
-    estimator, features, labels, scoring = shared
-    train_indices, test_indices = task
-    model = clone(estimator)
-    model.fit(features[train_indices], labels[train_indices])
-    predictions = model.predict(features[test_indices])
-    score_fn = scoring or accuracy_score
-    return score_fn(labels[test_indices], predictions)
-
-
-def cross_val_score(
-    estimator: BaseClassifier,
-    X: Sequence,
-    y: Sequence,
-    cv: int | KFold = 5,
-    scoring=None,
-    runtime: "RuntimeSpec" = None,
-) -> np.ndarray:
-    """Per-fold scores of a classifier (accuracy by default).
-
-    The fold shuffle is drawn once up front (inside :meth:`KFold.split`),
-    so the per-fold fits are independent and fan out on ``runtime``
-    (or the ``REPRO_RUNTIME`` default); scores come back in fold order and
-    are bitwise identical on every backend.  With the ``process`` backend,
-    a custom ``scoring`` callable must be picklable.
-    """
-    features = np.asarray(X)
-    labels = np.asarray(y)
-    folds = cv if isinstance(cv, KFold) else KFold(n_splits=cv, shuffle=True, random_state=0)
-    scores = resolve_runner(runtime).map(
-        _fit_and_score_task,
-        list(folds.split(features)),
-        context=(estimator, features, labels, scoring),
-    )
-    return np.asarray(scores, dtype=float)
-
-
-def _evaluate_candidate_task(params, shared) -> float:
-    """Cross-validate one parameter combination (module-level for pickling)."""
-    estimator, features, labels, cv, scoring = shared
-    candidate = clone(estimator).set_params(**params)
-    try:
-        # runtime=None, not "serial": inside a worker the resolution
-        # degrades to serial anyway, and when the candidate map ran in the
-        # caller (e.g. a single candidate) the folds may still fan out.
-        scores = cross_val_score(candidate, features, labels, cv=cv, scoring=scoring)
-        return float(scores.mean())
-    except ValueError:
-        # Too few samples for this fold configuration; score on training data.
-        candidate.fit(features, labels)
-        return candidate.score(features, labels)
-
-
-class GridSearchCV:
-    """Exhaustive hyper-parameter search with cross-validated accuracy.
-
-    After :meth:`fit`, the best estimator (refitted on all data) is available
-    as ``best_estimator_`` together with ``best_params_`` and ``best_score_``.
-    """
-
-    def __init__(
-        self,
-        estimator: BaseClassifier,
-        param_grid: dict[str, Iterable[Any]],
-        cv: int = 3,
-        scoring=None,
-        runtime: "RuntimeSpec" = None,
-    ) -> None:
-        self.estimator = estimator
-        self.param_grid = {key: list(values) for key, values in param_grid.items()}
-        self.cv = cv
-        self.scoring = scoring
-        self.runtime = runtime
-        self.best_estimator_: Optional[BaseClassifier] = None
-        self.best_params_: Optional[dict[str, Any]] = None
-        self.best_score_: float = -np.inf
-        self.results_: list[dict[str, Any]] = []
-
-    def _candidates(self) -> Iterator[dict[str, Any]]:
-        if not self.param_grid:
-            yield {}
-            return
-        keys = list(self.param_grid)
-        for combination in itertools.product(*(self.param_grid[key] for key in keys)):
-            yield dict(zip(keys, combination))
-
-    def fit(self, X: Sequence, y: Sequence) -> "GridSearchCV":
-        """Evaluate every candidate (fanned out on ``runtime``) and refit the best.
-
-        Candidates are independent, so they run on the selected backend;
-        scores come back in candidate order and the first-best tie-breaking
-        of the serial loop is preserved exactly.  Inside workers the inner
-        cross-validation degrades to serial (one fan-out level at a time).
-        """
-        features = np.asarray(X)
-        labels = np.asarray(y)
-        self.results_ = []
-        self.best_estimator_ = None
-        self.best_params_ = None
-        self.best_score_ = -np.inf
-        candidates = list(self._candidates())
-        mean_scores = resolve_runner(self.runtime).map(
-            _evaluate_candidate_task,
-            candidates,
-            context=(self.estimator, features, labels, self.cv, self.scoring),
-        )
-        for params, mean_score in zip(candidates, mean_scores):
-            self.results_.append({"params": params, "score": mean_score})
-            if mean_score > self.best_score_:
-                self.best_score_ = mean_score
-                self.best_params_ = params
-        assert self.best_params_ is not None
-        self.best_estimator_ = clone(self.estimator).set_params(**self.best_params_)
-        self.best_estimator_.fit(features, labels)
-        return self
-
-    def predict(self, X: Sequence) -> np.ndarray:
-        if self.best_estimator_ is None:
-            raise RuntimeError("GridSearchCV has not been fitted yet")
-        return self.best_estimator_.predict(X)

@@ -1,4 +1,4 @@
-"""Feature preprocessing: scalers and a simple imputer."""
+"""Feature preprocessing: standardisation."""
 
 from __future__ import annotations
 
@@ -44,84 +44,3 @@ class StandardScaler(BaseTransformer):
             raise RuntimeError("StandardScaler has not been fitted yet")
         array = _as_2d_float(X)
         return array * self.scale_ + self.mean_
-
-
-class MinMaxScaler(BaseTransformer):
-    """Rescale features to a target range (default [0, 1])."""
-
-    def __init__(self, feature_range: tuple[float, float] = (0.0, 1.0)) -> None:
-        low, high = feature_range
-        if low >= high:
-            raise ValueError("feature_range must be an increasing interval")
-        self.feature_range = (float(low), float(high))
-        self.data_min_: np.ndarray | None = None
-        self.data_max_: np.ndarray | None = None
-
-    def fit(self, X: Any, y: Any = None) -> "MinMaxScaler":
-        array = _as_2d_float(X)
-        self.data_min_ = array.min(axis=0)
-        self.data_max_ = array.max(axis=0)
-        return self
-
-    def transform(self, X: Any) -> np.ndarray:
-        if self.data_min_ is None or self.data_max_ is None:
-            raise RuntimeError("MinMaxScaler has not been fitted yet")
-        array = _as_2d_float(X)
-        span = self.data_max_ - self.data_min_
-        span = np.where(span == 0, 1.0, span)
-        low, high = self.feature_range
-        unit = (array - self.data_min_) / span
-        return unit * (high - low) + low
-
-    def inverse_transform(self, X: Any) -> np.ndarray:
-        if self.data_min_ is None or self.data_max_ is None:
-            raise RuntimeError("MinMaxScaler has not been fitted yet")
-        array = _as_2d_float(X)
-        span = self.data_max_ - self.data_min_
-        span = np.where(span == 0, 1.0, span)
-        low, high = self.feature_range
-        unit = (array - low) / (high - low)
-        return unit * span + self.data_min_
-
-
-class SimpleImputer(BaseTransformer):
-    """Replace NaN values with a per-column statistic (mean, median, or constant)."""
-
-    def __init__(self, strategy: str = "mean", fill_value: float = 0.0) -> None:
-        if strategy not in {"mean", "median", "constant"}:
-            raise ValueError(f"unknown imputation strategy {strategy!r}")
-        self.strategy = strategy
-        self.fill_value = fill_value
-        self.statistics_: np.ndarray | None = None
-
-    def fit(self, X: Any, y: Any = None) -> "SimpleImputer":
-        array = np.asarray(X, dtype=float)
-        if array.ndim == 1:
-            array = array.reshape(-1, 1)
-        if self.strategy == "constant":
-            self.statistics_ = np.full(array.shape[1], self.fill_value)
-            return self
-        statistics = np.zeros(array.shape[1])
-        for column in range(array.shape[1]):
-            values = array[:, column]
-            finite = values[np.isfinite(values)]
-            if finite.size == 0:
-                statistics[column] = self.fill_value
-            elif self.strategy == "mean":
-                statistics[column] = finite.mean()
-            else:
-                statistics[column] = np.median(finite)
-        self.statistics_ = statistics
-        return self
-
-    def transform(self, X: Any) -> np.ndarray:
-        if self.statistics_ is None:
-            raise RuntimeError("SimpleImputer has not been fitted yet")
-        array = np.asarray(X, dtype=float)
-        if array.ndim == 1:
-            array = array.reshape(-1, 1)
-        result = array.copy()
-        for column in range(result.shape[1]):
-            mask = ~np.isfinite(result[:, column])
-            result[mask, column] = self.statistics_[column]
-        return result

@@ -1,10 +1,10 @@
 """Deterministic parallel execution substrate (``TaskRunner`` / ``parallel_map``).
 
 Every study in this code base is dominated by loops of independent, pure
-tasks: cross-validation visits its folds serially, the Table III ablation
-runs eleven configurations back-to-back, the identification experiment
-runs its folds one after another and the bootstrap test draws thousands
-of resamples.
+tasks: the Table III ablation runs eleven configurations back-to-back,
+the identification experiment runs its folds one after another, the
+bootstrap test draws thousands of resamples and batch scoring extracts
+features chunk by chunk.
 :class:`TaskRunner` fans such loops out across cores while keeping the
 results **bitwise identical** to the serial loop, which stays the oracle.
 
@@ -926,7 +926,7 @@ def resolve_runner(spec: RuntimeSpec = None) -> TaskRunner:
     Inside a TaskRunner worker **every** resolution — explicit specs and
     runner instances included — degrades to serial: one loop level fans out
     at a time.  Without this, a parallel loop nested in the workers of a
-    parallel outer loop (cross-validation inside the ablation, say) would
+    parallel outer loop (a bootstrap test inside a fold task, say) would
     spawn a pool per worker and oversubscribe the machine.
     Results are unaffected either way — every backend is bitwise identical.
     """

@@ -63,11 +63,9 @@ from repro.core.features.pipeline import FeaturePipeline
 from repro.core.features.predictors import LRSMFeatures
 from repro.core.features.sequential import SequentialFeatures
 from repro.core.features.spatial import SpatialFeatures
-from repro.ml.boosting import GradientBoostingClassifier, _RegressionTree
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.linear import LinearSVC, LogisticRegression
 from repro.ml.naive_bayes import GaussianNB
-from repro.ml.neighbors import KNeighborsClassifier
 from repro.ml.preprocessing import StandardScaler
 from repro.ml.tree import DecisionTreeClassifier
 from repro.nn.conv import Conv2D, GlobalAveragePooling2D, MaxPool2D
@@ -78,6 +76,7 @@ from repro.nn.optimizers import SGD, Adam
 from repro.nn.recurrent import LSTM
 from repro.io.bundle import (
     atomic_bundle_dir,
+    check_arrays,
     decoding,
     read_bundle,
     read_bundle_manifest,
@@ -212,6 +211,26 @@ def _restore_classifier_state(clf: Any, spec: dict, decoder: _Decoder) -> None:
     clf.n_features_in_ = int(spec["n_features_in"])
 
 
+def _check_fitted_arrays(
+    spec: dict, decoder: _Decoder, schema: dict, tag: str, positive: tuple = ()
+) -> dict:
+    """The spec's fitted arrays, checked against ``schema``, by name.
+
+    Every array must be finite, and those named in ``positive`` (the ones
+    predict or transform divides by or takes the log of) strictly
+    positive.  An array that disagrees with the restored classes or
+    feature count, or with those bounds, fails here, at load, instead of
+    as a raw error (or a NaN) at predict time.
+    """
+    arrays = {name: decoder.get(spec[name]) for name in schema}
+    check_arrays(arrays, schema, where=f"{tag} spec", error=ArtifactError)
+    for name, array in arrays.items():
+        if not np.all(np.isfinite(array)) or (name in positive and not np.all(array > 0)):
+            bound = "finite and positive" if name in positive else "finite"
+            raise ArtifactError(f"{tag} spec stores {name!r} values that are not all {bound}")
+    return arrays
+
+
 # --------------------------------------------------------------------- #
 # Classical estimators (repro.ml)
 # --------------------------------------------------------------------- #
@@ -286,57 +305,6 @@ class _RandomForestCodec:
         return forest
 
 
-@_codec("ml.gradient_boosting", GradientBoostingClassifier)
-class _GradientBoostingCodec:
-    def encode(self, model: GradientBoostingClassifier, encoder: _Encoder) -> dict:
-        _require_fitted(model, model.is_fitted)
-        ensembles = []
-        for class_index, (initial, trees) in enumerate(model._ensembles):
-            ensembles.append(
-                {
-                    "initial": float(initial),
-                    "trees": [
-                        {
-                            name: encoder.put(f"gbt/{class_index}/{name}", array)
-                            for name, array in tree.to_arrays().items()
-                        }
-                        for tree in trees
-                    ],
-                }
-            )
-        return {
-            "params": {
-                "n_estimators": model.n_estimators,
-                "learning_rate": model.learning_rate,
-                "max_depth": model.max_depth,
-                "min_samples_leaf": model.min_samples_leaf,
-                "random_state": model.random_state,
-            },
-            **_classifier_state(model, encoder),
-            "ensembles": ensembles,
-        }
-
-    def decode(self, spec: dict, decoder: _Decoder) -> GradientBoostingClassifier:
-        model = GradientBoostingClassifier(**spec["params"])
-        _restore_classifier_state(model, spec, decoder)
-        model._ensembles = [
-            (
-                float(entry["initial"]),
-                [
-                    _RegressionTree.from_arrays(
-                        {name: decoder.get(ref) for name, ref in tree.items()},
-                        max_depth=model.max_depth,
-                        min_samples_leaf=model.min_samples_leaf,
-                        n_features=model.n_features_in_,
-                    )
-                    for tree in entry["trees"]
-                ],
-            )
-            for entry in spec["ensembles"]
-        ]
-        return model
-
-
 class _LinearCodecBase:
     """Shared encode/decode for the two linear one-vs-rest classifiers."""
 
@@ -357,10 +325,18 @@ class _LinearCodecBase:
     def decode(self, spec: dict, decoder: _Decoder) -> Any:
         model = self.cls(**spec["params"])
         _restore_classifier_state(model, spec, decoder)
-        model._feature_mean = decoder.get(spec["feature_mean"])
-        model._feature_scale = decoder.get(spec["feature_scale"])
-        model._weights = decoder.get(spec["weights"])
-        model._biases = decoder.get(spec["biases"])
+        n_classes, n_features = len(model.classes_), model.n_features_in_
+        # A single-class fit has no one-vs-rest problems, so no weight rows.
+        rows = n_classes if n_classes > 1 else 0
+        schema = {
+            "feature_mean": ("f", (n_features,)),
+            "feature_scale": ("f", (n_features,)),
+            "weights": ("f", (rows, n_features)),
+            "biases": ("f", (rows,)),
+        }
+        arrays = _check_fitted_arrays(spec, decoder, schema, self.tag, positive=("feature_scale",))
+        for name, array in arrays.items():
+            setattr(model, f"_{name}", array)
         return model
 
 
@@ -383,36 +359,23 @@ class _GaussianNBCodec:
         return {
             "params": {"var_smoothing": model.var_smoothing},
             **_classifier_state(model, encoder),
-            "theta": encoder.put_optional("theta", model._theta),
-            "sigma": encoder.put_optional("sigma", model._sigma),
-            "priors": encoder.put_optional("priors", model._priors),
+            "theta": encoder.put("theta", model._theta),
+            "sigma": encoder.put("sigma", model._sigma),
+            "priors": encoder.put("priors", model._priors),
         }
 
     def decode(self, spec: dict, decoder: _Decoder) -> GaussianNB:
         model = GaussianNB(**spec["params"])
         _restore_classifier_state(model, spec, decoder)
-        model._theta = decoder.get_optional(spec["theta"])
-        model._sigma = decoder.get_optional(spec["sigma"])
-        model._priors = decoder.get_optional(spec["priors"])
-        return model
-
-
-@_codec("ml.k_neighbors", KNeighborsClassifier)
-class _KNeighborsCodec:
-    def encode(self, model: KNeighborsClassifier, encoder: _Encoder) -> dict:
-        _require_fitted(model, model.is_fitted)
-        return {
-            "params": {"n_neighbors": model.n_neighbors, "weights": model.weights},
-            **_classifier_state(model, encoder),
-            "X": encoder.put("X", model._X),
-            "y_encoded": encoder.put("y_encoded", model._y_encoded),
+        n_classes, n_features = len(model.classes_), model.n_features_in_
+        schema = {
+            "theta": ("f", (n_classes, n_features)),
+            "sigma": ("f", (n_classes, n_features)),
+            "priors": ("f", (n_classes,)),
         }
-
-    def decode(self, spec: dict, decoder: _Decoder) -> KNeighborsClassifier:
-        model = KNeighborsClassifier(**spec["params"])
-        _restore_classifier_state(model, spec, decoder)
-        model._X = decoder.get(spec["X"])
-        model._y_encoded = decoder.get(spec["y_encoded"])
+        arrays = _check_fitted_arrays(spec, decoder, schema, self.tag, positive=("sigma", "priors"))
+        for name, array in arrays.items():
+            setattr(model, f"_{name}", array)
         return model
 
 
@@ -428,8 +391,13 @@ class _StandardScalerCodec:
 
     def decode(self, spec: dict, decoder: _Decoder) -> StandardScaler:
         scaler = StandardScaler(**spec["params"])
-        scaler.mean_ = decoder.get(spec["mean"])
-        scaler.scale_ = decoder.get(spec["scale"])
+        # The scaler records no feature count, so ``mean`` fixes the width
+        # and ``scale`` (the transform's divisor) must match it.
+        mean = decoder.get(spec["mean"])
+        width = mean.shape[0] if mean.ndim == 1 else None
+        schema = {"mean": ("f", (width,)), "scale": ("f", (width,))}
+        arrays = _check_fitted_arrays(spec, decoder, schema, self.tag, positive=("scale",))
+        scaler.mean_, scaler.scale_ = arrays["mean"], arrays["scale"]
         return scaler
 
 

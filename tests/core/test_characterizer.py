@@ -15,11 +15,25 @@ from repro.core.baselines import (
 )
 from repro.core.characterizer import MExICharacterizer, MExIVariant, default_classifier_bank
 from repro.core.expert_model import EXPERT_CHARACTERISTICS
+from repro.ml.base import BaseClassifier
 
 TINY_NEURAL_CONFIG = {
     "seq": {"hidden_dim": 4, "dense_dim": 6, "max_sequence_length": 12, "epochs": 2},
     "spa": {"n_filters": 2, "epochs": 1, "pretrain_samples": 8},
 }
+
+
+
+class _NearestCentroid(BaseClassifier):
+    """A classifier defined outside ``repro.ml``, for the ``classifier_bank`` hook."""
+
+    def _fit(self, X, y):
+        self.centroids_ = np.array([X[y == cls].mean(axis=0) for cls in self.classes_])
+
+    def _predict_proba(self, X):
+        distance = ((X[:, None, :] - self.centroids_[None]) ** 2).sum(axis=2)
+        weights = np.exp(distance.min(axis=1, keepdims=True) - distance)
+        return weights / weights.sum(axis=1, keepdims=True)
 
 
 class TestMExICharacterizer:
@@ -100,6 +114,21 @@ class TestMExICharacterizer:
         names = {type(c).__name__ for c in bank}
         assert "RandomForestClassifier" in names
         assert "LinearSVC" in names
+
+    def test_custom_classifier_bank(self, small_cohort, cohort_labels):
+        """Any BaseClassifier can stand in for the default bank."""
+        labels, _ = cohort_labels
+        model = MExICharacterizer(
+            variant=MExIVariant.EMPTY,
+            feature_sets=("lrsm", "beh"),
+            classifier_bank=lambda: [_NearestCentroid()],
+            random_state=0,
+        ).fit(small_cohort, labels)
+        assert set(model.selected_classifiers().values()) <= {"_NearestCentroid", "constant"}
+        assert "_NearestCentroid" in model.selected_classifiers().values()
+        predictions = model.predict(small_cohort)
+        assert predictions.shape == labels.shape
+        assert set(np.unique(predictions)) <= {0, 1}
 
 
 class TestBaselines:

@@ -6,8 +6,6 @@ import pytest
 from repro.ml import (
     DecisionTreeClassifier,
     GaussianNB,
-    GradientBoostingClassifier,
-    KNeighborsClassifier,
     LinearSVC,
     LogisticRegression,
     RandomForestClassifier,
@@ -19,8 +17,6 @@ ALL_CLASSIFIERS = [
     LinearSVC(n_iterations=150),
     DecisionTreeClassifier(max_depth=5, random_state=0),
     RandomForestClassifier(n_estimators=15, max_depth=5, random_state=0),
-    GradientBoostingClassifier(n_estimators=15, max_depth=2, random_state=0),
-    KNeighborsClassifier(n_neighbors=5),
     GaussianNB(),
 ]
 
@@ -85,15 +81,61 @@ class TestSharedBehaviour:
         assert type(copy) is type(classifier)
         assert not copy.is_fitted
 
+    def test_clone_keeps_params(self, classifier, classification_data):
+        X, y = classification_data
+        fitted = clone(classifier).fit(X, y)
+        assert clone(fitted).get_params() == classifier.get_params()
+
+    def test_set_params_rejects_unknown_name(self, classifier):
+        model = clone(classifier)
+        with pytest.raises(ValueError, match="no parameter"):
+            model.set_params(not_a_parameter=1)
+
+    def test_refit_is_bitwise_deterministic(self, classifier, classification_data):
+        X, y = classification_data
+        first = clone(classifier).fit(X, y).predict_proba(X)
+        second = clone(classifier).fit(X, y).predict_proba(X)
+        np.testing.assert_array_equal(first, second)
+
+    def test_predict_is_argmax_of_proba(self, classifier, classification_data):
+        X, y = classification_data
+        model = clone(classifier).fit(X, y)
+        probabilities = model.predict_proba(X)
+        assert probabilities.shape == (len(X), len(model.classes_))
+        np.testing.assert_array_equal(
+            model.predict(X), model.classes_[np.argmax(probabilities, axis=1)]
+        )
+
+    def test_string_labels(self, classifier, classification_data):
+        X, y = classification_data
+        names = np.where(y == 1, "expert", "novice")
+        model = clone(classifier).fit(X, names)
+        assert list(model.classes_) == ["expert", "novice"]
+        np.testing.assert_array_equal(
+            model.predict(X) == "expert", clone(classifier).fit(X, y).predict(X) == 1
+        )
+
+    def test_label_count_mismatch_rejected(self, classifier, classification_data):
+        X, y = classification_data
+        with pytest.raises(ValueError, match="rows"):
+            clone(classifier).fit(X, y[:-1])
+
+    def test_one_dimensional_features_are_one_column(self, classifier, classification_data):
+        X, y = classification_data
+        model = clone(classifier).fit(X[:, 0], y)
+        assert model.n_features_in_ == 1
+        np.testing.assert_array_equal(model.predict(X[:, 0]), model.predict(X[:, :1]))
+
 
 class TestMulticlass:
     @pytest.mark.parametrize(
         "classifier",
         [
             LogisticRegression(n_iterations=200),
+            LinearSVC(n_iterations=200),
+            DecisionTreeClassifier(max_depth=5, random_state=0),
             RandomForestClassifier(n_estimators=20, random_state=0),
             GaussianNB(),
-            KNeighborsClassifier(n_neighbors=3),
         ],
         ids=lambda c: type(c).__name__,
     )

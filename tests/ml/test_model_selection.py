@@ -1,10 +1,9 @@
-"""Tests for train/test splitting, k-fold CV, cross_val_score and grid search."""
+"""Tests for train/test splitting and k-fold CV."""
 
 import numpy as np
 import pytest
 
-from repro.ml import GridSearchCV, KFold, LogisticRegression, cross_val_score, train_test_split
-from repro.ml.tree import DecisionTreeClassifier
+from repro.ml import KFold, train_test_split
 
 
 class TestTrainTestSplit:
@@ -37,6 +36,27 @@ class TestTrainTestSplit:
         b = train_test_split(X, y, random_state=5)[1]
         np.testing.assert_array_equal(a, b)
 
+    def test_no_shuffle_takes_leading_rows_as_test(self):
+        indices = np.arange(8)
+        train_idx, test_idx, _, _ = train_test_split(indices, indices, test_size=0.25, shuffle=False)
+        np.testing.assert_array_equal(test_idx, [0, 1])
+        np.testing.assert_array_equal(train_idx, np.arange(2, 8))
+
+    def test_features_and_labels_stay_aligned(self, classification_data):
+        X, y = classification_data
+        X_train, X_test, y_train, y_test = train_test_split(X, y, random_state=2)
+        rows = {tuple(row): label for row, label in zip(X, y)}
+        for features, labels in ((X_train, y_train), (X_test, y_test)):
+            assert [rows[tuple(row)] for row in features] == labels.tolist()
+
+    def test_tiny_test_size_keeps_one_test_row(self):
+        _, X_test, _, _ = train_test_split(np.arange(10), np.arange(10), test_size=0.01)
+        assert len(X_test) == 1
+
+    def test_test_size_leaving_no_training_rows(self):
+        with pytest.raises(ValueError, match="no training samples"):
+            train_test_split(np.arange(2), np.arange(2), test_size=0.9)
+
 
 class TestKFold:
     def test_fold_partition(self):
@@ -63,43 +83,12 @@ class TestKFold:
         with pytest.raises(ValueError):
             KFold(n_splits=1)
 
+    def test_no_shuffle_folds_are_contiguous(self):
+        folds = KFold(n_splits=3, shuffle=False).split(range(7))
+        assert [test.tolist() for _, test in folds] == [[0, 1, 2], [3, 4], [5, 6]]
 
-class TestCrossValScore:
-    def test_scores_shape_and_range(self, classification_data):
-        X, y = classification_data
-        scores = cross_val_score(LogisticRegression(n_iterations=100), X, y, cv=4)
-        assert scores.shape == (4,)
-        assert (scores >= 0.0).all() and (scores <= 1.0).all()
-
-    def test_good_model_scores_high(self, classification_data):
-        X, y = classification_data
-        scores = cross_val_score(LogisticRegression(n_iterations=150), X, y, cv=4)
-        assert scores.mean() > 0.8
-
-
-class TestGridSearch:
-    def test_finds_best_depth(self, classification_data):
-        X, y = classification_data
-        search = GridSearchCV(
-            DecisionTreeClassifier(random_state=0),
-            param_grid={"max_depth": [1, 3, 5]},
-            cv=3,
-        )
-        search.fit(X, y)
-        assert search.best_params_ is not None
-        assert search.best_params_["max_depth"] in (1, 3, 5)
-        assert search.best_estimator_ is not None
-        assert len(search.results_) == 3
-        assert search.predict(X).shape == (len(y),)
-
-    def test_empty_grid_uses_defaults(self, classification_data):
-        X, y = classification_data
-        search = GridSearchCV(LogisticRegression(n_iterations=50), param_grid={}, cv=3)
-        search.fit(X, y)
-        assert search.best_params_ == {}
-
-    def test_unfitted_predict_raises(self, classification_data):
-        X, _ = classification_data
-        search = GridSearchCV(LogisticRegression(), param_grid={})
-        with pytest.raises(RuntimeError):
-            search.predict(X)
+    def test_shuffle_is_deterministic_given_seed(self):
+        a = [test.tolist() for _, test in KFold(n_splits=4, random_state=3).split(range(20))]
+        b = [test.tolist() for _, test in KFold(n_splits=4, random_state=3).split(range(20))]
+        assert a == b
+        assert sorted(sum(a, [])) == list(range(20))

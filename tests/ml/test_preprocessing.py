@@ -1,4 +1,4 @@
-"""Tests for scalers and the imputer."""
+"""Tests for the standard scaler."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.ml import MinMaxScaler, SimpleImputer, StandardScaler
+from repro.ml import StandardScaler
 
 
 class TestStandardScaler:
@@ -33,6 +33,22 @@ class TestStandardScaler:
         with pytest.raises(RuntimeError):
             StandardScaler().transform(np.zeros((2, 2)))
 
+    def test_without_mean_only_scales(self):
+        X = np.array([[1.0, 10.0], [3.0, 30.0]])
+        scaler = StandardScaler(with_mean=False).fit(X)
+        np.testing.assert_array_equal(scaler.mean_, [0.0, 0.0])
+        np.testing.assert_allclose(scaler.transform(X), X / X.std(axis=0))
+
+    def test_without_std_only_centres(self):
+        X = np.array([[1.0, 10.0], [3.0, 30.0]])
+        scaler = StandardScaler(with_std=False).fit(X)
+        np.testing.assert_array_equal(scaler.scale_, [1.0, 1.0])
+        np.testing.assert_allclose(scaler.transform(X), X - X.mean(axis=0))
+
+    def test_non_finite_input_rejected(self):
+        with pytest.raises(ValueError):
+            StandardScaler().fit(np.array([[1.0], [np.inf]]))
+
     @given(
         hnp.arrays(
             dtype=float,
@@ -46,63 +62,3 @@ class TestStandardScaler:
         np.testing.assert_allclose(
             scaler.inverse_transform(scaler.transform(X)), X, atol=1e-6
         )
-
-
-class TestMinMaxScaler:
-    def test_unit_range(self):
-        X = np.array([[1.0, 10.0], [3.0, 20.0], [5.0, 30.0]])
-        scaled = MinMaxScaler().fit_transform(X)
-        np.testing.assert_allclose(scaled.min(axis=0), 0.0)
-        np.testing.assert_allclose(scaled.max(axis=0), 1.0)
-
-    def test_custom_range(self):
-        X = np.array([[0.0], [1.0]])
-        scaled = MinMaxScaler(feature_range=(-1, 1)).fit_transform(X)
-        np.testing.assert_allclose(scaled.ravel(), [-1.0, 1.0])
-
-    def test_constant_feature(self):
-        X = np.full((5, 1), 3.0)
-        scaled = MinMaxScaler().fit_transform(X)
-        assert np.all(np.isfinite(scaled))
-
-    def test_invalid_range(self):
-        with pytest.raises(ValueError):
-            MinMaxScaler(feature_range=(1, 0))
-
-    def test_inverse_roundtrip(self):
-        X = np.array([[1.0, 2.0], [4.0, 8.0], [7.0, 5.0]])
-        scaler = MinMaxScaler().fit(X)
-        np.testing.assert_allclose(scaler.inverse_transform(scaler.transform(X)), X, atol=1e-10)
-
-
-class TestSimpleImputer:
-    def test_mean_imputation(self):
-        X = np.array([[1.0, np.nan], [3.0, 4.0]])
-        imputed = SimpleImputer(strategy="mean").fit_transform(X)
-        assert imputed[0, 1] == pytest.approx(4.0)
-
-    def test_median_imputation(self):
-        X = np.array([[1.0], [np.nan], [5.0], [100.0]])
-        imputed = SimpleImputer(strategy="median").fit_transform(X)
-        assert imputed[1, 0] == pytest.approx(5.0)
-
-    def test_constant_imputation(self):
-        X = np.array([[np.nan, np.nan]])
-        imputed = SimpleImputer(strategy="constant", fill_value=-1.0).fit_transform(X)
-        np.testing.assert_allclose(imputed, -1.0)
-
-    def test_all_nan_column_uses_fill_value(self):
-        X = np.array([[np.nan], [np.nan]])
-        imputed = SimpleImputer(strategy="mean", fill_value=0.5).fit_transform(X)
-        np.testing.assert_allclose(imputed, 0.5)
-
-    def test_unknown_strategy(self):
-        with pytest.raises(ValueError):
-            SimpleImputer(strategy="mode")
-
-    def test_no_nan_left(self):
-        rng = np.random.default_rng(0)
-        X = rng.random((10, 4))
-        X[X < 0.3] = np.nan
-        imputed = SimpleImputer().fit_transform(X)
-        assert np.all(np.isfinite(imputed))

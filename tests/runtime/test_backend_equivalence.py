@@ -1,10 +1,10 @@
 """Backend equivalence: serial is the oracle; every backend must match it bitwise.
 
-Covers the parallelised loops: chunked service scores,
-``cross_val_score`` arrays, ablation Table III rows, identification folds
-and bootstrap p-values, each across the ``thread`` and ``process``
-backends (most with worker counts {1, 2, 4}).  A forest's trees grow in
-one lockstep and are no longer a fan-out site.
+Covers every fan-out site: chunked service scores, bootstrap p-values,
+ablation Table III rows and identification folds (Table IIa), each on
+every ``BACKEND_GRID`` spec (the ``thread`` and ``process`` backends with
+worker counts {1, 2, 4}).  A forest's trees grow in one lockstep and are
+not a fan-out site.
 """
 
 import numpy as np
@@ -16,9 +16,6 @@ from repro.core.expert_model import characterize_population, labels_matrix
 from repro.core.features.cache import FeatureBlockCache
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.identification import run_identification_experiment
-from repro.ml.forest import RandomForestClassifier
-from repro.ml.model_selection import GridSearchCV, KFold, cross_val_score
-from repro.ml.tree import DecisionTreeClassifier
 from repro.serve.service import CharacterizationService
 from repro.simulation.dataset import build_dataset
 from repro.stats.bootstrap import two_sample_bootstrap_test
@@ -27,14 +24,6 @@ from repro.stats.bootstrap import two_sample_bootstrap_test
 BACKEND_GRID = [
     f"{backend}:{workers}" for backend in ("thread", "process") for workers in (1, 2, 4)
 ]
-
-
-@pytest.fixture(scope="module")
-def classification_data():
-    rng = np.random.default_rng(11)
-    X = rng.standard_normal((90, 6))
-    y = (X[:, 0] + 0.4 * rng.standard_normal(90) > 0).astype(int)
-    return X, y
 
 
 class TestServiceEquivalence:
@@ -70,42 +59,6 @@ class TestServiceEquivalence:
         service = CharacterizationService(model, runtime="serial", chunk_size=3)
         scores = service.score_batch(cohort, runtime=spec)
         assert np.array_equal(scores.probabilities, serial.probabilities)
-
-
-class TestCrossValidationEquivalence:
-    @pytest.fixture(scope="class")
-    def serial_scores(self, classification_data):
-        X, y = classification_data
-        estimator = RandomForestClassifier(n_estimators=6, random_state=2)
-        return cross_val_score(estimator, X, y, cv=5, runtime="serial")
-
-    @pytest.mark.parametrize("spec", BACKEND_GRID)
-    def test_scores_bitwise_identical(self, classification_data, serial_scores, spec):
-        X, y = classification_data
-        estimator = RandomForestClassifier(n_estimators=6, random_state=2)
-        scores = cross_val_score(estimator, X, y, cv=5, runtime=spec)
-        assert np.array_equal(serial_scores, scores)
-
-    @pytest.mark.parametrize("spec", ["thread:2", "process:2"])
-    def test_explicit_kfold_identical(self, classification_data, spec):
-        X, y = classification_data
-        folds = KFold(n_splits=4, shuffle=True, random_state=9)
-        estimator = DecisionTreeClassifier(max_depth=4, random_state=0)
-        serial = cross_val_score(estimator, X, y, cv=folds, runtime="serial")
-        parallel = cross_val_score(estimator, X, y, cv=folds, runtime=spec)
-        assert np.array_equal(serial, parallel)
-
-    @pytest.mark.parametrize("spec", ["thread:2", "process:2"])
-    def test_grid_search_identical(self, classification_data, spec):
-        X, y = classification_data
-        grid = {"max_depth": [2, 4], "min_samples_leaf": [1, 2]}
-        serial = GridSearchCV(DecisionTreeClassifier(random_state=0), grid, cv=3).fit(X, y)
-        parallel = GridSearchCV(
-            DecisionTreeClassifier(random_state=0), grid, cv=3, runtime=spec
-        ).fit(X, y)
-        assert serial.best_params_ == parallel.best_params_
-        assert serial.best_score_ == parallel.best_score_
-        assert serial.results_ == parallel.results_
 
 
 class TestBootstrapEquivalence:
@@ -218,12 +171,16 @@ class TestIdentificationEquivalence:
             runtime=runtime,
         )
 
-    @pytest.fixture(scope="class")
-    def serial_table(self):
-        result = run_identification_experiment(self._config(None), cache=FeatureBlockCache())
-        return result.format_table()
+    def _run(self, runtime):
+        """The exact per-fold accuracies and markers of every method, and the table."""
+        result = run_identification_experiment(self._config(runtime), cache=FeatureBlockCache())
+        folds = [(m.method, m.per_fold_accuracies, m.significant) for m in result.methods]
+        return folds, result.format_table()
 
-    @pytest.mark.parametrize("spec", ["thread:2", "process:2"])
-    def test_tables_identical(self, serial_table, spec):
-        result = run_identification_experiment(self._config(spec), cache=FeatureBlockCache())
-        assert result.format_table() == serial_table
+    @pytest.fixture(scope="class")
+    def serial_run(self):
+        return self._run("serial")
+
+    @pytest.mark.parametrize("spec", BACKEND_GRID)
+    def test_tables_identical(self, serial_run, spec):
+        assert self._run(spec) == serial_run

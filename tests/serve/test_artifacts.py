@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import shutil
 
 import numpy as np
@@ -10,11 +11,9 @@ import pytest
 
 from repro.core.features.cache import matcher_fingerprint
 from repro.io.bundle import MANIFEST_NAME
-from repro.ml.boosting import GradientBoostingClassifier
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.linear import LinearSVC, LogisticRegression
 from repro.ml.naive_bayes import GaussianNB
-from repro.ml.neighbors import KNeighborsClassifier
 from repro.ml.preprocessing import StandardScaler
 from repro.ml.tree import DecisionTreeClassifier
 from repro.nn.layers import Dense, Dropout, ReLU, Sigmoid
@@ -37,11 +36,9 @@ ESTIMATOR_FACTORIES = {
     "decision_tree": lambda: DecisionTreeClassifier(max_depth=4, random_state=0),
     "decision_tree_unbounded": lambda: DecisionTreeClassifier(max_depth=None, random_state=1),
     "random_forest": lambda: RandomForestClassifier(n_estimators=12, max_depth=5, random_state=0),
-    "gradient_boosting": lambda: GradientBoostingClassifier(n_estimators=10, max_depth=2, random_state=0),
     "logistic_regression": lambda: LogisticRegression(n_iterations=80),
     "linear_svc": lambda: LinearSVC(n_iterations=80),
     "gaussian_nb": lambda: GaussianNB(),
-    "k_neighbors": lambda: KNeighborsClassifier(n_neighbors=3, weights="distance"),
 }
 
 
@@ -156,31 +153,16 @@ def test_network_get_set_state_resumes_in_process():
 
 def test_tree_arrays_reject_empty():
     """Empty node arrays are invalid (a fitted tree always has a root)."""
-    from repro.ml.boosting import _RegressionTree
-
     empty_int = np.zeros(0, dtype=np.int64)
-    empty_float = np.zeros(0, dtype=np.float64)
     with pytest.raises(ValueError, match="at least one node"):
         DecisionTreeClassifier().set_tree_arrays(
             {
                 "feature": empty_int,
-                "threshold": empty_float,
+                "threshold": np.zeros(0, dtype=np.float64),
                 "children_left": empty_int,
                 "children_right": empty_int,
                 "class_counts": np.zeros((0, 2)),
             }
-        )
-    with pytest.raises(ValueError, match="at least one node"):
-        _RegressionTree.from_arrays(
-            {
-                "value": empty_float,
-                "feature": empty_int,
-                "threshold": empty_float,
-                "children_left": empty_int,
-                "children_right": empty_int,
-            },
-            max_depth=2,
-            min_samples_leaf=1,
         )
 
 
@@ -399,21 +381,6 @@ def test_load_wraps_inconsistent_spec_errors(classification_data, tmp_path, edit
     assert raised.type is ArtifactError
 
 
-def test_load_rejects_boosted_split_on_missing_column(classification_data, tmp_path):
-    """A re-signed boosting bundle naming a column the model lacks fails to load."""
-    X, y, _ = classification_data
-    model = GradientBoostingClassifier(n_estimators=2, max_depth=2, random_state=0).fit(X, y)
-
-    def edit(manifest, arrays):
-        for key in arrays:
-            if key.endswith("/feature"):
-                arrays[key] = np.where(arrays[key] >= 0, X.shape[1], arrays[key])
-
-    bundle = forge_bundle(save_model(model, tmp_path / "boosted"), edit, header_field="spec")
-    with pytest.raises(ArtifactError, match="inconsistent"):
-        load_model(bundle)
-
-
 def test_load_rejects_forest_without_trees(classification_data, tmp_path):
     """A re-signed forest bundle listing no trees fails to load, not to predict."""
     X, y, _ = classification_data
@@ -424,6 +391,147 @@ def test_load_rejects_forest_without_trees(classification_data, tmp_path):
 
     bundle = forge_bundle(save_model(forest, tmp_path / "treeless"), edit, header_field="spec")
     with pytest.raises(ArtifactError, match="inconsistent"):
+        load_model(bundle)
+
+
+def _edit_array(name, edit):
+    """A ``forge_bundle`` edit rewriting the fitted array stored as ``name``."""
+
+    def apply(manifest, arrays):
+        key = next(key for key in arrays if key.endswith(f"/{name}"))
+        arrays[key] = edit(arrays[key])
+
+    return apply
+
+
+def _resign_n_features(manifest, arrays):
+    manifest["spec"]["n_features_in"] = 2
+
+
+def _logreg():
+    return LogisticRegression(n_iterations=20)
+
+
+#: Case -> (model factory, forge edit, array name the load error must name).
+HOSTILE_FITTED_ARRAYS = {
+    "nb-theta-columns": (GaussianNB, _edit_array("theta", lambda a: a[:, :2]), "theta"),
+    "nb-sigma-zero": (GaussianNB, _edit_array("sigma", np.zeros_like), "sigma"),
+    "nb-priors-short": (GaussianNB, _edit_array("priors", lambda a: a[:1]), "priors"),
+    "nb-priors-negative": (GaussianNB, _edit_array("priors", np.negative), "priors"),
+    "nb-n-features": (GaussianNB, _resign_n_features, "theta"),
+    "logreg-weights-columns": (_logreg, _edit_array("weights", lambda a: a[:, :2]), "weights"),
+    "logreg-biases-empty": (_logreg, _edit_array("biases", lambda a: a[:0]), "biases"),
+    "logreg-n-features": (_logreg, _resign_n_features, "feature_mean"),
+    "logreg-feature-scale-zero": (
+        _logreg,
+        _edit_array("feature_scale", np.zeros_like),
+        "feature_scale",
+    ),
+    "logreg-weights-nan": (_logreg, _edit_array("weights", lambda a: a * np.nan), "weights"),
+    "svc-feature-scale-short": (
+        lambda: LinearSVC(n_iterations=20),
+        _edit_array("feature_scale", lambda a: a[:-1]),
+        "feature_scale",
+    ),
+    "nb-theta-rows": (GaussianNB, _edit_array("theta", lambda a: a[:1]), "theta"),
+    "nb-theta-nan": (GaussianNB, _edit_array("theta", lambda a: a * np.nan), "theta"),
+    "nb-sigma-negative": (GaussianNB, _edit_array("sigma", np.negative), "sigma"),
+    "nb-sigma-infinite": (GaussianNB, _edit_array("sigma", lambda a: a + np.inf), "sigma"),
+    "nb-priors-zero": (GaussianNB, _edit_array("priors", np.zeros_like), "priors"),
+    "nb-priors-integer": (GaussianNB, _edit_array("priors", lambda a: a.astype(np.int64)), "priors"),
+    "logreg-feature-mean-short": (
+        _logreg,
+        _edit_array("feature_mean", lambda a: a[:-1]),
+        "feature_mean",
+    ),
+    "logreg-feature-mean-nan": (
+        _logreg,
+        _edit_array("feature_mean", lambda a: a * np.nan),
+        "feature_mean",
+    ),
+    "logreg-weights-rows": (_logreg, _edit_array("weights", lambda a: a[:1]), "weights"),
+    "logreg-biases-infinite": (_logreg, _edit_array("biases", lambda a: a + np.inf), "biases"),
+    "svc-weights-columns": (
+        lambda: LinearSVC(n_iterations=20),
+        _edit_array("weights", lambda a: a[:, :2]),
+        "weights",
+    ),
+    "svc-biases-empty": (
+        lambda: LinearSVC(n_iterations=20),
+        _edit_array("biases", lambda a: a[:0]),
+        "biases",
+    ),
+    "svc-feature-scale-negative": (
+        lambda: LinearSVC(n_iterations=20),
+        _edit_array("feature_scale", np.negative),
+        "feature_scale",
+    ),
+    "svc-n-features": (lambda: LinearSVC(n_iterations=20), _resign_n_features, "feature_mean"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_FITTED_ARRAYS))
+def test_load_rejects_fitted_arrays_contradicting_the_model(tmp_path, case):
+    """Linear and GaussianNB arrays must fit ``classes_`` and ``n_features_in_``.
+
+    They must also be finite, with positive scales, variances and priors.
+    Each forged bundle is re-signed, so it passes fingerprint
+    verification; it must fail at load instead of raising a raw error (or
+    returning NaN) at predict time.
+    """
+    factory, edit, name = HOSTILE_FITTED_ARRAYS[case]
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((40, 5))
+    y = (X[:, 0] > 0).astype(int)
+    model = factory().fit(X, y)
+    bundle = forge_bundle(save_model(model, tmp_path / case), edit, header_field="spec")
+    with pytest.raises(ArtifactError, match=name) as raised:
+        load_model(bundle)
+    assert raised.type is ArtifactError
+
+
+#: Case -> (forge edit of the scaler's arrays, array name the load error must name).
+HOSTILE_SCALER_ARRAYS = {
+    "mean-short": (_edit_array("mean", lambda a: a[:2]), "scale"),
+    "scale-short": (_edit_array("scale", lambda a: a[:2]), "scale"),
+    "mean-2d": (_edit_array("mean", lambda a: a[None, :]), "mean"),
+    "mean-nan": (_edit_array("mean", lambda a: a * np.nan), "mean"),
+    "scale-zero": (_edit_array("scale", np.zeros_like), "scale"),
+    "scale-negative": (_edit_array("scale", np.negative), "scale"),
+    "scale-infinite": (_edit_array("scale", lambda a: a + np.inf), "scale"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_SCALER_ARRAYS))
+def test_load_rejects_scaler_arrays_contradicting_each_other(tmp_path, case):
+    """A scaler's ``mean`` and ``scale`` must be equal-length, finite vectors.
+
+    ``scale`` divides at transform time, so it must also be positive (a
+    fit never stores a zero).  Each forged bundle is re-signed; it must
+    fail at load instead of raising a broadcast error or returning
+    non-finite features at transform time.
+    """
+    edit, name = HOSTILE_SCALER_ARRAYS[case]
+    X = np.random.default_rng(5).standard_normal((20, 5))
+    bundle = forge_bundle(
+        save_model(StandardScaler().fit(X), tmp_path / case), edit, header_field="spec"
+    )
+    with pytest.raises(ArtifactError, match=name) as raised:
+        load_model(bundle)
+    assert raised.type is ArtifactError
+
+
+@pytest.mark.parametrize("tag", ["ml.gradient_boosting", "ml.k_neighbors"])
+def test_load_rejects_retired_codec_tags(classification_data, tmp_path, tag):
+    """Bundles naming the retired boosting and k-NN codecs fail, naming the tag."""
+    X, y, _ = classification_data
+
+    def retag(manifest, arrays):
+        manifest["spec"]["__type__"] = tag
+
+    bundle = save_model(GaussianNB().fit(X, y), tmp_path / "retired")
+    bundle = forge_bundle(bundle, retag, header_field="spec")
+    with pytest.raises(ArtifactError, match=re.escape(repr(tag))):
         load_model(bundle)
 
 
@@ -474,16 +582,6 @@ def test_tree_arrays_reject_cycles(classification_data):
     hostile["children_right"][0] = 0
     with pytest.raises(ValueError, match="strictly increasing"):
         DecisionTreeClassifier().set_tree_arrays(hostile)
-
-    from repro.ml.boosting import _RegressionTree
-
-    boosted = GradientBoostingClassifier(n_estimators=2, max_depth=2, random_state=0).fit(X, y)
-    regression_arrays = boosted._ensembles[0][1][0].to_arrays()
-    regression_arrays["feature"][0] = 0
-    regression_arrays["children_left"][0] = 0
-    regression_arrays["children_right"][0] = 0
-    with pytest.raises(ValueError, match="strictly increasing"):
-        _RegressionTree.from_arrays(regression_arrays, max_depth=2, min_samples_leaf=1)
 
 
 # --------------------------------------------------------------------- #
