@@ -230,8 +230,8 @@ class FeaturePipeline:
 
         The view shares the fitted extractors (and everything else) with
         this pipeline; only its cache differs, and this pipeline's cache is
-        left as it is.  The serving layer scores through one view per
-        batch, so two services on one model keep their own caches.
+        left as it is.  The serving layer extracts through a view without a
+        cache, so scoring digests nothing and looks nothing up.
         """
         view = copy.copy(self)
         view.cache = cache
@@ -241,19 +241,17 @@ class FeaturePipeline:
         self,
         matchers: Sequence[HumanMatcher],
         precomputed: Optional[dict[str, FeatureBlock]] = None,
-        population_key: Optional[str] = None,
     ) -> dict[str, FeatureBlock]:
         """Per-set feature blocks for ``matchers``, keyed by set name.
 
         ``precomputed`` blocks (e.g. shared by a study driver) short-circuit
         extraction for their sets; the remaining sets go through the cache
-        when one is attached.  ``population_key`` is
-        ``population_fingerprint(matchers)`` when the caller already holds
-        it; otherwise it is digested on the first cache lookup.
+        when one is attached, under one population digest per call.
         """
         if not self._fitted:
             raise RuntimeError("FeaturePipeline must be fitted before transform")
         blocks: dict[str, FeatureBlock] = {}
+        population_key: Optional[str] = None
         for name in self.include:
             if precomputed is not None and name in precomputed:
                 block = precomputed[name]
@@ -278,44 +276,6 @@ class FeaturePipeline:
                     block = extractor.extract_batch(matchers)
             blocks[name] = block
         return blocks
-
-    def store_blocks(
-        self,
-        matchers: Sequence[HumanMatcher],
-        blocks: dict[str, FeatureBlock],
-        population_key: Optional[str] = None,
-    ) -> None:
-        """Insert externally extracted blocks into the attached cache.
-
-        The serving layer extracts blocks in parallel workers; with the
-        ``process`` backend, worker-side cache insertions die with the
-        pool, so the parent re-inserts the returned blocks here to keep
-        cache warmth backend-independent.  A no-op without a cache; an
-        existing entry wins (both copies are bitwise identical), and no
-        insertion counts as a cache lookup.  ``population_key`` is
-        ``population_fingerprint(matchers)`` when the caller already holds
-        it.
-
-        Raises
-        ------
-        ValueError
-            If a block's row count does not match ``matchers``.
-        """
-        if self.cache is None:
-            return
-        if population_key is None:
-            population_key = population_fingerprint(matchers)
-        for name, block in blocks.items():
-            if name not in self._extractors:
-                continue
-            if block.n_matchers != len(matchers):
-                raise ValueError(
-                    f"block for {name!r} has {block.n_matchers} rows "
-                    f"for a population of {len(matchers)}"
-                )
-            self.cache.insert(
-                name, population_key, self._extractors[name].config_fingerprint(), block
-            )
 
     def transform(
         self,

@@ -6,8 +6,10 @@ the matcher's decision history.
 
 The batch path groups the matchers by matrix shape (first-seen order),
 projects each group in chunks of at most :data:`STACK_CELLS` cells into
-one :class:`~repro.predictors.MatrixStack`, scores every predictor on the
-stack in one call, and writes the rows back in input order.  The chunk
+one :class:`~repro.predictors.MatrixStack` (built from the histories'
+decision columns in one pass by
+:func:`~repro.matching.history.stack_matrices`), scores every predictor
+on the stack in one call, and writes the rows back in input order.  The chunk
 bound keeps peak memory flat on populations of large matrices; it is a
 constant because it changes no result, only how many stacks a batch
 takes.
@@ -20,6 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.core.features.base import FeatureBlock, FeatureExtractor
+from repro.matching.history import stack_matrices
 from repro.matching.matcher import HumanMatcher
 from repro.predictors import MatrixStack, PredictorRegistry, default_registry
 
@@ -45,7 +48,8 @@ class LRSMFeatures(FeatureExtractor):
             step = max(1, STACK_CELLS // max(1, n_rows * n_cols))
             for start in range(0, len(indices), step):
                 chunk = indices[start : start + step]
-                stack = MatrixStack(np.stack([matchers[i].matrix().values for i in chunk]))
+                histories = [matchers[i].history for i in chunk]
+                stack = MatrixStack(stack_matrices(histories, (n_rows, n_cols)))
                 out[chunk] = self.registry.batch(stack)
         return FeatureBlock(self.feature_names(), out)
 

@@ -35,6 +35,32 @@ _CODE_VALUES: tuple[str, ...] = tuple(
 )
 
 
+def read_event_codes(codes) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """An event-code column as int64, each code checked before the cast.
+
+    Integer (and boolean) input casts exactly: it is returned with
+    ``None``, and the range check is left to :func:`check_event_columns`.
+    Any other input is read as float64 first and those values are
+    returned too; an entry that is fractional, non-finite or outside
+    ``[0, N_EVENT_TYPES)`` becomes -1 in the int64 column, where a plain
+    cast would truncate it (1.7 to 1) or overflow.
+
+    Raises
+    ------
+    ValueError
+        If the input cannot be read as numbers.
+    """
+    raw = np.asarray(codes)
+    if raw.dtype.kind in "biu":
+        return raw.astype(np.int64, copy=False).ravel(), None
+    try:
+        values = raw.astype(np.float64).ravel()
+    except (TypeError, OverflowError) as error:
+        raise ValueError(f"event codes must be numbers ({error})") from None
+    valid = (values >= 0) & (values < N_EVENT_TYPES) & (np.floor(values) == values)
+    return np.where(valid, values, -1.0).astype(np.int64), values
+
+
 def check_event_columns(codes: np.ndarray, t: np.ndarray) -> None:
     """The ingest rules for event columns, applied to whole columns.
 

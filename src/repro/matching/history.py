@@ -243,3 +243,25 @@ class DecisionHistory:
             f"DecisionHistory(decisions={len(self)}, shape={self.shape}, "
             f"duration={self.duration():.1f}s)"
         )
+
+
+def stack_matrices(histories: Sequence[DecisionHistory], shape: tuple[int, int]) -> np.ndarray:
+    """The ``(k, rows, cols)`` stack of the histories' Eq. 1 matrices.
+
+    Bitwise equal to stacking each ``history.to_matrix().values``: a pair
+    holds the confidence of its latest decision (the last in sequence
+    order) and pairs never decided stay 0.  Every history must have
+    ``shape``.  One pass over all the histories' decision columns
+    replaces a projection per matrix.
+    """
+    rows, cols = shape
+    stack = np.zeros((len(histories), rows, cols))
+    columns = [history.columns() for history in histories]
+    decided = np.concatenate(columns) if columns else np.zeros((0, 4))
+    owner = np.repeat(np.arange(len(columns)), [len(block) for block in columns])
+    cells = (owner * rows + decided[:, 0].astype(np.intp)) * cols + decided[:, 1].astype(np.intp)
+    # Each cell's last decision wins: its first occurrence counting from the end.
+    _, from_end = np.unique(cells[::-1], return_index=True)
+    latest = cells.size - 1 - from_end
+    stack.reshape(-1)[cells[latest]] = decided[latest, 2]
+    return stack

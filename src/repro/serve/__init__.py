@@ -10,10 +10,9 @@ The serving layer makes trained models durable and servable:
   with ``np.load(mmap_mode="r")`` so model loads are O(pages-touched)
   and concurrent processes share pages.
 * :mod:`repro.serve.service` — :class:`CharacterizationService`: load a
-  bundle once, keep a warm feature-block cache, and score matcher
-  populations in deterministic parallel chunks over the
-  :class:`~repro.runtime.TaskRunner` (process workers receive the model
-  once each, pickled through the pool initializer).
+  bundle once and score matcher populations in deterministic parallel
+  chunks over the :class:`~repro.runtime.TaskRunner` (process workers
+  receive the model once each, pickled through the pool initializer).
 * :mod:`repro.serve.population` — scoring populations
   (:func:`save_population` / :func:`load_population`): memory-mappable
   bundle directories (legacy single ``.npz`` files still load).

@@ -1,23 +1,31 @@
 """Batch characterization service over a saved (or in-memory) MExI model.
 
 :class:`CharacterizationService` is the serving-side counterpart of the
-training pipeline: it loads an artifact bundle **once**, keeps a warm
-:class:`~repro.core.features.cache.FeatureBlockCache` of its own for the
-model's feature pipeline, and scores incoming matcher populations in
-extraction chunks fanned out over the deterministic
-:class:`~repro.runtime.TaskRunner` (``serial`` / ``thread`` /
-``process``).
+training pipeline: it loads an artifact bundle **once** and scores
+incoming matcher populations in extraction chunks fanned out over the
+deterministic :class:`~repro.runtime.TaskRunner` (``serial`` /
+``thread`` / ``process``).
+
+No feature cache
+----------------
+Every batch is extracted afresh; scoring looks nothing up.  A cache
+keyed by population content has to digest each batch's events and
+decisions first, and on live re-scoring that digest cost more than the
+cache saved: a changed session changes the population, so few batches
+ever repeat.  A memo of each live session's rows keyed by a revision
+token instead avoided the digest, but it measured no faster end to end
+on the streaming or fleet benchmarks than extracting every batch, so it
+is not kept either.
 
 Chunk plan
 ----------
 Chunks exist only to fan extraction out to workers, and each one pays
 fixed costs again (the population kernels' equal-length groups, the
-LRSM stacks, the chunk's cache-key digest).  So unless a caller pins
-``chunk_size``, the plan follows the runner ``score_batch`` resolves: the
-``serial`` backend (and any call already inside a worker, which resolves
-to ``serial``) extracts the batch as one chunk, and a ``thread`` or
-``process`` runner with ``W`` workers gets
-``max(W, ceil(n / MAX_CHUNK_MATCHERS))`` balanced chunks.
+LRSM stacks).  So unless a caller pins ``chunk_size``, the plan follows
+the runner ``score_batch`` resolves: the ``serial`` backend (and any
+call already inside a worker, which resolves to ``serial``) extracts the
+batch as one chunk, and a ``thread`` or ``process`` runner with ``W``
+workers gets ``max(W, ceil(n / MAX_CHUNK_MATCHERS))`` balanced chunks.
 
 Determinism contract
 --------------------
@@ -40,7 +48,6 @@ on every backend and for every chunk size >= 2 (enforced by
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -51,7 +58,7 @@ from repro import obs
 from repro.core.characterizer import MExICharacterizer
 from repro.core.expert_model import EXPERT_CHARACTERISTICS
 from repro.core.features.base import FeatureBlock
-from repro.core.features.cache import FeatureBlockCache, population_fingerprint
+from repro.core.features.cache import FeatureBlockCache
 from repro.core.features.pipeline import FeaturePipeline
 from repro.matching.matcher import HumanMatcher
 from repro.runtime import RuntimeSpec, TaskRunner, resolve_runner
@@ -123,25 +130,13 @@ class BatchScores:
 
 
 def _extract_chunk(
-    matchers: list[HumanMatcher], context: tuple[FeaturePipeline, int]
-) -> tuple[str, dict[str, FeatureBlock], Optional[tuple[int, int]]]:
-    """One chunk's population key, feature blocks and foreign cache lookups.
+    matchers: list[HumanMatcher], pipeline: FeaturePipeline
+) -> dict[str, FeatureBlock]:
+    """One chunk's feature blocks (module-level for pickling).
 
-    Module-level for pickling; ``context`` is the cache-bound pipeline
-    and the dispatching process id.  The key travels back with the blocks
-    so the parent stores them without digesting the chunk a second time.
-    A task run in another process looked its blocks up in a copy of the
-    parent's cache, so it also returns that copy's ``(hits, misses)``
-    for the parent to count; an in-process task returns ``None``.
+    ``pipeline`` carries no cache, so nothing is digested or looked up.
     """
-    pipeline, parent_pid = context
-    cache = pipeline.cache
-    before = (cache.hits, cache.misses)
-    population_key = population_fingerprint(matchers)
-    blocks = pipeline.transform_blocks(matchers, population_key=population_key)
-    if os.getpid() == parent_pid:
-        return population_key, blocks, None
-    return population_key, blocks, (cache.hits - before[0], cache.misses - before[1])
+    return pipeline.transform_blocks(matchers)
 
 
 def _chunked(matchers: list[HumanMatcher], size: int) -> list[list[HumanMatcher]]:
@@ -209,13 +204,10 @@ class CharacterizationService:
         feature pipeline once per worker through the pool initializer
         (see :meth:`repro.runtime.TaskRunner.map`).
     cache:
-        Feature-block cache to keep warm across ``score_batch`` calls.
-        When omitted, the model's existing pipeline cache is adopted if it
-        has one (a caller-shared cache is never silently replaced) and a
-        fresh cache is created otherwise.  The service looks blocks up in
-        its own cache only: the model is not rebound, so two services on
-        one model keep separate caches.  Repeat scores of the same
-        population hit the cache instead of re-extracting.
+        Accepted so existing callers keep working, and ignored: the
+        service keeps no feature cache (see the module docstring).  The
+        model's own pipeline cache, if any, is left as it is and not used
+        for scoring.
 
     Raises
     ------
@@ -238,15 +230,6 @@ class CharacterizationService:
         self.model = model
         self.runtime = runtime
         self.chunk_size = chunk_size
-        # Keep a cache warm across calls.  An explicit cache wins;
-        # otherwise a cache the model already carries (possibly shared
-        # with other models) is adopted rather than silently replaced.
-        if cache is not None:
-            self.cache = cache
-        elif model.pipeline.cache is not None:
-            self.cache = model.pipeline.cache
-        else:
-            self.cache = FeatureBlockCache()
         self._bundle_info = dict(bundle_info) if bundle_info else None
 
     @classmethod
@@ -256,7 +239,6 @@ class CharacterizationService:
         *,
         runtime: RuntimeSpec = None,
         chunk_size: Optional[int] = None,
-        cache: Optional[FeatureBlockCache] = None,
     ) -> "CharacterizationService":
         """Load an artifact bundle once and wrap it in a service.
 
@@ -284,7 +266,6 @@ class CharacterizationService:
             model,
             runtime=runtime,
             chunk_size=chunk_size,
-            cache=cache,
             bundle_info=info,
         )
 
@@ -328,24 +309,12 @@ class CharacterizationService:
         _check_chunk_size(size)
         runner = resolve_runner(runtime if runtime is not None else self.runtime)
         chunks = _chunk_plan(matchers, runner, size)
-        pipeline = self.model.pipeline.with_cache(self.cache)
+        pipeline = self.model.pipeline.with_cache(None)
         telemetry = obs.obs_enabled()
-        cache_before = dict(self.cache.stats()) if telemetry else {}
         with obs.trace_span("serve.score_batch", matchers=len(matchers), chunks=len(chunks)):
             extract_started = time.perf_counter()
             with obs.trace_span("serve.extract", chunks=len(chunks)):
-                extracted = runner.map(
-                    _extract_chunk, chunks, context=(pipeline, os.getpid())
-                )
-            # Re-insert the extracted blocks into the parent-side cache, and
-            # count the lookups process workers made in their copies of it:
-            # both die with the pool, so without this the warm-cache fast
-            # path and the cache statistics would be backend-dependent.
-            for chunk, (population_key, blocks_of_chunk, lookups) in zip(chunks, extracted):
-                pipeline.store_blocks(chunk, blocks_of_chunk, population_key)
-                if lookups is not None:
-                    self.cache.count_lookups(*lookups)
-            chunk_blocks = [blocks_of_chunk for _, blocks_of_chunk, _ in extracted]
+                chunk_blocks = runner.map(_extract_chunk, chunks, context=pipeline)
             extract_seconds = time.perf_counter() - extract_started
             # Fuse the per-chunk blocks into full-population blocks, then
             # classify once in the parent: classification sees the exact
@@ -363,7 +332,7 @@ class CharacterizationService:
             classify_seconds = time.perf_counter() - classify_started
         if telemetry:
             self._record_scoring_metrics(
-                matchers, probabilities, cache_before, extract_seconds, classify_seconds
+                matchers, probabilities, extract_seconds, classify_seconds
             )
         return BatchScores(ids, labels, probabilities)
 
@@ -371,7 +340,6 @@ class CharacterizationService:
         self,
         matchers: Sequence[HumanMatcher],
         probabilities: np.ndarray,
-        cache_before: dict,
         extract_seconds: float,
         classify_seconds: float,
     ) -> None:
@@ -386,16 +354,6 @@ class CharacterizationService:
         obs.histogram(
             "repro_score_classify_seconds", "Classification wall-clock per batch."
         ).observe(classify_seconds)
-        cache_after = self.cache.stats()
-        cache_events = obs.counter(
-            "repro_feature_cache_total",
-            "Feature-block cache lookups during scoring, by outcome.",
-            labelnames=("outcome",),
-        )
-        cache_events.inc(max(cache_after["hits"] - cache_before.get("hits", 0), 0), outcome="hit")
-        cache_events.inc(
-            max(cache_after["misses"] - cache_before.get("misses", 0), 0), outcome="miss"
-        )
         # Per-characteristic probability moments: the mergeable summary a
         # drift monitor (ROADMAP item 4) compares across time windows.
         score_moments = obs.distribution(
@@ -411,7 +369,7 @@ class CharacterizationService:
     # ------------------------------------------------------------------ #
 
     def info(self) -> dict:
-        """Service metadata: bundle provenance, model summary, cache stats."""
+        """Service metadata: bundle provenance and model summary."""
         pipeline = self.model.pipeline
         return {
             "bundle": self._bundle_info,
@@ -424,7 +382,6 @@ class CharacterizationService:
             },
             "chunk_size": self.chunk_size,
             "runtime": self.runtime if isinstance(self.runtime, (str, type(None))) else repr(self.runtime),
-            "cache": self.cache.stats(),
         }
 
     def __repr__(self) -> str:

@@ -24,8 +24,8 @@ that hold by construction rather than through a protocol of its own:
   is the oracle) — an order invariant under placement, rebalancing and
   crash-restores, unlike LRU order.
 * **One scoring path.**  Every shard holds the primary
-  :class:`~repro.serve.CharacterizationService` (one model object, one
-  feature cache), and a fleet-wide pass is one
+  :class:`~repro.serve.CharacterizationService` (one model object), and
+  a fleet-wide pass is one
   :meth:`~repro.serve.CharacterizationService.score_batch` call on the
   sorted batch — the oracle's exact code path, so chunking, the
   no-singleton rule and classify-once are the serving layer's own.
@@ -84,7 +84,7 @@ class ShardFleet:
     service:
         The primary :class:`CharacterizationService`.  Every shard's
         session manager scores through it, so the fleet holds one model
-        and one warm feature cache however many shards it has.
+        however many shards it has.
     n_shards:
         Number of shard workers.
     seed / replicas:

@@ -2,8 +2,8 @@
 
 A shard worker owns a private :class:`~repro.stream.SessionManager`
 over the fleet's primary :class:`~repro.serve.CharacterizationService`
-(every shard shares that one service — one model, one warm feature
-cache; see :mod:`repro.shard.fleet`), plus the two things that make it
+(every shard shares that one service and its one model; see
+:mod:`repro.shard.fleet`), plus the two things that make it
 a *fleet member* rather than a bare manager:
 
 * a **bounded write-behind dispatch queue** with explicit backpressure

@@ -46,7 +46,12 @@ from typing import Optional
 
 import numpy as np
 
-from repro.matching.events import EventArray, N_EVENT_TYPES, check_event_columns
+from repro.matching.events import (
+    EventArray,
+    N_EVENT_TYPES,
+    check_event_columns,
+    read_event_codes,
+)
 
 #: Initial capacity (events) of the growable committed region.
 INITIAL_CAPACITY = 64
@@ -208,17 +213,24 @@ class StreamingEventBuffer:
             If any event is older than the current watermark (including
             the watermark advanced by *earlier entries of this batch*).
         ValueError
-            On non-finite/negative timestamps, unknown event codes, or
-            ragged columns.
+            On non-finite/negative timestamps, event codes that are not
+            integers in ``[0, N_EVENT_TYPES)`` (checked before the int64
+            cast, so 1.7 is rejected rather than stored as 1), or ragged
+            columns.
         """
         x = np.asarray(x, dtype=np.float64).ravel()
         y = np.asarray(y, dtype=np.float64).ravel()
-        codes = np.asarray(codes, dtype=np.int64).ravel()
+        codes, values = read_event_codes(codes)
         t = np.asarray(t, dtype=np.float64).ravel()
         if not (x.size == y.size == codes.size == t.size):
             raise ValueError("event columns must have equal lengths")
         if t.size == 0:
             return
+        if values is not None and (codes < 0).any():
+            raise ValueError(
+                f"event code {float(values[np.argmax(codes < 0)])!r} is not an integer "
+                f"in [0, {N_EVENT_TYPES})"
+            )
         check_event_columns(codes, t)
         # The watermark advances as the batch is scanned: an entry may not
         # be older than the window behind the newest entry before it.
@@ -288,7 +300,7 @@ class StreamingEventBuffer:
         """
         x = np.asarray(x, dtype=np.float64).ravel()
         y = np.asarray(y, dtype=np.float64).ravel()
-        codes = np.asarray(codes, dtype=np.int64).ravel()
+        codes, values = read_event_codes(codes)
         t = np.asarray(t, dtype=np.float64).ravel()
         if not (x.size == y.size == codes.size == t.size):
             raise ValueError("event columns must have equal lengths")
@@ -311,13 +323,18 @@ class StreamingEventBuffer:
             t_i = float(t[position])
             code_i = int(codes[position])
             if not np.isfinite(t_i) or t_i < 0 or not 0 <= code_i < N_EVENT_TYPES:
+                if not (np.isfinite(t_i) and t_i >= 0):
+                    detail = f"timestamp {t_i!r} must be finite and non-negative"
+                elif values is not None:
+                    detail = (
+                        f"event code {float(values[position])!r} is not an integer "
+                        f"in [0, {N_EVENT_TYPES})"
+                    )
+                else:
+                    detail = f"event code {code_i} outside [0, {N_EVENT_TYPES})"
                 quarantine.add(
                     session_id=session_id, reason="malformed",
-                    detail=(
-                        f"timestamp {t_i!r} must be finite and non-negative"
-                        if not (np.isfinite(t_i) and t_i >= 0)
-                        else f"event code {code_i} outside [0, {N_EVENT_TYPES})"
-                    ),
+                    detail=detail,
                     x=float(x[position]), y=float(y[position]),
                     code=code_i, t=t_i,
                 )

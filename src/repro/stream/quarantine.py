@@ -12,9 +12,10 @@ was dropped without the log itself becoming an unbounded liability.
 Quarantine reasons
 ------------------
 ``malformed``
-    Non-finite or negative timestamp, or an event code outside
-    ``[0, N_EVENT_TYPES)`` — events the strict path rejects with
-    ``ValueError``.
+    Non-finite or negative timestamp, or an event code that is not an
+    integer in ``[0, N_EVENT_TYPES)`` (fractional, non-finite or out of
+    range; such a code is recorded as -1) — events the strict path
+    rejects with ``ValueError``.
 ``out_of_window``
     Older than the reorder window allows (or older than a flush
     barrier) — events the strict path rejects with
@@ -57,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.matching.events import N_EVENT_TYPES
+from repro.matching.events import N_EVENT_TYPES, read_event_codes
 
 #: The structured quarantine reasons, in check order: the first three are
 #: produced by the stream layer's screened ingest, the last three by the
@@ -202,7 +203,7 @@ def corrupt_event_columns(
     """
     x = np.asarray(x, dtype=np.float64).ravel()
     y = np.asarray(y, dtype=np.float64).ravel()
-    codes = np.asarray(codes, dtype=np.int64).ravel()
+    codes = read_event_codes(codes)[0]
     t = np.asarray(t, dtype=np.float64).ravel()
     extra_x, extra_y, extra_codes, extra_t = [], [], [], []
     for _ in range(int(count)):

@@ -45,14 +45,14 @@ FORMATS = (JsonlTraceFormat, CsvEventFormat, OaeiDecisionFormat)
 HOSTILE_JSON = (
     True, False, None, "3.5", " 2 ", 2.0, -0.0, 0.0, 10**30, -(10**30), 10**400,
     [1], {"a": [1]}, "", "nan", 1e308, float("inf"), -1.0, 4095, 4096, "move",
-    "left", 7, "7", "=", "a3", " s ", "None",
+    "left", 7, "7", "=", "a3", " s ", "None", 1.7, 1e300, -1e300,
 )
 
 #: CSV/OAEI cell texts with the same roles.
 HOSTILE_TEXT = (
     "", " ", "nan", "inf", "-0.0", "0.0", "1e400", "2.0", "1_0", "true", "move",
     "left", "7", "-3", "a3", "b4", "a4095", "a4096", "a²", "--3", "=", "<",
-    "٣", "1" * 50, "x y", "None",
+    "٣", "1" * 50, "x y", "None", "1.7", "1e300", "-1e300",
 )
 
 _SETTINGS = settings(

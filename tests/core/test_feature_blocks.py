@@ -314,18 +314,12 @@ class TestPipelineWithCache:
 
         monkeypatch.setattr(cache_module, "population_fingerprint", counted)
         monkeypatch.setattr(pipeline_module, "population_fingerprint", counted)
-        blocks = pipeline.transform_blocks(small_cohort)
+        pipeline.transform_blocks(small_cohort)
         assert calls == [len(small_cohort)]
         assert cache.stats()["misses"] == 3
         pipeline.transform_blocks(small_cohort)
-        pipeline.store_blocks(small_cohort, blocks)
-        assert calls == [len(small_cohort)] * 3
-        # A re-insertion is not a lookup: only the second transform hits.
+        assert calls == [len(small_cohort)] * 2
         assert cache.stats()["hits"] == 3 and cache.stats()["misses"] == 3
-        # A caller holding the key digests nothing.
-        pipeline.store_blocks(small_cohort, blocks, population_fingerprint(small_cohort))
-        assert calls == [len(small_cohort)] * 3
-        assert cache.stats()["hits"] == 3
         # The keys are the ones a per-set lookup would compute.
         key = population_fingerprint(small_cohort)
         assert list(cache._blocks) == [

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.matching.history import Decision, DecisionHistory
+from repro.matching.history import Decision, DecisionHistory, stack_matrices
 
 
 class TestDecision:
@@ -166,3 +166,30 @@ class TestProperties:
     @settings(max_examples=40, deadline=None)
     def test_mind_changes_consistent_with_distinct_pairs(self, history):
         assert history.n_mind_changes() == len(history) - len(history.decided_pairs())
+
+
+@st.composite
+def same_shape_histories(draw):
+    """A shape and 0-6 histories of it: empty ones, revisited pairs, tied timestamps."""
+    shape = draw(st.sampled_from([(0, 0), (1, 1), (3, 2), (5, 5)]))
+    decision = st.builds(
+        Decision,
+        row=st.integers(0, max(shape[0] - 1, 0)),
+        col=st.integers(0, max(shape[1] - 1, 0)),
+        confidence=st.floats(0.0, 1.0),
+        timestamp=st.sampled_from([0.0, 1.0, 2.5]),
+    )
+    most = 12 if shape[0] else 0
+    group = draw(st.lists(st.lists(decision, max_size=most), max_size=6))
+    return shape, [DecisionHistory(decisions, shape=shape) for decisions in group]
+
+
+@given(same_shape_histories())
+@settings(max_examples=80, deadline=None)
+def test_stack_matrices_equals_stacked_projections(case):
+    """The batch projection is bitwise the per-history ``to_matrix`` stack."""
+    shape, group = case
+    expected = np.zeros((len(group),) + shape)
+    for index, history in enumerate(group):
+        expected[index] = history.to_matrix().values
+    assert stack_matrices(group, shape).tobytes() == expected.tobytes()

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.core.features.cache import FeatureBlockCache
 from repro.runtime import runner as runner_module
 from repro.runtime.runner import TaskRunner
 from repro.serve import service as service_module
@@ -105,42 +104,6 @@ def test_scores_bitwise_equal_across_chunk_plans(offline_model, cohort):
         scores = CharacterizationService(offline_model, **plan).score_batch(cohort)
         assert np.array_equal(scores.labels, expected_labels), plan
         assert np.array_equal(scores.probabilities, expected_probabilities), plan
-
-
-@pytest.mark.parametrize("runtime, n_chunks", [("serial", 1), ("thread:2", 2), ("process:2", 2)])
-def test_cache_counts_each_lookup_once(offline_model, cohort, runtime, n_chunks):
-    """A cold batch misses once per (chunk, set) and hits nothing: re-inserting
-    the blocks is not a lookup, and process workers' lookups are counted."""
-    service = CharacterizationService(offline_model, runtime=runtime, cache=FeatureBlockCache())
-    service.score_batch(cohort)
-    lookups = n_chunks * len(offline_model.pipeline.include)
-    stats = service.cache.stats()
-    assert (stats["hits"], stats["misses"], stats["entries"]) == (0, lookups, lookups)
-    service.score_batch(cohort)
-    stats = service.cache.stats()
-    assert (stats["hits"], stats["misses"], stats["entries"]) == (lookups, lookups, lookups)
-
-
-def test_cold_batch_counts_no_hit_in_metrics(offline_model, cohort):
-    with obs.obs_override(True), obs.use_registry() as registry:
-        CharacterizationService(
-            offline_model, runtime="serial", cache=FeatureBlockCache()
-        ).score_batch(cohort)
-    lookups = registry.get("repro_feature_cache_total")
-    assert lookups.value(outcome="hit") == 0
-    assert lookups.value(outcome="miss") == len(offline_model.pipeline.include)
-
-
-@pytest.mark.parametrize("runtime", ["serial", "process:2"])
-def test_services_on_one_model_keep_their_own_caches(offline_model, cohort, runtime):
-    first = CharacterizationService(offline_model, runtime=runtime, cache=FeatureBlockCache())
-    second = CharacterizationService(offline_model, runtime=runtime, cache=FeatureBlockCache())
-    first.score_batch(cohort)
-    assert first.info()["cache"]["entries"] > 0
-    assert first.info()["cache"]["misses"] > 0
-    assert second.info()["cache"]["entries"] == 0
-    assert second.info()["cache"]["misses"] == 0
-    assert offline_model.pipeline.cache is None
 
 
 def test_consensus_fingerprint_survives_bundle_round_trip(offline_model, tmp_path):

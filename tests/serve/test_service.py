@@ -70,17 +70,6 @@ def test_service_wraps_in_memory_model(offline_model, serve_dataset, expected):
     assert np.array_equal(result.probabilities, probabilities)
 
 
-def test_service_cache_stays_warm(offline_bundle, serve_dataset):
-    """Re-scoring the same population hits the feature-block cache."""
-    service = CharacterizationService.from_bundle(offline_bundle)
-    service.score_batch(serve_dataset.oaei_matchers)
-    misses_after_first = service.cache.stats()["misses"]
-    service.score_batch(serve_dataset.oaei_matchers)
-    stats = service.cache.stats()
-    assert stats["misses"] == misses_after_first
-    assert stats["hits"] > 0
-
-
 def test_service_empty_population(offline_bundle):
     result = CharacterizationService.from_bundle(offline_bundle).score_batch([])
     assert result.n_matchers == 0
@@ -104,32 +93,29 @@ def test_batch_scores_blocks(offline_bundle, serve_dataset, expected):
     assert payload["characteristics"] == list(EXPERT_CHARACTERISTICS)
 
 
-def test_service_warms_parent_cache_under_process_backend(offline_bundle, serve_dataset):
-    """Blocks extracted in process workers are re-inserted into the parent cache."""
-    service = CharacterizationService.from_bundle(
-        offline_bundle, runtime="process:2", chunk_size=3
-    )
-    service.score_batch(serve_dataset.oaei_matchers)
-    assert len(service.cache) > 0  # parent-side entries, not lost with the pool
-    misses_after_first = service.cache.stats()["misses"]
-    service.score_batch(serve_dataset.oaei_matchers)
-    assert service.cache.stats()["misses"] == misses_after_first
-
-
-def test_service_adopts_existing_pipeline_cache(offline_model, serve_dataset):
-    """A cache the model already shares is adopted, never silently replaced."""
+@pytest.mark.parametrize("runtime", ["serial", "process:2"])
+def test_service_scores_without_a_cache(offline_model, serve_dataset, expected, runtime):
+    """Scoring looks nothing up, not even in a cache the model carries or
+    one the caller passes, and re-scoring equals the first score."""
     from repro.core.features.cache import FeatureBlockCache
 
-    shared = FeatureBlockCache()
+    labels, probabilities = expected
+    shared, passed = FeatureBlockCache(), FeatureBlockCache()
     offline_model.pipeline.cache = shared
     try:
-        service = CharacterizationService(offline_model)
-        assert service.cache is shared
-        explicit = FeatureBlockCache()
-        service = CharacterizationService(offline_model, cache=explicit)
-        assert service.cache is explicit
+        service = CharacterizationService(
+            offline_model, runtime=runtime, chunk_size=3, cache=passed
+        )
+        for _ in range(2):
+            result = service.score_batch(serve_dataset.oaei_matchers)
+            assert np.array_equal(result.labels, labels)
+            assert np.array_equal(result.probabilities, probabilities)
     finally:
         offline_model.pipeline.cache = None
+    for cache in (shared, passed):
+        stats = cache.stats()
+        assert (stats["hits"], stats["misses"], stats["entries"]) == (0, 0, 0)
+    assert "cache" not in service.info()
 
 
 def test_characterize_matches_separate_passes(offline_model, serve_dataset, expected):

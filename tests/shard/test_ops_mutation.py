@@ -39,6 +39,12 @@ _BODIES = {
 }
 
 
+def _ingest_with_first_code(code) -> bytes:
+    """The ``/ingest`` body with its first event code replaced by ``code``."""
+    codes = [code] + _BODIES["/ingest"]["codes"][1:]
+    return json.dumps(dict(_BODIES["/ingest"], codes=codes)).encode()
+
+
 @pytest.fixture(scope="module")
 def server(shard_model):
     fleet = ShardFleet(CharacterizationService(shard_model, chunk_size=4), 2, seed=1)
@@ -88,6 +94,7 @@ def _hostile_values(draw):
                 st.booleans(),
                 st.integers(-(2**70), 2**70),
                 st.floats(allow_nan=False, allow_infinity=False),
+                st.sampled_from([1.7, -0.5, 1e300, -1e300]),
                 st.text(max_size=8),
             ),
             lambda inner: st.lists(inner, max_size=4),
@@ -121,3 +128,28 @@ def test_hostile_field_values_are_answered(server, case):
 )
 def test_reproduced_escapes_are_400(server, path, body):
     assert _answered(server, path, body) == 400
+
+
+@pytest.mark.parametrize("code", [1.7, -0.5, 1e300, -1e300])
+@pytest.mark.parametrize("quarantine", [False, True], ids=["strict", "screened"])
+def test_non_integer_codes_are_caught_before_the_cast(shard_model, code, quarantine):
+    """A fresh session's ``/ingest`` with one fractional or huge code: a 400 on
+    a strict fleet, one ``malformed`` record on a screened one, never a
+    silently truncated code or a cast warning."""
+    fleet = ShardFleet(
+        CharacterizationService(shard_model, chunk_size=4), 2, seed=1,
+        quarantine=True if quarantine else None,
+    )
+    try:
+        fleet.open(_SESSION, _TRACE.shape)
+        status, payload = OpsServer(fleet)._route("POST", "/ingest", _ingest_with_first_code(code))
+        if quarantine:
+            assert status == 202
+            assert fleet.quarantine_counts()["by_reason"]["malformed"] == 1
+            assert len(fleet.session(_SESSION).buffer) == len(_TRACE.codes) - 1
+        else:
+            assert status == 400
+            assert "is not an integer" in payload["error"]
+            assert len(fleet.session(_SESSION).buffer) == 0
+    finally:
+        fleet.close()

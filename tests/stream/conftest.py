@@ -30,7 +30,7 @@ def stream_model():
 
 @pytest.fixture
 def stream_service(stream_model):
-    """A fresh service per test (its cache is per-test state)."""
+    """A fresh service per test."""
     return CharacterizationService(stream_model, chunk_size=4)
 
 

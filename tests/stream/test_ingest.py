@@ -1,10 +1,13 @@
 """StreamingEventBuffer: growth, ordering validation, reorder window, drains."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.matching.events import EventArray
 from repro.stream import StreamingEventBuffer, StreamOrderError
+from repro.stream.quarantine import QuarantineLog
 
 from tests.stream.conftest import jittered, random_trace
 
@@ -49,6 +52,52 @@ class TestMonotonicIngestion:
             buffer.extend([0.0, 1.0], [0.0], [0], [1.0])
         with pytest.raises(ValueError):
             StreamingEventBuffer(reorder_window=-1.0)
+
+
+class TestEventCodes:
+    """Codes are checked before the int64 cast: never truncated, never overflowed."""
+
+    @pytest.mark.parametrize(
+        "codes",
+        [[0, 1.7], [0.0, -0.5], [1e300, 0], np.array([1e300, 0.0]), [0, float("nan")],
+         [float("inf"), 0], [0, 4.0], [0, 10**400]],
+        ids=["fractional", "negative-fraction", "huge-list", "huge-array", "nan", "inf",
+             "out-of-range-float", "beyond-float"],
+    )
+    def test_non_integer_codes_raise_value_error(self, codes):
+        buffer = StreamingEventBuffer()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                buffer.extend([0.0, 1.0], [0.0, 1.0], codes, [1.0, 2.0])
+        assert len(buffer) == 0
+
+    @pytest.mark.parametrize(
+        "codes", [[1.0, 3.0], np.array([1, 3], dtype=np.int32), np.array([1, 3], dtype=np.uint8)]
+    )
+    def test_integral_codes_are_stored_exactly(self, codes):
+        buffer = StreamingEventBuffer()
+        buffer.extend([0.0, 1.0], [0.0, 1.0], codes, [1.0, 2.0])
+        committed = buffer.committed().codes
+        assert committed.dtype == np.int64
+        np.testing.assert_array_equal(committed, [1, 3])
+
+    def test_screened_path_quarantines_non_integer_codes(self):
+        buffer = StreamingEventBuffer()
+        quarantine = QuarantineLog()
+        codes = [0, 1.7, 1e300, float("nan"), 2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            survivors = buffer.extend_screened(
+                [0.0] * 5, [0.0] * 5, codes, [1.0, 2.0, 3.0, 4.0, 5.0], quarantine
+            )
+        assert survivors == 2
+        np.testing.assert_array_equal(buffer.committed().codes, [0, 2])
+        records = quarantine.records()
+        assert [record.reason for record in records] == ["malformed"] * 3
+        assert [record.code for record in records] == [-1, -1, -1]
+        assert [record.t for record in records] == [2.0, 3.0, 4.0]
+        assert "1.7 is not an integer" in records[0].detail
 
 
 class TestReorderWindow:

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.core.features import cache as cache_module
+from repro.core.features import pipeline as pipeline_module
 from repro.serve.service import CharacterizationService
 from repro.stream import SessionManager
 from repro.stream.cli import _replay
@@ -92,6 +94,38 @@ class TestDirtyFlagging:
         scores = manager.recharacterize(session_ids=[chosen])
         assert scores.matcher_ids == (chosen,)
         assert len(manager.dirty_sessions()) == 2
+
+
+@pytest.mark.parametrize("runtime", ["serial", "process:2"])
+def test_recharacterize_digests_nothing(stream_model, workload, monkeypatch, runtime):
+    """Live re-scoring hashes no population and no matcher: serving keeps
+    no content-keyed cache."""
+    calls = []
+
+    def counted(original):
+        def wrapper(*args, **kwargs):
+            calls.append(original.__name__)
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for module in (cache_module, pipeline_module):
+        monkeypatch.setattr(
+            module, "population_fingerprint", counted(cache_module.population_fingerprint)
+        )
+    monkeypatch.setattr(
+        cache_module, "matcher_fingerprint", counted(cache_module.matcher_fingerprint)
+    )
+    manager = SessionManager(CharacterizationService(stream_model, runtime=runtime))
+    for matcher in workload:
+        _feed_full_trace(manager, matcher)
+    manager.recharacterize()
+    target = workload[0].matcher_id
+    last_t = manager.session(target).buffer.max_timestamp
+    manager.ingest_events(target, [10.0], [10.0], [0], [last_t + 1.0])
+    assert manager.recharacterize().matcher_ids == (target,)
+    assert manager.recharacterize(force=True).n_matchers == len(workload)
+    assert calls == []
 
 
 class TestEviction:
