@@ -10,11 +10,13 @@ in production and the chaos guarantees are theoretical.  Two measurements:
   the chaos CI job measures the same thing a clean run does).  Min-of-k
   timing; gate: <= 5% overhead on the serial engine, enforced when
   ``REPRO_FAULT_GATES`` is set (the ``workflow_dispatch`` chaos CI job
-  sets it).  The thread number is recorded ungated (pool scheduling noise
+  sets it).  The ``process:2`` number is recorded ungated (the
+  supervised path submits one task per future, and pool start-up noise
   dwarfs the supervision arithmetic there).
-* **chaos recovery** — the same workload under an absorbable
-  ``worker.death`` plan: wall-clock to completion recorded ungated, with
-  the bitwise-equivalence invariant asserted on every run.
+* **chaos recovery** — the same workload on ``process:2`` under an
+  absorbable ``worker.death`` plan, where a death is a real worker
+  ``os._exit`` that breaks the pool: wall-clock to completion recorded
+  ungated, with the bitwise-equivalence invariant asserted on every run.
 
 All numbers land in ``.bench_out/pytest/BENCH_faults.json`` via the session
 hook, alongside the fault-plan metadata every benchmark JSON now carries.
@@ -83,20 +85,20 @@ def test_bench_supervision_overhead(fault_timings):
             lambda: serial.map(_numpy_work, tasks, supervision=supervision)
         )
 
-        thread = TaskRunner("thread", max_workers=2)
-        assert thread.map(_numpy_work, tasks, supervision=supervision) == expected
-        thread_bare_s = _min_seconds(lambda: thread.map(_numpy_work, tasks))
-        thread_supervised_s = _min_seconds(
-            lambda: thread.map(_numpy_work, tasks, supervision=supervision)
+        process = TaskRunner("process", max_workers=2)
+        assert process.map(_numpy_work, tasks, supervision=supervision) == expected
+        process_bare_s = _min_seconds(lambda: process.map(_numpy_work, tasks))
+        process_supervised_s = _min_seconds(
+            lambda: process.map(_numpy_work, tasks, supervision=supervision)
         )
 
     overhead = supervised_s / bare_s - 1.0
     fault_timings["serial_unsupervised_s"] = bare_s
     fault_timings["serial_supervised_s"] = supervised_s
     fault_timings["serial_supervision_overhead"] = overhead
-    fault_timings["thread_unsupervised_s"] = thread_bare_s
-    fault_timings["thread_supervised_s"] = thread_supervised_s
-    fault_timings["thread_supervision_overhead"] = thread_supervised_s / thread_bare_s - 1.0
+    fault_timings["process_unsupervised_s"] = process_bare_s
+    fault_timings["process_supervised_s"] = process_supervised_s
+    fault_timings["process_supervision_overhead"] = process_supervised_s / process_bare_s - 1.0
     fault_timings["gates_enforced"] = float(GATES_ENFORCED)
 
     print(
@@ -115,7 +117,7 @@ def test_bench_chaos_recovery(fault_timings):
     tasks = list(range(N_TASKS))
     with _no_fault_plan():
         expected = TaskRunner("serial").map(_numpy_work, tasks)
-        runner = TaskRunner("thread", max_workers=2)
+        runner = TaskRunner("process", max_workers=2)
         supervision = Supervision(max_retries=2, backoff_base=0.0)
 
         def chaotic():
@@ -123,4 +125,4 @@ def test_bench_chaos_recovery(fault_timings):
                 return runner.map(_numpy_work, tasks, supervision=supervision)
 
         assert chaotic() == expected
-        fault_timings["thread_chaos_recovery_s"] = _min_seconds(chaotic, repeats=3)
+        fault_timings["process_chaos_recovery_s"] = _min_seconds(chaotic, repeats=3)

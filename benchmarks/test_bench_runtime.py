@@ -1,6 +1,6 @@
 """Deterministic parallel training runtime: per-backend wall-clock + speedup gate.
 
-Times the training-layer hot loops under every TaskRunner backend:
+Times the training-layer hot loops under both TaskRunner backends:
 
 * the Table IIa identification folds (every baseline and MExI variant
   trained per fold, offline feature sets, cold feature cache),
@@ -83,8 +83,7 @@ def test_bench_runtime_forest_and_folds(bench_config, runtime_timings):
         runtime_timings[f"identification_{config.n_folds}fold_{backend}"] = seconds
         print(f"{config.n_folds}-fold identification [{backend}]: {seconds:.2f}s")
 
-    for backend in ("thread", "process"):
-        assert folds["serial"] == folds[backend], backend
+    assert folds["serial"] == folds["process"]
 
 
 def test_bench_runtime_ablation(bench_config, runtime_timings):
@@ -156,7 +155,7 @@ def test_bench_runtime_ablation(bench_config, runtime_timings):
 
     rows = {backend: [] for backend in BACKENDS}
     runs = {backend: [] for backend in BACKENDS}
-    for backend in ["thread"] + ["serial", "process"] * GATE_RUNS:
+    for backend in ["serial", "process"] * GATE_RUNS:
         results, elapsed = _timed(lambda: ablation(backend))
         rows[backend].append(
             [(r.mode, r.feature_set, tuple(sorted(r.accuracies.items()))) for r in results]
@@ -167,10 +166,9 @@ def test_bench_runtime_ablation(bench_config, runtime_timings):
     seconds = {backend: statistics.median(values) for backend, values in runs.items()}
     for backend in BACKENDS:
         runtime_timings[f"ablation_11cfg_{backend}"] = seconds[backend]
-    for backend in ("thread", "process"):
-        speedup = seconds["serial"] / seconds[backend]
-        runtime_timings[f"ablation_speedup_{backend}_x"] = speedup
-        print(f"ablation speedup [{backend}, median of {len(runs[backend])}]: {speedup:.2f}x")
+    speedup = seconds["serial"] / seconds["process"]
+    runtime_timings["ablation_speedup_process_x"] = speedup
+    print(f"ablation speedup [process, median of {GATE_RUNS}]: {speedup:.2f}x")
 
     # Determinism is unconditional: every run of every backend reproduces
     # Table III bitwise.

@@ -5,8 +5,8 @@ Times the serving life-cycle at the reduced benchmark scale:
 * ``save_model`` / ``load_model`` wall-clock and bundle size for a fitted
   characterizer over the offline feature sets,
 * ``CharacterizationService.score_batch`` throughput (matchers/second)
-  for the serial and thread backends at a fixed chunk size, against a
-  cold and a warm feature-block cache.
+  on the ``serial`` and ``process:2`` backends with the derived chunk
+  plan, for a first (cold) and a repeated (warm) call.
 
 Determinism is asserted alongside the timings: the loaded model and the
 service must reproduce the in-memory predictions bitwise.  All numbers
@@ -22,9 +22,6 @@ from repro.core.characterizer import MExICharacterizer, MExIVariant
 from repro.core.expert_model import characterize_population, labels_matrix
 from repro.serve import CharacterizationService, load_model, save_model
 from repro.simulation.dataset import build_dataset
-
-CHUNK_SIZE = 8
-
 
 def _timed(function):
     start = time.perf_counter()
@@ -64,10 +61,9 @@ def test_bench_serve_lifecycle(bench_config, serve_timings, tmp_path):
     expected_probabilities = model.predict_proba(population)
     assert np.array_equal(loaded.predict(population), expected)
 
-    for backend in ("serial", "thread"):
-        service = CharacterizationService.from_bundle(
-            bundle, runtime=backend, chunk_size=CHUNK_SIZE
-        )
+    for spec in ("serial", "process:2"):
+        backend = spec.partition(":")[0]
+        service = CharacterizationService.from_bundle(bundle, runtime=spec)
         result, cold_seconds = _timed(lambda: service.score_batch(population))
         assert np.array_equal(result.labels, expected), backend
         assert np.array_equal(result.probabilities, expected_probabilities), backend

@@ -81,7 +81,7 @@ def test_bench_sharded_replay_vs_single_manager(bench_config, shard_timings):
     assert oracle_final.n_matchers == n_sessions
 
     # --- sharded fleet, one injected death + checkpoint restore ------ #
-    extract_runtime = "thread:4" if (os.cpu_count() or 1) >= 2 else None
+    extract_runtime = "process:2" if (os.cpu_count() or 1) >= 2 else None
     with ShardFleet(
         service,
         n_shards,

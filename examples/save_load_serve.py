@@ -32,7 +32,7 @@ from repro.simulation import build_dataset
 
 def serve_in_this_process(bundle_dir: str, population_dir: str, scores_file: str) -> None:
     """The 'fresh process' half: load the bundle, score, write the scores."""
-    service = CharacterizationService.from_bundle(bundle_dir, chunk_size=4)
+    service = CharacterizationService.from_bundle(bundle_dir)
     matchers = load_population(population_dir)
     result = service.score_batch(matchers)
     np.savez(scores_file, labels=result.labels, probabilities=result.probabilities)

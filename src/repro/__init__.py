@@ -17,7 +17,7 @@ together with every substrate it depends on:
   feature sets with late fusion, the characterizer, baselines, expert
   filtering, ablation and feature importance.
 * :mod:`repro.runtime` -- the deterministic parallel execution substrate
-  (serial / thread / process backends, bitwise-identical results).
+  (serial / process backends, bitwise-identical results).
 * :mod:`repro.experiments` -- one experiment module per table and figure of
   the paper's evaluation.
 * :mod:`repro.serve` -- persistent model artifacts (versioned

@@ -190,11 +190,10 @@ def run_ablation(
     from ``random_state``), so they fan out on ``runtime`` (or the
     ``REPRO_RUNTIME`` default).  Before a parallel run the cache is
     pre-warmed with every feature block and neural fit the configurations
-    share, so thread workers only read it and process workers receive a
-    complete pickled copy; rows are collected in configuration order and
-    are bitwise identical to the serial loop on every backend.  Callers
-    that hand in an already-warm cache can skip the redundant pass with
-    ``prewarm=False``.  A parallel ``classifier_bank`` must be picklable
+    share, so each process worker receives a complete pickled copy; rows
+    are collected in configuration order and are bitwise identical to the
+    serial loop on every backend.  Callers that hand in an already-warm
+    cache can skip the redundant pass with ``prewarm=False``.  A parallel ``classifier_bank`` must be picklable
     for the ``process`` backend.
     """
     if not use_cache and cache is not None:

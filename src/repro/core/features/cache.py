@@ -101,11 +101,10 @@ class FeatureBlockCache:
     training is deterministic, so two configurations that would train the
     same network share one fit.
 
-    The cache is safe to share across :class:`repro.runtime.TaskRunner`
-    thread workers: lookups and insertions are guarded by a lock, and a
-    lost insertion race keeps the first-stored object (both competitors
-    computed bitwise-identical content, so either is correct).  Computation
-    itself runs outside the lock.  For the ``process`` backend the cache is
+    The cache is safe to share across threads: lookups and insertions are
+    guarded by a lock, and a lost insertion race keeps the first-stored
+    object (both competitors computed bitwise-identical content, so either
+    is correct).  Computation itself runs outside the lock.  For the ``process`` backend the cache is
     pickled into each worker (the lock is dropped and recreated), so it
     should be **pre-warmed** before fan-out — worker-side insertions do not
     propagate back to the parent.

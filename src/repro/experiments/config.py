@@ -30,8 +30,8 @@ class ExperimentConfig:
     n_bootstrap: int = 500
     use_neural_features: bool = True
     neural_config: dict[str, dict] = field(default_factory=_small_neural_config)
-    #: Runtime backend spec for the parallelisable loops (``"serial"``,
-    #: ``"thread[:N]"``, ``"process[:N]"``); ``None`` defers to the
+    #: Runtime backend spec for the parallelisable loops (``"serial"`` or
+    #: ``"process[:N]"``); ``None`` defers to the
     #: ``REPRO_RUNTIME`` environment variable.  Results are bitwise
     #: identical on every backend.
     runtime: str | None = None

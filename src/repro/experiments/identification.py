@@ -192,8 +192,8 @@ def run_identification_experiment(
 
     # The fold shuffle is drawn once here, before any fan-out; each fold's
     # methods then train independently (seeded from the config), so folds
-    # run on the configured runtime with bitwise-identical tables.  Thread
-    # workers share the (locked) cache; process workers get pickled copies.
+    # run on the configured runtime with bitwise-identical tables.  Process
+    # workers get pickled copies of the cache.
     folds = KFold(n_splits=config.n_folds, shuffle=True, random_state=config.random_state)
     tasks = []
     for train_indices, test_indices in folds.split(matchers):

@@ -25,6 +25,7 @@ from repro.experiments.identification import run_identification_experiment
 from repro.experiments.outcome import run_outcome_experiment
 from repro.experiments.population_analysis import run_population_analysis
 from repro.experiments.reporting import format_table
+from repro.runtime import runtime_argument
 
 
 def _run_archetypes(config: ExperimentConfig, cache: FeatureBlockCache) -> str:
@@ -82,11 +83,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=42, help="master random seed")
     parser.add_argument(
         "--runtime",
+        type=runtime_argument,
         default=None,
         metavar="BACKEND[:N]",
         help=(
-            "runtime backend for the parallelisable loops: serial, thread[:N] "
-            "or process[:N] (default: the REPRO_RUNTIME environment variable, "
+            "runtime backend for the parallelisable loops: serial or "
+            "process[:N] (default: the REPRO_RUNTIME environment variable, "
             "else serial; results are bitwise identical on every backend)"
         ),
     )

@@ -128,8 +128,8 @@ class ReproRuntimeWarning(UserWarning):
 class DegradedRuntimeWarning(ReproRuntimeWarning):
     """A component fell back to a slower-but-safe mode after failures.
 
-    Emitted when supervised execution degrades ``process`` → ``thread``
-    → ``serial`` after repeated pool failures.  Results are bitwise
+    Emitted when supervised execution degrades ``process`` → ``serial``
+    after repeated pool failures.  Results are bitwise
     unaffected — only the execution mode changed.
     """
 

@@ -24,12 +24,13 @@ Backends
 --------
 ``serial``
     Runs tasks in the calling thread; the reference implementation.
-``thread``
-    A :class:`~concurrent.futures.ThreadPoolExecutor`; useful when tasks
-    release the GIL (NumPy-heavy work) or block on I/O.
 ``process``
     A :class:`~concurrent.futures.ProcessPoolExecutor`; tasks and their
     arguments must be picklable (module-level functions, no lambdas).
+
+Each process-pool dispatch carries ``max(1, n_tasks // (workers * 4))``
+tasks: four waves per worker, amortizing inter-process transfer while
+keeping slack for load balancing.
 
 The backend is chosen per call (pass a :class:`TaskRunner` or a spec string
 such as ``"process:4"``) or globally through the ``REPRO_RUNTIME``
@@ -40,16 +41,15 @@ recursively (no nested pools, no core oversubscription).
 
 from __future__ import annotations
 
+import argparse
 import itertools
 import os
-import threading
 import time
 import warnings
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
     ProcessPoolExecutor,
-    ThreadPoolExecutor,
     wait,
 )
 from dataclasses import dataclass
@@ -74,19 +74,11 @@ RUNTIME_ENV_VAR = "REPRO_RUNTIME"
 #: Set in process-pool workers so nested resolution degrades to serial.
 _WORKER_ENV_VAR = "_REPRO_RUNTIME_IN_WORKER"
 
-BACKENDS: tuple[str, ...] = ("serial", "thread", "process")
-
-#: Thread-pool workers flag themselves here (thread-local, so the main
-#: thread of the same process is unaffected).
-_thread_worker_state = threading.local()
+BACKENDS: tuple[str, ...] = ("serial", "process")
 
 #: Per-call shared context, delivered once to each process-pool worker via
 #: the pool initializer instead of once per task (see ``TaskRunner.map``).
 _process_context = None
-
-
-def _mark_thread_worker() -> None:
-    _thread_worker_state.active = True
 
 
 def _mark_process_worker() -> None:
@@ -246,9 +238,9 @@ class Supervision:
     With a policy attached, task failures are retried with exponential
     backoff (jitter drawn from pre-seeded randomness, so delays are as
     deterministic as everything else), broken process pools are rebuilt,
-    and a backend that cannot finish the work within its retry budget
-    hands the remainder to the next-safer one (``process`` → ``thread``
-    → ``serial``) with a :class:`~repro.runtime.faults.DegradedRuntimeWarning`.
+    and a ``process`` stage that cannot finish the work within its budget
+    hands the remainder to ``serial`` (the chain is ``process`` →
+    ``serial``) with a :class:`~repro.runtime.faults.DegradedRuntimeWarning`.
     Results stay **bitwise identical** to the unsupervised fault-free
     run whenever the work completes: retries re-run pure tasks, and the
     collection order is task order on every backend.
@@ -257,13 +249,16 @@ class Supervision:
     ----------
     max_retries:
         Failed attempts allowed per task *per backend stage* beyond the
-        first try.  On the last stage (``serial``) exhaustion re-raises
-        the task's error.
+        first try.  On the last stage exhaustion re-raises the task's
+        last error: its own exception on ``serial``, or on ``process``
+        (last only with ``degrade=False``) its own exception or the
+        :class:`~concurrent.futures.process.BrokenProcessPool` of the
+        pool it failed with.
     timeout:
         Stall timeout (seconds) for the ``process`` stage: if no task
         completes for this long, the in-flight tasks are marked failed
         and the pool is rebuilt.  ``None`` disables; ignored by the
-        thread and serial stages (threads cannot be interrupted).
+        serial stage (the calling thread cannot be interrupted).
     backoff_base / backoff_factor / backoff_max:
         Retry delay ``min(backoff_max, backoff_base * backoff_factor**(attempt-1))``
         scaled by a deterministic jitter in [0.5, 1.5).  A zero base
@@ -272,7 +267,8 @@ class Supervision:
         Seed of the jitter stream.
     max_pool_rebuilds:
         Broken-pool events tolerated before the ``process`` stage
-        degrades to ``thread``.
+        degrades to ``serial`` (or, with ``degrade=False``, re-raises the
+        pool's error).
     degrade:
         Whether stages degrade at all; with ``False`` the configured
         backend's exhaustion re-raises immediately.
@@ -311,7 +307,7 @@ class Supervision:
 def _check_task_seams(injector, index: int, attempt: int) -> None:
     """Consult the task seams through the injector (recording each firing).
 
-    The in-process stages go through :meth:`FaultInjector.fires` rather
+    The serial stage goes through :meth:`FaultInjector.fires` rather
     than the bare plan so ``chaos.fired()`` observability counts what
     actually fired in this process; process-pool workers carry the plan
     instead (their injector state is per-process and invisible here).
@@ -327,13 +323,13 @@ def _check_task_seams(injector, index: int, attempt: int) -> None:
 
 
 class _SupervisedCall:
-    """Per-task wrapper of the supervised paths: fault seams, then the task.
+    """Per-task wrapper of the supervised process stage: fault seams, then the task.
 
     Picklable; carries the (tiny) fault plan into process-pool workers,
-    where the ``worker.death`` seam is a real ``os._exit`` crash.  On
-    the in-process backends both seams raise
-    :class:`~repro.runtime.faults.InjectedFault` instead — killing the
-    caller's interpreter is not an absorbable fault.
+    where the ``worker.death`` seam is a real ``os._exit`` crash.  (The
+    serial stage raises :class:`~repro.runtime.faults.InjectedFault`
+    for it instead, through :func:`_check_task_seams` — killing the
+    caller's interpreter is not an absorbable fault.)
     """
 
     def __init__(
@@ -343,24 +339,18 @@ class _SupervisedCall:
         attempt: int,
         plan: Optional[FaultPlan],
         with_context: bool,
-        in_process_pool: bool,
     ) -> None:
         self.function = function
         self.index = index
         self.attempt = attempt
         self.plan = plan
         self.with_context = with_context
-        self.in_process_pool = in_process_pool
 
     def __call__(self, task):
         plan = self.plan
         if plan is not None:
             if plan.should_fail("worker.death", key=self.index, attempt=self.attempt):
-                if self.in_process_pool:  # pragma: no cover - dies before reporting
-                    os._exit(3)
-                raise InjectedFault(
-                    f"injected worker death (task {self.index}, attempt {self.attempt})"
-                )
+                os._exit(3)  # pragma: no cover - dies before reporting
             if plan.should_fail("task.execute", key=self.index, attempt=self.attempt):
                 raise InjectedFault(
                     f"injected task failure (task {self.index}, attempt {self.attempt})"
@@ -389,17 +379,15 @@ class _TaskStallError(TimeoutError):
 
 
 def in_worker() -> bool:
-    """Whether the calling context is a TaskRunner worker (thread or process).
+    """Whether the calling context is a TaskRunner process-pool worker.
 
     Returns
     -------
     bool
-        ``True`` inside a ``thread``- or ``process``-backend worker;
-        :func:`resolve_runner` uses this to degrade nested resolutions to
-        ``serial`` (one loop level fans out at a time).
+        ``True`` inside a ``process``-backend worker; :func:`resolve_runner`
+        uses this to degrade nested resolutions to ``serial`` (one loop
+        level fans out at a time).
     """
-    if getattr(_thread_worker_state, "active", False):
-        return True
     return os.environ.get(_WORKER_ENV_VAR) == "1"
 
 
@@ -418,8 +406,13 @@ def available_workers() -> int:
         return max(1, os.cpu_count() or 1)
 
 
+def _check_backend(backend: str) -> None:
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown runtime backend {backend!r}; expected one of {BACKENDS}")
+
+
 class TaskRunner:
-    """Maps a function over tasks on a ``serial``/``thread``/``process`` backend.
+    """Maps a function over tasks on a ``serial`` or ``process`` backend.
 
     Runners are cheap, stateless handles: executors are created per
     :meth:`map` call and torn down before it returns, so a runner can be
@@ -433,10 +426,7 @@ class TaskRunner:
         max_workers: Optional[int] = None,
         supervision: Optional[Supervision] = None,
     ) -> None:
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"unknown runtime backend {backend!r}; expected one of {BACKENDS}"
-            )
+        _check_backend(backend)
         if max_workers is not None and max_workers < 1:
             raise ValueError("max_workers must be at least 1")
         self.backend = backend
@@ -454,8 +444,8 @@ class TaskRunner:
         Args
         ----
         spec:
-            ``"serial"``, ``"thread"``, ``"process"``, optionally suffixed
-            with ``:N`` to cap the worker count.
+            ``"serial"`` or ``"process"``, optionally suffixed with ``:N``
+            to cap the worker count.
 
         Raises
         ------
@@ -463,16 +453,14 @@ class TaskRunner:
             If the backend name is unknown or the worker count is not a
             positive integer.
         """
-        text = spec.strip().lower()
+        backend, colon, count = spec.strip().lower().partition(":")
+        _check_backend(backend)
         workers: Optional[int] = None
-        if ":" in text:
-            backend, _, count = text.partition(":")
+        if colon:
             try:
                 workers = int(count)
             except ValueError:
                 raise ValueError(f"invalid worker count in runtime spec {spec!r}")
-        else:
-            backend = text
         return cls(backend=backend, max_workers=workers)
 
     def __deepcopy__(self, memo: dict) -> "TaskRunner":
@@ -492,7 +480,6 @@ class TaskRunner:
         tasks: Iterable[_T],
         context=None,
         *,
-        chunksize: Optional[int] = None,
         supervision: Optional[Supervision] = None,
     ) -> list[_R]:
         """Apply ``function`` to every task, returning results in task order.
@@ -508,19 +495,10 @@ class TaskRunner:
             (see the module docstring's determinism contract).
         context:
             State shared by every task (a feature cache, the training
-            matrices).  Thread and serial backends pass the object through
+            matrices).  The serial backend passes the object through
             directly; the process backend delivers it **once per worker**
             via the pool initializer, so large shared payloads are not
             re-pickled for every task.
-        chunksize:
-            Tasks submitted per process-pool dispatch.  ``None`` uses the
-            default formula ``max(1, n_tasks // (workers * 4))`` — four
-            waves of chunks per worker, amortizing inter-process transfer
-            while keeping enough slack for load balancing.  Pass an
-            explicit value to pin it (benchmarks do, so their timings are
-            not confounded by the heuristic).  Ignored by the serial and
-            thread backends, and by supervised process dispatch (which
-            submits per task so failures are attributable).
         supervision:
             Retry / backoff / degradation policy (see
             :class:`Supervision`); defaults to the runner's own.  With
@@ -533,8 +511,6 @@ class TaskRunner:
             One result per task, in task order regardless of completion
             order — bitwise identical across backends and worker counts.
         """
-        if chunksize is not None and chunksize < 1:
-            raise ValueError("chunksize must be at least 1")
         items = list(tasks)
         if not items:
             return []
@@ -548,15 +524,7 @@ class TaskRunner:
             if not telemetry:
                 return [call(item) for item in items]
             return self._map_serial_instrumented(call, items)
-        if self.backend == "thread":
-            if not telemetry:
-                with ThreadPoolExecutor(
-                    max_workers=workers, initializer=_mark_thread_worker
-                ) as executor:
-                    return list(executor.map(call, items))
-            return self._map_thread_instrumented(call, items, workers)
-        if chunksize is None:
-            chunksize = max(1, len(items) // (workers * 4))
+        chunksize = max(1, len(items) // (workers * 4))
         if context is None:
             initializer, initargs, task_call = _mark_process_worker, (), function
         else:
@@ -588,29 +556,6 @@ class TaskRunner:
         _obs_task_metrics("serial", durations)
         return results
 
-    def _map_thread_instrumented(self, call: Callable, items: list, workers: int) -> list:
-        """Thread path with per-task timing and parent-carrier propagation."""
-        durations = [0.0] * len(items)
-        with trace_span(
-            "runtime.map", backend="thread", tasks=len(items), workers=workers
-        ):
-            parent = current_context()
-
-            def run(pair):
-                index, item = pair
-                started = time.perf_counter()
-                with use_parent(parent):
-                    result = call(item)
-                durations[index] = time.perf_counter() - started
-                return result
-
-            with ThreadPoolExecutor(
-                max_workers=workers, initializer=_mark_thread_worker
-            ) as executor:
-                results = list(executor.map(run, enumerate(items)))
-        _obs_task_metrics("thread", durations)
-        return results
-
     # ------------------------------------------------------------------ #
     # Supervised execution
     # ------------------------------------------------------------------ #
@@ -624,10 +569,9 @@ class TaskRunner:
     ) -> list:
         """The retrying, degradable engine behind ``map(supervision=...)``.
 
-        Execution walks a backend *chain* (``process`` → ``thread`` →
-        ``serial`` from the configured backend down): each stage gets a
-        fresh per-task retry budget, and tasks a stage cannot finish are
-        handed to the next-safer stage with a
+        Execution walks a backend *chain* (``process`` → ``serial``, or
+        ``serial`` alone): each stage gets a fresh per-task retry budget,
+        and tasks a stage cannot finish are handed to the next stage with a
         :class:`DegradedRuntimeWarning`.  The final stage re-raises on
         exhaustion.  Completed results are bitwise identical to the
         unsupervised run — retries re-run pure tasks and results are
@@ -641,11 +585,9 @@ class TaskRunner:
         workers = min(self.max_workers, len(items))
         if backend != "serial" and (workers == 1 or len(items) == 1):
             backend = "serial"
-        chain: tuple[str, ...] = {
-            "process": ("process", "thread", "serial"),
-            "thread": ("thread", "serial"),
-            "serial": ("serial",),
-        }[backend]
+        chain: tuple[str, ...] = (
+            ("process", "serial") if backend == "process" else ("serial",)
+        )
         if not supervision.degrade:
             chain = chain[:1]
         for position, stage in enumerate(chain):
@@ -654,11 +596,6 @@ class TaskRunner:
                 pending, error = self._stage_process(
                     function, items, context, supervision, plan, results,
                     pending, final_stage,
-                )
-            elif stage == "thread":
-                pending, error = self._stage_thread(
-                    function, items, context, supervision, injector,
-                    results, pending, final_stage,
                 )
             else:
                 pending, error = self._stage_serial(
@@ -712,53 +649,6 @@ class TaskRunner:
                     if delay:
                         time.sleep(delay)
         return remaining, last_error
-
-    def _stage_thread(
-        self, function, items, context, supervision, injector, results, pending,
-        final_stage,
-    ) -> tuple[list[int], Optional[BaseException]]:
-        """Thread stage: rounds of submissions, failed tasks retried next round."""
-        call = function if context is None else (lambda item: function(item, context))
-        attempts = {index: 0 for index in pending}
-        errors: dict[int, BaseException] = {}
-        exhausted: list[int] = []
-        last_error: Optional[BaseException] = None
-        current = list(pending)
-
-        def run(index: int):
-            _check_task_seams(injector, index, attempts[index])
-            return call(items[index])
-
-        while current:
-            workers = min(self.max_workers, len(current))
-            with ThreadPoolExecutor(
-                max_workers=workers, initializer=_mark_thread_worker
-            ) as executor:
-                futures = {index: executor.submit(run, index) for index in current}
-                failed: list[int] = []
-                for index, future in futures.items():
-                    try:
-                        results[index] = future.result()
-                    except Exception as error:
-                        errors[index] = error
-                        last_error = error
-                        failed.append(index)
-            retry: list[int] = []
-            for index in failed:
-                attempts[index] += 1
-                _obs_count_retry("thread")
-                if attempts[index] > supervision.max_retries:
-                    if final_stage:
-                        raise errors[index]
-                    exhausted.append(index)
-                else:
-                    retry.append(index)
-            if retry:
-                delay = max(supervision.backoff(index, attempts[index]) for index in retry)
-                if delay:
-                    time.sleep(delay)
-            current = sorted(retry)
-        return sorted(exhausted), last_error
 
     def _stage_process(
         self,
@@ -819,7 +709,7 @@ class TaskRunner:
                 for position, index in enumerate(current):
                     wrapper = _SupervisedCall(
                         function, index, attempts[index], plan,
-                        with_context=context is not None, in_process_pool=True,
+                        with_context=context is not None,
                     )
                     submitted = _ObsCall(wrapper, obs_parent) if telemetry else wrapper
                     try:
@@ -942,21 +832,37 @@ def resolve_runner(spec: RuntimeSpec = None) -> TaskRunner:
     return _SERIAL
 
 
+def runtime_argument(spec: str) -> str:
+    """``argparse`` ``type=`` of the ``--runtime`` flags: a valid spec, unchanged.
+
+    Raises
+    ------
+    argparse.ArgumentTypeError
+        Carrying :meth:`TaskRunner.from_spec`'s message, so an unknown
+        backend or a bad worker count is a usage error (exit code 2)
+        that names the valid backends.
+    """
+    try:
+        TaskRunner.from_spec(spec)
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
+    return spec
+
+
 def parallel_map(
     function: Callable[..., _R],
     tasks: Sequence[_T],
     runtime: RuntimeSpec = None,
     context=None,
     *,
-    chunksize: Optional[int] = None,
     supervision: Optional[Supervision] = None,
 ) -> list[_R]:
     """Map ``function`` over ``tasks`` on the resolved runtime, in task order.
 
     The one-call form of :meth:`TaskRunner.map`: ``runtime`` is resolved
     through :func:`resolve_runner` (explicit spec > ``REPRO_RUNTIME`` >
-    ``serial``; always ``serial`` inside a worker) and ``context``,
-    ``chunksize`` and ``supervision`` are forwarded unchanged.
+    ``serial``; always ``serial`` inside a worker) and ``context`` and
+    ``supervision`` are forwarded unchanged.
 
     Returns
     -------
@@ -968,6 +874,5 @@ def parallel_map(
         function,
         tasks,
         context=context,
-        chunksize=chunksize,
         supervision=supervision,
     )

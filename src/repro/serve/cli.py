@@ -34,6 +34,7 @@ from repro.core.characterizer import MExICharacterizer, MExIVariant
 from repro.core.expert_model import EXPERT_CHARACTERISTICS, characterize_population, labels_matrix
 from repro.core.features.cache import FeatureBlockCache
 from repro.experiments.config import SCALE_NAMES, ExperimentConfig
+from repro.runtime import runtime_argument
 from repro.serve.artifacts import read_manifest, save_model
 from repro.serve.population import load_population, save_population
 from repro.serve.service import CharacterizationService
@@ -97,16 +98,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="which simulated cohort to score (default: the held-out OAEI cohort)",
     )
     score.add_argument(
-        "--chunk-size",
-        type=int,
-        default=None,
-        help="matchers per extraction chunk (default: one chunk per worker)",
-    )
-    score.add_argument(
         "--runtime",
+        type=runtime_argument,
         default=None,
         metavar="BACKEND[:N]",
-        help="TaskRunner backend for chunk fan-out (serial, thread[:N], process[:N])",
+        help="TaskRunner backend for chunk fan-out (serial or process[:N])",
     )
     score.add_argument(
         "--format", choices=("table", "json"), default="table", help="output format"
@@ -166,9 +162,7 @@ def _fit(args: argparse.Namespace) -> int:
 
 
 def _score(args: argparse.Namespace) -> int:
-    service = CharacterizationService.from_bundle(
-        args.bundle, runtime=args.runtime, chunk_size=args.chunk_size
-    )
+    service = CharacterizationService.from_bundle(args.bundle, runtime=args.runtime)
     if args.population:
         matchers = load_population(args.population)
         source = args.population

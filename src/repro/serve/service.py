@@ -3,8 +3,8 @@
 :class:`CharacterizationService` is the serving-side counterpart of the
 training pipeline: it loads an artifact bundle **once** and scores
 incoming matcher populations in extraction chunks fanned out over the
-deterministic :class:`~repro.runtime.TaskRunner` (``serial`` /
-``thread`` / ``process``).
+deterministic :class:`~repro.runtime.TaskRunner` (``serial`` or
+``process``).
 
 No feature cache
 ----------------
@@ -21,17 +21,17 @@ Chunk plan
 ----------
 Chunks exist only to fan extraction out to workers, and each one pays
 fixed costs again (the population kernels' equal-length groups, the
-LRSM stacks).  So unless a caller pins ``chunk_size``, the plan follows
-the runner ``score_batch`` resolves: the ``serial`` backend (and any
-call already inside a worker, which resolves to ``serial``) extracts the
-batch as one chunk, and a ``thread`` or ``process`` runner with ``W``
-workers gets ``max(W, ceil(n / MAX_CHUNK_MATCHERS))`` balanced chunks.
+LRSM stacks).  So the plan follows the runner ``score_batch`` resolves:
+a runner with ``W`` workers gets ``max(W, ceil(n / MAX_CHUNK_MATCHERS))``
+balanced chunks, where ``W`` is 1 on ``serial`` (and for any call already
+inside a worker, which resolves to ``serial``).  A serial batch of up to
+``MAX_CHUNK_MATCHERS`` matchers is therefore one chunk.
 
 Determinism contract
 --------------------
 ``score_batch`` is **bitwise identical** to an in-memory
 ``MExICharacterizer.predict`` / ``predict_proba`` on the whole population,
-on every backend and for every chunk size >= 2 (enforced by
+on every backend and for every chunk plan (enforced by
 ``tests/serve/test_service.py``).  Two design rules make this hold:
 
 * **Chunks parallelise feature extraction only.**  Classification always
@@ -41,9 +41,8 @@ on every backend and for every chunk size >= 2 (enforced by
   see different shapes between the served and in-memory paths.
 * **Chunks are never singletons** (unless the population itself has one
   matcher): batch-1 matrix products dispatch to different BLAS kernels
-  than batch-n products, so a trailing 1-matcher chunk is merged into its
-  neighbour.  ``chunk_size=1`` is allowed but exempt from the guarantee
-  for models with neural feature sets.
+  than batch-n products, so the plan never holds more chunks than
+  ``n // 2``.
 """
 
 from __future__ import annotations
@@ -139,21 +138,6 @@ def _extract_chunk(
     return pipeline.transform_blocks(matchers)
 
 
-def _chunked(matchers: list[HumanMatcher], size: int) -> list[list[HumanMatcher]]:
-    """Split a population into extraction chunks of ~``size`` matchers.
-
-    A trailing singleton chunk is merged into its predecessor (see the
-    module docstring): batch-1 forwards can round differently.
-    """
-    if len(matchers) <= size:
-        return [matchers]
-    chunks = [matchers[start : start + size] for start in range(0, len(matchers), size)]
-    if size > 1 and len(chunks[-1]) == 1:
-        chunks[-2] = chunks[-2] + chunks[-1]
-        chunks.pop()
-    return chunks
-
-
 def _balanced(matchers: list[HumanMatcher], n_chunks: int) -> list[list[HumanMatcher]]:
     """Split a population into ``n_chunks`` contiguous chunks of near-equal size.
 
@@ -170,17 +154,8 @@ def _balanced(matchers: list[HumanMatcher], n_chunks: int) -> list[list[HumanMat
     return chunks
 
 
-def _check_chunk_size(chunk_size: Optional[int]) -> None:
-    if chunk_size is not None and chunk_size < 1:
-        raise ValueError("chunk_size must be at least 1")
-
-
-def _chunk_plan(
-    matchers: list[HumanMatcher], runner: TaskRunner, chunk_size: Optional[int]
-) -> list[list[HumanMatcher]]:
+def _chunk_plan(matchers: list[HumanMatcher], runner: TaskRunner) -> list[list[HumanMatcher]]:
     """The extraction chunks of one batch (see the module docstring's plan)."""
-    if chunk_size is not None:
-        return _chunked(matchers, chunk_size)
     workers = 1 if runner.backend == "serial" else runner.max_workers
     return _balanced(matchers, max(workers, -(-len(matchers) // MAX_CHUNK_MATCHERS)))
 
@@ -196,13 +171,11 @@ class CharacterizationService:
     runtime:
         Default :class:`~repro.runtime.TaskRunner` spec for chunk fan-out
         (``None`` defers to ``REPRO_RUNTIME``, then ``serial``).  Results
-        are bitwise identical on every backend.
-    chunk_size:
-        Default matchers per extraction chunk; ``None`` (the default)
-        derives the chunks from the resolved runner (see the module
-        docstring's chunk plan).  The ``process`` backend delivers the
-        feature pipeline once per worker through the pool initializer
-        (see :meth:`repro.runtime.TaskRunner.map`).
+        are bitwise identical on every backend.  The extraction chunks
+        follow the resolved runner (see the module docstring's chunk
+        plan); the ``process`` backend delivers the feature pipeline once
+        per worker through the pool initializer (see
+        :meth:`repro.runtime.TaskRunner.map`).
     cache:
         Accepted so existing callers keep working, and ignored: the
         service keeps no feature cache (see the module docstring).  The
@@ -220,16 +193,13 @@ class CharacterizationService:
         model: MExICharacterizer,
         *,
         runtime: RuntimeSpec = None,
-        chunk_size: Optional[int] = None,
         cache: Optional[FeatureBlockCache] = None,
         bundle_info: Optional[dict] = None,
     ) -> None:
         if not model.is_fitted:
             raise ValueError("CharacterizationService requires a fitted MExICharacterizer")
-        _check_chunk_size(chunk_size)
         self.model = model
         self.runtime = runtime
-        self.chunk_size = chunk_size
         self._bundle_info = dict(bundle_info) if bundle_info else None
 
     @classmethod
@@ -238,7 +208,6 @@ class CharacterizationService:
         path,
         *,
         runtime: RuntimeSpec = None,
-        chunk_size: Optional[int] = None,
     ) -> "CharacterizationService":
         """Load an artifact bundle once and wrap it in a service.
 
@@ -262,12 +231,7 @@ class CharacterizationService:
             "fingerprint": manifest.get("fingerprint"),
             "model_type": manifest.get("model_type"),
         }
-        return cls(
-            model,
-            runtime=runtime,
-            chunk_size=chunk_size,
-            bundle_info=info,
-        )
+        return cls(model, runtime=runtime, bundle_info=info)
 
     # ------------------------------------------------------------------ #
     # Scoring
@@ -278,7 +242,6 @@ class CharacterizationService:
         matchers: Sequence[HumanMatcher],
         *,
         runtime: RuntimeSpec = None,
-        chunk_size: Optional[int] = None,
     ) -> BatchScores:
         """Characterize a matcher population, extracting in deterministic chunks.
 
@@ -287,28 +250,24 @@ class CharacterizationService:
         matchers:
             The population to score (any length, including empty).
         runtime:
-            Per-call backend override (defaults to the service's runtime).
-        chunk_size:
-            Per-call chunk override (defaults to the service's chunk size;
-            ``None`` there too derives the chunks from the resolved runner).
+            Per-call backend override (defaults to the service's runtime);
+            the extraction chunks follow the resolved runner.
 
         Returns
         -------
         BatchScores
             Labels and expertise scores in input order — bitwise identical
             to ``model.predict`` / ``model.predict_proba`` on the whole
-            population, for every backend and chunk size >= 2 (see the
-            module docstring's determinism contract).
+            population, on every backend (see the module docstring's
+            determinism contract).
         """
         matchers = list(matchers)
         ids = tuple(matcher.matcher_id for matcher in matchers)
         n_labels = len(EXPERT_CHARACTERISTICS)
         if not matchers:
             return BatchScores(ids, np.zeros((0, n_labels), dtype=int), np.zeros((0, n_labels)))
-        size = chunk_size if chunk_size is not None else self.chunk_size
-        _check_chunk_size(size)
         runner = resolve_runner(runtime if runtime is not None else self.runtime)
-        chunks = _chunk_plan(matchers, runner, size)
+        chunks = _chunk_plan(matchers, runner)
         pipeline = self.model.pipeline.with_cache(None)
         telemetry = obs.obs_enabled()
         with obs.trace_span("serve.score_batch", matchers=len(matchers), chunks=len(chunks)):
@@ -380,13 +339,11 @@ class CharacterizationService:
                 "n_features": len(pipeline.feature_names_),
                 "selected_classifiers": self.model.selected_classifiers(),
             },
-            "chunk_size": self.chunk_size,
             "runtime": self.runtime if isinstance(self.runtime, (str, type(None))) else repr(self.runtime),
         }
 
     def __repr__(self) -> str:
         return (
-            f"CharacterizationService(model={self.model!r}, "
-            f"chunk_size={self.chunk_size}, runtime={self.runtime!r})"
+            f"CharacterizationService(model={self.model!r}, runtime={self.runtime!r})"
         )
 

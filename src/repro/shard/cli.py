@@ -38,6 +38,7 @@ import numpy as np
 
 from repro.adapters.base import clock_skew_seconds
 from repro.experiments.config import SCALE_NAMES
+from repro.runtime import runtime_argument
 from repro.shard.fleet import FLEET_MANIFEST_NAME, ShardFleet
 from repro.shard.ops import OpsServer
 from repro.shard.replay import ReplayDriver, synthetic_traces
@@ -56,12 +57,11 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--bundle", default=None, metavar="DIR", help="model bundle to serve (default: fit a tiny model in process)")
         sub.add_argument("--scale", choices=SCALE_NAMES, default="tiny", help="in-process model scale")
         sub.add_argument("--seed", type=int, default=42, help="master random seed")
-        sub.add_argument("--chunk-size", type=int, default=None, help="matchers per extraction chunk (default: one chunk per worker)")
         sub.add_argument("--shards", type=int, default=2, help="number of shard workers")
         sub.add_argument("--ring-seed", type=int, default=0, help="consistent-hash ring seed")
         sub.add_argument("--queue-slots", type=int, default=256, help="per-shard dispatch queue capacity (batches)")
         sub.add_argument("--checkpoint-root", default=None, metavar="DIR", help="per-shard checkpoint stores + fleet manifest")
-        sub.add_argument("--extract-runtime", default=None, metavar="BACKEND[:N]", help="scoring runtime (serial, thread[:N] or process[:N])")
+        sub.add_argument("--extract-runtime", type=runtime_argument, default=None, metavar="BACKEND[:N]", help="scoring runtime (serial or process[:N])")
 
     serve = commands.add_parser("serve", help="run the asyncio ops surface over a fleet")
     add_fleet_flags(serve)
@@ -90,9 +90,7 @@ def _build_fleet(args: argparse.Namespace) -> ShardFleet:
     # Deferred: build_service pulls in the simulation/training stack.
     from repro.stream.cli import build_service
 
-    service = build_service(
-        args.bundle, scale=args.scale, seed=args.seed, chunk_size=args.chunk_size
-    )
+    service = build_service(args.bundle, scale=args.scale, seed=args.seed)
     return ShardFleet(
         service,
         args.shards,

@@ -409,7 +409,6 @@ class ShardFleet:
         self,
         *,
         runtime: RuntimeSpec = None,
-        chunk_size: Optional[int] = None,
         force: bool = False,
     ) -> BatchScores:
         """Score every dirty session fleet-wide in one canonical batch.
@@ -427,10 +426,6 @@ class ShardFleet:
         runtime:
             Per-call scoring runtime override (defaults to the fleet's
             ``extract_runtime``, then to the primary service's runtime).
-        chunk_size:
-            Per-call extraction chunk override (defaults to the primary
-            service's chunk size, which by default derives the chunks from
-            the resolved runner).
         force:
             Score all scoreable sessions, dirty or not (the full-batch
             final-scores comparison the chaos suite uses).
@@ -450,7 +445,6 @@ class ShardFleet:
             scores = self._primary.score_batch(
                 [session.matcher() for session in pending],
                 runtime=runtime if runtime is not None else self.extract_runtime,
-                chunk_size=chunk_size,
             )
         for row, session in enumerate(pending):
             session.last_labels = scores.labels[row].copy()

@@ -52,6 +52,7 @@ from repro.core.expert_model import EXPERT_CHARACTERISTICS, characterize_populat
 from repro.core.features.cache import FeatureBlockCache
 from repro.experiments.config import SCALE_NAMES, ExperimentConfig
 from repro.matching.matcher import HumanMatcher
+from repro.runtime import runtime_argument
 from repro.runtime.faults import ReproRuntimeWarning
 from repro.serve.service import CharacterizationService
 from repro.simulation.archetypes import Archetype
@@ -84,8 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--steps", type=int, default=8, help="replay time steps")
     replay.add_argument("--stop-after", type=int, default=None, metavar="N", help="halt the replay after step N (checkpoint it, resume later with the same --steps)")
     replay.add_argument("--report-every", type=int, default=2, metavar="K", help="re-characterize the dirty sessions every K steps")
-    replay.add_argument("--runtime", default=None, metavar="BACKEND[:N]", help="TaskRunner backend for re-characterization (serial, thread[:N], process[:N])")
-    replay.add_argument("--chunk-size", type=int, default=None, help="matchers per extraction chunk (default: one chunk per worker)")
+    replay.add_argument("--runtime", type=runtime_argument, default=None, metavar="BACKEND[:N]", help="TaskRunner backend for re-characterization (serial or process[:N])")
     replay.add_argument("--reorder-window", type=float, default=0.0, help="per-session out-of-order tolerance (seconds)")
     replay.add_argument("--max-sessions", type=int, default=None, help="LRU capacity of the session manager")
     replay.add_argument("--idle-timeout", type=float, default=None, help="evict sessions idle longer than this (event-time seconds)")
@@ -105,7 +105,6 @@ def build_service(
     scale: str = "tiny",
     seed: int = 42,
     runtime=None,
-    chunk_size: Optional[int] = None,
 ) -> CharacterizationService:
     """Load a bundle, or fit a laptop-quick offline-feature model in process.
 
@@ -115,9 +114,7 @@ def build_service(
     named experiment scale.
     """
     if bundle:
-        return CharacterizationService.from_bundle(
-            bundle, runtime=runtime, chunk_size=chunk_size
-        )
+        return CharacterizationService.from_bundle(bundle, runtime=runtime)
     config = ExperimentConfig.from_scale(scale, random_state=seed)
     dataset = build_dataset(
         n_po_matchers=config.n_po_matchers,
@@ -132,18 +129,12 @@ def build_service(
         cache=FeatureBlockCache(),
     )
     model.fit(dataset.po_matchers, labels_matrix(profiles))
-    return CharacterizationService(model, runtime=runtime, chunk_size=chunk_size)
+    return CharacterizationService(model, runtime=runtime)
 
 
 def _build_service(args: argparse.Namespace) -> CharacterizationService:
     """Build the replay service from parsed CLI flags."""
-    return build_service(
-        args.bundle,
-        scale=args.scale,
-        seed=args.seed,
-        runtime=args.runtime,
-        chunk_size=args.chunk_size,
-    )
+    return build_service(args.bundle, scale=args.scale, seed=args.seed, runtime=args.runtime)
 
 
 def _workload(seed: int, n_sessions: int) -> list[HumanMatcher]:
@@ -234,7 +225,6 @@ def _replay(
     steps: int,
     report_every: int,
     runtime,
-    chunk_size: Optional[int],
     stop_after: Optional[int] = None,
 ) -> list[dict]:
     """Stream the workload step by step; return the scores-over-time records.
@@ -294,7 +284,7 @@ def _replay(
         if manager.idle_timeout is not None:
             manager.evict_idle(now=end)
         if step % max(report_every, 1) == 0 or step == last_step:
-            scores = manager.recharacterize(runtime=runtime, chunk_size=chunk_size)
+            scores = manager.recharacterize(runtime=runtime)
             stats = manager.stats()
             record = {
                 "step": step,
@@ -392,7 +382,6 @@ def _run_replay(args: argparse.Namespace, journal=None) -> int:
         steps=args.steps,
         report_every=args.report_every,
         runtime=args.runtime,
-        chunk_size=args.chunk_size,
         stop_after=args.stop_after,
     )
     if args.format == "json":

@@ -8,7 +8,7 @@ re-scoring **only the sessions that changed** (dirty-flagged) in batches
 through the existing :class:`~repro.serve.CharacterizationService` — so
 live scoring inherits the serving layer's determinism contract: scores
 are bitwise identical on every :class:`~repro.runtime.TaskRunner`
-backend and chunk size >= 2.
+backend and chunk plan.
 
 Capacity is bounded two ways, both opt-in:
 
@@ -413,7 +413,6 @@ class SessionManager:
         self,
         *,
         runtime: RuntimeSpec = None,
-        chunk_size: Optional[int] = None,
         session_ids: Optional[Iterable[str]] = None,
         order: str = "lru",
         force: bool = False,
@@ -430,10 +429,6 @@ class SessionManager:
             Per-call :class:`~repro.runtime.TaskRunner` override, forwarded
             to :meth:`CharacterizationService.score_batch`.  Scores are
             bitwise identical on every backend.
-        chunk_size:
-            Per-call extraction chunk override (defaults to the service's
-            chunk size, which by default derives the chunks from the
-            resolved runner).
         session_ids:
             Restrict the pass to these sessions (still only the dirty,
             scoreable ones among them).
@@ -470,9 +465,7 @@ class SessionManager:
         if order == "id":
             pending.sort(key=lambda session: session.session_id)
         matchers = [session.matcher() for session in pending]
-        scores = self.service.score_batch(
-            matchers, runtime=runtime, chunk_size=chunk_size
-        )
+        scores = self.service.score_batch(matchers, runtime=runtime)
         for row, session in enumerate(pending):
             session.last_labels = scores.labels[row].copy()
             session.last_probabilities = scores.probabilities[row].copy()

@@ -12,6 +12,7 @@ import pytest
 from repro.adapters import trace_from_matcher
 from repro.core.characterizer import MExICharacterizer, MExIVariant
 from repro.core.expert_model import characterize_population, labels_matrix
+from repro.serve import service as service_module
 from repro.serve.service import CharacterizationService
 from repro.simulation.dataset import build_dataset
 from repro.simulation.population import simulate_population
@@ -31,9 +32,10 @@ def adapter_model():
 
 
 @pytest.fixture
-def adapter_service(adapter_model):
-    """A fresh service per test (its cache is per-test state)."""
-    return CharacterizationService(adapter_model, chunk_size=4)
+def adapter_service(adapter_model, monkeypatch):
+    """A fresh service per test, extracting in chunks of ~4 matchers."""
+    monkeypatch.setattr(service_module, "MAX_CHUNK_MATCHERS", 4)
+    return CharacterizationService(adapter_model)
 
 
 @pytest.fixture(scope="session")

@@ -36,7 +36,7 @@ def model():
 
 def _run_replay(model, *, enabled: bool, runtime=None):
     with obs.obs_override(enabled), obs.use_registry() as reg, obs.use_tracer(Tracer()):
-        service = CharacterizationService(model, chunk_size=4)
+        service = CharacterizationService(model)
         manager = SessionManager(service)
         records = _replay(
             manager,
@@ -44,7 +44,6 @@ def _run_replay(model, *, enabled: bool, runtime=None):
             steps=4,
             report_every=2,
             runtime=runtime,
-            chunk_size=4,
         )
         scores = {
             session_id: entry for session_id, entry in sorted(manager.scores().items())
@@ -52,7 +51,7 @@ def _run_replay(model, *, enabled: bool, runtime=None):
         return records, scores, reg
 
 
-@pytest.mark.parametrize("runtime", [None, "thread:2"])
+@pytest.mark.parametrize("runtime", [None, "process:2"])
 def test_replay_bitwise_equal_with_telemetry_on(model, runtime):
     records_on, scores_on, reg_on = _run_replay(model, enabled=True, runtime=runtime)
     records_off, scores_off, reg_off = _run_replay(model, enabled=False, runtime=runtime)

@@ -95,7 +95,7 @@ class TestSpanBasics:
 class TestCrossBackendParentage:
     """Task spans attach to the dispatching runtime.map span on every backend."""
 
-    @pytest.mark.parametrize("runtime", ["serial", "thread:2", "process:2"])
+    @pytest.mark.parametrize("runtime", ["serial", "process:2"])
     def test_task_spans_parent_to_runtime_map(self, runtime):
         with obs.obs_override(True), obs.use_tracer(Tracer()) as tracer, obs.use_registry():
             runner = TaskRunner.from_spec(runtime)

@@ -2,8 +2,8 @@
 
 Covers every fan-out site: chunked service scores, bootstrap p-values,
 ablation Table III rows and identification folds (Table IIa), each on
-every ``BACKEND_GRID`` spec (the ``thread`` and ``process`` backends with
-worker counts {1, 2, 4}).  A forest's trees grow in one lockstep and are
+every ``BACKEND_GRID`` spec (the ``process`` backend with worker counts
+{1, 2, 4}).  A forest's trees grow in one lockstep and are
 not a fan-out site.
 """
 
@@ -16,14 +16,22 @@ from repro.core.expert_model import characterize_population, labels_matrix
 from repro.core.features.cache import FeatureBlockCache
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.identification import run_identification_experiment
+from repro.serve import service as service_module
 from repro.serve.service import CharacterizationService
 from repro.simulation.dataset import build_dataset
 from repro.stats.bootstrap import two_sample_bootstrap_test
 
 #: Every non-serial (backend, worker-count) combination under test.
-BACKEND_GRID = [
-    f"{backend}:{workers}" for backend in ("thread", "process") for workers in (1, 2, 4)
-]
+BACKEND_GRID = [f"process:{workers}" for workers in (1, 2, 4)]
+
+#: Matchers per derived extraction chunk in the service tests, so even the
+#: serial oracle scores its 14-matcher cohort in several chunks.
+SMALL_CHUNKS = 3
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    monkeypatch.setattr(service_module, "MAX_CHUNK_MATCHERS", SMALL_CHUNKS)
 
 
 class TestServiceEquivalence:
@@ -42,22 +50,26 @@ class TestServiceEquivalence:
             variant=MExIVariant.SUB_50, feature_sets=("lrsm", "beh", "mou"), random_state=3
         ).fit(train, labels_matrix(profiles))
         cohort = dataset.oaei_matchers + train
-        serial = CharacterizationService(model, runtime="serial", chunk_size=3).score_batch(cohort)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(service_module, "MAX_CHUNK_MATCHERS", SMALL_CHUNKS)
+            serial = CharacterizationService(model, runtime="serial").score_batch(cohort)
         return model, cohort, serial
 
     @pytest.mark.parametrize("spec", BACKEND_GRID)
-    def test_scores_bitwise_identical(self, scoring, spec):
+    def test_scores_bitwise_identical(self, scoring, spec, small_chunks):
         model, cohort, serial = scoring
-        scores = CharacterizationService(model, runtime=spec, chunk_size=3).score_batch(cohort)
+        scores = CharacterizationService(model, runtime=spec).score_batch(cohort)
         assert scores.matcher_ids == serial.matcher_ids
         assert np.array_equal(scores.labels, serial.labels)
         assert np.array_equal(scores.probabilities, serial.probabilities)
 
-    @pytest.mark.parametrize("spec", ["thread:2", "process:2"])
-    def test_per_call_runtime_bitwise_identical(self, scoring, spec):
+    @pytest.mark.parametrize(
+        "default, per_call", [("serial", "process:2"), ("process:2", "serial")]
+    )
+    def test_per_call_runtime_bitwise_identical(self, scoring, small_chunks, default, per_call):
         model, cohort, serial = scoring
-        service = CharacterizationService(model, runtime="serial", chunk_size=3)
-        scores = service.score_batch(cohort, runtime=spec)
+        service = CharacterizationService(model, runtime=default)
+        scores = service.score_batch(cohort, runtime=per_call)
         assert np.array_equal(scores.probabilities, serial.probabilities)
 
 

@@ -10,12 +10,14 @@ loudly instead of wrongly.
 import os
 import time
 import warnings
+from concurrent.futures import BrokenExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.runtime import (
     DegradedRuntimeWarning,
     FaultPlan,
@@ -219,30 +221,99 @@ class TestSupervisionConfig:
         assert FAST.backoff(0, 1) == 0.0
 
 
-class TestSupervisedEquivalence:
-    """Random absorbable plans x random tasks == the fault-free oracle."""
+def _expected_error(plan, seam, backend, workers, n_tasks, supervision):
+    """The error a supervised ``map`` must raise under ``plan``, or ``None``.
 
-    @settings(max_examples=25, deadline=None)
+    Every rule fires while ``attempt < times`` on the keys it matches
+    (task indices for the task seams, pool generations for
+    ``worker.start``), so the outcome follows from the plan alone:
+
+    * The ``serial`` stage checks the task seams with a fresh per-task
+      budget, and exhausts a matched task when ``times > max_retries``.
+    * ``task.execute`` fails one task at a time in the ``process`` stage
+      too, so the same bound holds whichever stage runs last.
+    * ``worker.death`` breaks the whole pool on every round while any
+      matched task is below ``times``; the matched tasks fail together
+      each round, so ``times`` broken rounds pass before a clean one.
+    * ``worker.start`` breaks every pool generation it matches.
+
+    A stage that is not last hands what it cannot finish to ``serial``,
+    which never consults ``worker.start``.  When ``process`` is last
+    (``degrade=False``), a broken round ``k`` fails once ``k`` exceeds
+    ``max_retries`` or ``max_pool_rebuilds``, with the pool's
+    ``BrokenExecutor``.
+    """
+    rule = plan.rules[0]
+    if backend == "serial" or min(workers, n_tasks) == 1:
+        stages = ("serial",)
+    else:
+        stages = ("process", "serial") if supervision.degrade else ("process",)
+    matched = any(rule.matches(plan.seed, index) for index in range(n_tasks))
+    if stages[-1] == "serial" or seam == "task.execute":
+        if seam == "worker.start" or not matched:
+            return None
+        return InjectedFault if rule.times > supervision.max_retries else None
+    budget = min(supervision.max_retries, supervision.max_pool_rebuilds)
+    if seam == "worker.death":
+        broken_rounds = rule.times if matched else 0
+    else:
+        broken_rounds = 0
+        while rule.matches(plan.seed, broken_rounds) and broken_rounds <= budget:
+            broken_rounds += 1
+    return BrokenExecutor if broken_rounds > budget else None
+
+
+class TestSupervisedEquivalence:
+    """Random plans x supervision policies x backends == the fault-free oracle.
+
+    ``map`` returns the serial oracle's results bitwise, or raises exactly
+    the error an exhausted last stage raises (see :class:`Supervision`).
+    Each ``process`` example starts at least one pool, hence the bounded
+    example count.
+    """
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    @pytest.mark.parametrize("seam", ["task.execute", "worker.death", "worker.start"])
+    @settings(max_examples=80, deadline=None)
     @given(
         seed=st.integers(0, 2**16),
-        probability=st.floats(0.0, 1.0),
-        times=st.integers(1, 2),
-        seam=st.sampled_from(["task.execute", "worker.death"]),
-        backend=st.sampled_from(["serial", "thread"]),
-        n_tasks=st.integers(1, 12),
+        probability=st.sampled_from([0.0, 0.3, 0.6, 1.0]),
+        times=st.integers(1, 3),
+        workers=st.sampled_from([1, 2, 4]),
+        n_tasks=st.integers(1, 6),
+        max_retries=st.integers(0, 2),
+        max_pool_rebuilds=st.integers(0, 2),
+        degrade=st.booleans(),
     )
-    def test_bitwise_equivalence(self, seed, probability, times, seam, backend, n_tasks):
+    def test_bitwise_equivalence(
+        self, backend, seam, seed, probability, times, workers, n_tasks,
+        max_retries, max_pool_rebuilds, degrade,
+    ):
         tasks = [float(index) + 0.25 for index in range(n_tasks)]
         oracle = TaskRunner("serial").map(_square, tasks)
         plan = FaultPlan.from_spec(f"{seam}:p={probability}:times={times};seed={seed}")
-        with injected(plan):
-            runner = TaskRunner(backend, max_workers=3)
-            result = runner.map(_square, tasks, supervision=FAST)
-        assert result == oracle
+        supervision = Supervision(
+            max_retries=max_retries,
+            backoff_base=0.0,
+            max_pool_rebuilds=max_pool_rebuilds,
+            degrade=degrade,
+        )
+        expected_error = _expected_error(plan, seam, backend, workers, n_tasks, supervision)
+        runner = TaskRunner(backend, max_workers=workers)
+        with injected(plan), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if expected_error is None:
+                assert runner.map(_square, tasks, supervision=supervision) == oracle
+            else:
+                with pytest.raises(expected_error):
+                    runner.map(_square, tasks, supervision=supervision)
+        for warning in caught:
+            if issubclass(warning.category, DegradedRuntimeWarning):
+                assert "degrading to 'serial'" in str(warning.message)
 
     def test_fault_free_supervised_equals_unsupervised(self):
         tasks = list(range(20))
-        for backend in ("serial", "thread"):
+        for backend in ("serial", "process"):
             runner = TaskRunner(backend, max_workers=4)
             assert runner.map(_square, tasks, supervision=FAST) == runner.map(
                 _square, tasks
@@ -295,7 +366,7 @@ class TestProcessSupervision:
     def test_broken_pool_degrades_with_warning(self):
         runner = TaskRunner("process", max_workers=2)
         with injected("worker.start:p=1.0:times=99;seed=2"):
-            with pytest.warns(DegradedRuntimeWarning, match="degrading to 'thread'"):
+            with pytest.warns(DegradedRuntimeWarning, match="degrading to 'serial'"):
                 result = runner.map(
                     _square, list(range(6)),
                     supervision=Supervision(
@@ -336,26 +407,33 @@ class TestProcessSupervision:
             result = runner.map(_square, tasks, supervision=supervision)
         degraded = [w for w in caught if issubclass(w.category, DegradedRuntimeWarning)]
         if max_pool_rebuilds == 0:
-            assert degraded and "degrading to 'thread'" in str(degraded[0].message)
+            assert degraded and "degrading to 'serial'" in str(degraded[0].message)
         else:
             assert not degraded
             assert len(calls) > len(tasks)  # the rebuilt pool resubmitted
         assert result == oracle
 
     def test_stall_timeout_rebuilds(self, tmp_path):
+        """A round that stalls past ``timeout`` fails; the rebuilt pool finishes it.
+
+        Two tasks on two workers, so the process stage runs (a single
+        task would run on ``serial``, which ignores ``timeout``).
+        """
         sentinel = str(tmp_path / "slept-once")
-        runner = TaskRunner("process", max_workers=1)
-        result = runner.map(
-            _sleep_once, [(7, sentinel)],
-            supervision=Supervision(
-                max_retries=2, timeout=0.4, backoff_base=0.0, max_pool_rebuilds=3
-            ),
-        )
-        assert result == [21]
+        runner = TaskRunner("process", max_workers=2)
+        with obs.obs_override(True), obs.use_registry() as registry:
+            result = runner.map(
+                _sleep_once, [(7, sentinel), (1, sentinel)],
+                supervision=Supervision(
+                    max_retries=2, timeout=0.4, backoff_base=0.0, max_pool_rebuilds=3
+                ),
+            )
+        assert result == [21, 3]
         assert os.path.exists(sentinel)
+        assert registry.get("repro_runtime_retries_total").value(stage="process") >= 1
 
     def test_degrade_disabled_raises(self):
-        runner = TaskRunner("thread", max_workers=2)
+        runner = TaskRunner("process", max_workers=2)
         with injected("task.execute:p=1.0:times=99;seed=1"):
             with pytest.raises(InjectedFault):
                 runner.map(

@@ -1,7 +1,6 @@
 """Unit tests for the TaskRunner / parallel_map execution substrate."""
 
 import copy
-import os
 
 import numpy as np
 import pytest
@@ -48,7 +47,7 @@ def _row_stats(task, context):
 
 class TestTaskRunner:
     def test_backends_constant(self):
-        assert BACKENDS == ("serial", "thread", "process")
+        assert BACKENDS == ("serial", "process")
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
@@ -56,10 +55,10 @@ class TestTaskRunner:
 
     def test_invalid_worker_count_rejected(self):
         with pytest.raises(ValueError):
-            TaskRunner("thread", max_workers=0)
+            TaskRunner("process", max_workers=0)
 
     def test_default_workers_positive(self):
-        assert TaskRunner("thread").max_workers >= 1
+        assert TaskRunner("process").max_workers >= 1
         assert available_workers() >= 1
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -103,19 +102,15 @@ class TestTaskRunner:
         runner = TaskRunner("process", max_workers=max_workers)
         assert runner.map(function, tasks, context=context) == expected
 
-    def test_invalid_chunksize_rejected(self):
-        with pytest.raises(ValueError, match="chunksize"):
-            TaskRunner("process", max_workers=2).map(abs, [1, 2], chunksize=0)
-
-    @pytest.mark.parametrize("chunksize", [1, 3, 64])
-    def test_chunksize_override_preserves_results(self, chunksize):
+    @pytest.mark.parametrize("n_tasks", [2, 9, 17, 64])
+    def test_derived_dispatch_size_preserves_results(self, n_tasks):
+        """``max(1, n // (workers * 4))`` tasks per dispatch: 1, 1, 2 and 8 here."""
+        values = range(-(n_tasks // 2), n_tasks - n_tasks // 2)
         runner = TaskRunner("process", max_workers=2)
-        assert runner.map(abs, range(-7, 7), chunksize=chunksize) == [
-            abs(v) for v in range(-7, 7)
-        ]
+        assert runner.map(abs, values) == [abs(v) for v in values]
 
     def test_repr_mentions_backend(self):
-        assert "thread" in repr(TaskRunner("thread", max_workers=2))
+        assert "process" in repr(TaskRunner("process", max_workers=2))
 
 
 class TestSpecParsing:
@@ -123,8 +118,8 @@ class TestSpecParsing:
         assert TaskRunner.from_spec("process").backend == "process"
 
     def test_backend_with_workers(self):
-        runner = TaskRunner.from_spec("thread:4")
-        assert runner.backend == "thread"
+        runner = TaskRunner.from_spec("process:4")
+        assert runner.backend == "process"
         assert runner.max_workers == 4
 
     def test_whitespace_and_case(self):
@@ -132,11 +127,16 @@ class TestSpecParsing:
 
     def test_bad_worker_count(self):
         with pytest.raises(ValueError):
-            TaskRunner.from_spec("thread:lots")
+            TaskRunner.from_spec("process:lots")
 
     def test_bad_backend(self):
         with pytest.raises(ValueError):
             TaskRunner.from_spec("cluster:2")
+
+    @pytest.mark.parametrize("spec", ["thread", "thread:2", "thread:x"])
+    def test_removed_thread_backend_names_the_valid_ones(self, spec):
+        with pytest.raises(ValueError, match=r"\('serial', 'process'\)"):
+            TaskRunner.from_spec(spec)
 
 
 class TestResolution:
@@ -145,17 +145,22 @@ class TestResolution:
         assert resolve_runner(None).backend == "serial"
 
     def test_env_variable_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(RUNTIME_ENV_VAR, "thread:2")
+        monkeypatch.setenv(RUNTIME_ENV_VAR, "process:2")
         runner = resolve_runner(None)
-        assert runner.backend == "thread"
+        assert runner.backend == "process"
         assert runner.max_workers == 2
 
-    def test_explicit_spec_beats_env(self, monkeypatch):
+    def test_env_variable_with_removed_backend_raises(self, monkeypatch):
         monkeypatch.setenv(RUNTIME_ENV_VAR, "thread:2")
+        with pytest.raises(ValueError, match=r"\('serial', 'process'\)"):
+            resolve_runner(None)
+
+    def test_explicit_spec_beats_env(self, monkeypatch):
+        monkeypatch.setenv(RUNTIME_ENV_VAR, "process:2")
         assert resolve_runner("serial").backend == "serial"
 
     def test_runner_instance_passes_through(self):
-        runner = TaskRunner("thread", max_workers=2)
+        runner = TaskRunner("process", max_workers=2)
         assert resolve_runner(runner) is runner
 
     def test_process_worker_env_degrades_to_serial(self, monkeypatch):
@@ -168,15 +173,14 @@ class TestResolution:
         # instances resolve to serial from within a worker.
         monkeypatch.setenv(_WORKER_ENV_VAR, "1")
         assert resolve_runner("process:4").backend == "serial"
-        assert resolve_runner(TaskRunner("thread", max_workers=2)).backend == "serial"
+        assert resolve_runner(TaskRunner("process", max_workers=2)).backend == "serial"
 
-    def test_thread_workers_flag_worker_context(self):
-        results = TaskRunner("thread", max_workers=2).map(
+    def test_process_workers_flag_worker_context(self):
+        results = TaskRunner("process", max_workers=2).map(
             _report_worker_context, range(4)
         )
         assert all(results)
-        # The main thread is not a worker.
-        assert not in_worker() or os.environ.get(_WORKER_ENV_VAR) == "1"
+        assert not in_worker()
 
     def test_parallel_map_convenience(self):
-        assert parallel_map(_square, [1, 2, 3], runtime="thread:2") == [1, 4, 9]
+        assert parallel_map(_square, [1, 2, 3], runtime="process:2") == [1, 4, 9]

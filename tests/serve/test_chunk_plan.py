@@ -59,7 +59,7 @@ def test_call_inside_a_worker_extracts_one_chunk(offline_model, cohort, chunk_si
 
 @pytest.mark.parametrize(
     "runtime, limit, n_chunks",
-    [("serial", 4, 6), ("serial", 20, 2), ("process:2", 4, 6), ("thread:4", 20, 4)],
+    [("serial", 4, 6), ("serial", 20, 2), ("process:2", 4, 6), ("process:4", 20, 4)],
 )
 def test_large_batches_split_by_max_chunk_matchers(
     offline_model, cohort, chunk_sizes, monkeypatch, runtime, limit, n_chunks
@@ -69,13 +69,6 @@ def test_large_batches_split_by_max_chunk_matchers(
     CharacterizationService(offline_model, runtime=runtime).score_batch(cohort)
     assert len(chunk_sizes) == 1
     _assert_balanced(chunk_sizes[0], len(cohort), n_chunks)
-
-
-def test_explicit_chunk_size_keeps_its_meaning(offline_model, cohort, chunk_sizes):
-    service = CharacterizationService(offline_model, chunk_size=5)
-    service.score_batch(cohort)
-    service.score_batch(cohort[:7], chunk_size=3)
-    assert chunk_sizes == [[5, 5, 5, 6], [3, 4]]
 
 
 @pytest.mark.parametrize("n, n_chunks", [(1, 4), (2, 2), (3, 2), (5, 2), (9, 4), (10, 3), (7, 1)])
@@ -89,19 +82,21 @@ def test_balanced_chunks_keep_order_and_avoid_singletons(n, n_chunks):
     assert len(chunks) == max(1, min(n_chunks, n // 2))
 
 
-def test_scores_bitwise_equal_across_chunk_plans(offline_model, cohort):
+def test_scores_bitwise_equal_across_chunk_plans(offline_model, cohort, monkeypatch):
     expected_labels = offline_model.predict(cohort)
     expected_probabilities = offline_model.predict_proba(cohort)
+    default = service_module.MAX_CHUNK_MATCHERS
     plans = [
-        {"runtime": "serial"},
-        {"runtime": "process:1"},
-        {"runtime": "process:2"},
-        {"runtime": "thread:2"},
-        {"runtime": "serial", "chunk_size": 2},
-        {"runtime": "process:2", "chunk_size": 5},
+        ("serial", default),
+        ("process:1", default),
+        ("process:2", default),
+        ("serial", 2),
+        ("process:2", 5),
     ]
     for plan in plans:
-        scores = CharacterizationService(offline_model, **plan).score_batch(cohort)
+        runtime, max_chunk = plan
+        monkeypatch.setattr(service_module, "MAX_CHUNK_MATCHERS", max_chunk)
+        scores = CharacterizationService(offline_model, runtime=runtime).score_batch(cohort)
         assert np.array_equal(scores.labels, expected_labels), plan
         assert np.array_equal(scores.probabilities, expected_probabilities), plan
 
@@ -112,9 +107,10 @@ def test_consensus_fingerprint_survives_bundle_round_trip(offline_model, tmp_pat
     assert loaded.pipeline._extractors["beh"].consensus.fingerprint() == consensus.fingerprint()
 
 
-def test_process_batches_are_counted_once(offline_model, cohort):
+def test_process_batches_are_counted_once(offline_model, cohort, monkeypatch):
     """Three ``process:2`` batches read three batches, not the forked parent's counts too."""
-    service = CharacterizationService(offline_model, runtime="process:2", chunk_size=4)
+    monkeypatch.setattr(service_module, "MAX_CHUNK_MATCHERS", 4)
+    service = CharacterizationService(offline_model, runtime="process:2")
     with obs.obs_override(True), obs.use_registry() as registry:
         for _ in range(3):
             service.score_batch(cohort[:12])

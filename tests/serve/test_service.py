@@ -8,7 +8,8 @@ import pytest
 from repro.core.expert_model import EXPERT_CHARACTERISTICS
 from repro.ml.naive_bayes import GaussianNB
 from repro.serve.artifacts import ArtifactError, save_model
-from repro.serve.service import CharacterizationService, _chunked
+from repro.serve import service as service_module
+from repro.serve.service import CharacterizationService
 
 
 @pytest.fixture(scope="module")
@@ -22,49 +23,56 @@ def expected(offline_model, serve_dataset):
     return offline_model.predict(cohort), offline_model.predict_proba(cohort)
 
 
-@pytest.mark.parametrize("backend", ["serial", "thread:2", "process:2"])
-@pytest.mark.parametrize("chunk_size", [2, 3, 64])
+@pytest.fixture
+def max_chunk(request, monkeypatch):
+    """Caps the derived extraction chunks at ``request.param`` matchers."""
+    monkeypatch.setattr(service_module, "MAX_CHUNK_MATCHERS", request.param)
+    return request.param
+
+
+@pytest.mark.parametrize("backend", ["serial", "process:2"])
+@pytest.mark.parametrize("max_chunk", [2, 3, 64], indirect=True)
 def test_service_matches_in_memory_predictions(
-    offline_bundle, serve_dataset, expected, backend, chunk_size
+    offline_bundle, serve_dataset, expected, backend, max_chunk
 ):
     """Bundle-loaded, chunked, parallel scoring == in-memory predict, bitwise."""
     labels, probabilities = expected
-    service = CharacterizationService.from_bundle(
-        offline_bundle, runtime=backend, chunk_size=chunk_size
-    )
+    service = CharacterizationService.from_bundle(offline_bundle, runtime=backend)
     result = service.score_batch(serve_dataset.oaei_matchers)
     assert result.matcher_ids == tuple(m.matcher_id for m in serve_dataset.oaei_matchers)
     assert np.array_equal(result.labels, labels)
     assert np.array_equal(result.probabilities, probabilities)
 
 
-@pytest.mark.parametrize("chunk_size", [3, 64])
-def test_process_backend_matches_serial_bitwise(offline_bundle, serve_dataset, chunk_size):
+@pytest.mark.parametrize("max_chunk", [3, 64], indirect=True)
+def test_process_backend_matches_serial_bitwise(offline_bundle, serve_dataset, max_chunk):
     """The model pickled into process workers scores exactly like serial."""
     serial = CharacterizationService.from_bundle(
-        offline_bundle, runtime="serial", chunk_size=chunk_size
+        offline_bundle, runtime="serial"
     ).score_batch(serve_dataset.oaei_matchers)
     pooled = CharacterizationService.from_bundle(
-        offline_bundle, runtime="process:2", chunk_size=chunk_size
+        offline_bundle, runtime="process:2"
     ).score_batch(serve_dataset.oaei_matchers)
     assert pooled.matcher_ids == serial.matcher_ids
     assert np.array_equal(pooled.labels, serial.labels)
     assert np.array_equal(pooled.probabilities, serial.probabilities)
 
 
-def test_service_neural_model_matches_in_memory(neural_model, serve_dataset, tmp_path):
+def test_service_neural_model_matches_in_memory(neural_model, serve_dataset, tmp_path, monkeypatch):
     """The full five-set model scores identically through the service."""
+    monkeypatch.setattr(service_module, "MAX_CHUNK_MATCHERS", 3)
     bundle = save_model(neural_model, tmp_path / "neural")
     cohort = serve_dataset.oaei_matchers
-    service = CharacterizationService.from_bundle(bundle, chunk_size=3)
+    service = CharacterizationService.from_bundle(bundle)
     result = service.score_batch(cohort)
     assert np.array_equal(result.labels, neural_model.predict(cohort))
     assert np.array_equal(result.probabilities, neural_model.predict_proba(cohort))
 
 
-def test_service_wraps_in_memory_model(offline_model, serve_dataset, expected):
+def test_service_wraps_in_memory_model(offline_model, serve_dataset, expected, monkeypatch):
     labels, probabilities = expected
-    service = CharacterizationService(offline_model, chunk_size=2)
+    monkeypatch.setattr(service_module, "MAX_CHUNK_MATCHERS", 2)
+    service = CharacterizationService(offline_model)
     result = service.score_batch(serve_dataset.oaei_matchers)
     assert np.array_equal(result.labels, labels)
     assert np.array_equal(result.probabilities, probabilities)
@@ -94,18 +102,19 @@ def test_batch_scores_blocks(offline_bundle, serve_dataset, expected):
 
 
 @pytest.mark.parametrize("runtime", ["serial", "process:2"])
-def test_service_scores_without_a_cache(offline_model, serve_dataset, expected, runtime):
+def test_service_scores_without_a_cache(
+    offline_model, serve_dataset, expected, runtime, monkeypatch
+):
     """Scoring looks nothing up, not even in a cache the model carries or
     one the caller passes, and re-scoring equals the first score."""
     from repro.core.features.cache import FeatureBlockCache
 
     labels, probabilities = expected
+    monkeypatch.setattr(service_module, "MAX_CHUNK_MATCHERS", 3)
     shared, passed = FeatureBlockCache(), FeatureBlockCache()
     offline_model.pipeline.cache = shared
     try:
-        service = CharacterizationService(
-            offline_model, runtime=runtime, chunk_size=3, cache=passed
-        )
+        service = CharacterizationService(offline_model, runtime=runtime, cache=passed)
         for _ in range(2):
             result = service.score_batch(serve_dataset.oaei_matchers)
             assert np.array_equal(result.labels, labels)
@@ -141,13 +150,3 @@ def test_service_rejects_unfitted_model():
     with pytest.raises(ValueError, match="fitted"):
         CharacterizationService(MExICharacterizer())
 
-
-def test_chunker_never_emits_trailing_singleton():
-    """Chunk grouping merges a trailing singleton (batch-1 BLAS dispatch guard)."""
-    items = list(range(7))
-    chunks = _chunked(items, 3)
-    assert [len(chunk) for chunk in chunks] == [3, 4]
-    assert [item for chunk in chunks for item in chunk] == items
-    assert _chunked(list(range(6)), 3) == [[0, 1, 2], [3, 4, 5]]
-    assert _chunked([0], 3) == [[0]]
-    assert [len(c) for c in _chunked(list(range(5)), 1)] == [1, 1, 1, 1, 1]

@@ -14,6 +14,7 @@ import pytest
 
 from repro.core.characterizer import MExICharacterizer, MExIVariant
 from repro.core.expert_model import characterize_population, labels_matrix
+from repro.serve import service as service_module
 from repro.serve.service import BatchScores, CharacterizationService
 from repro.simulation.dataset import build_dataset
 
@@ -32,9 +33,10 @@ def shard_model():
 
 
 @pytest.fixture
-def shard_service(shard_model):
-    """A fresh primary service per test (its cache is per-test state)."""
-    return CharacterizationService(shard_model, chunk_size=4)
+def shard_service(shard_model, monkeypatch):
+    """A fresh primary service per test, extracting in chunks of ~4 matchers."""
+    monkeypatch.setattr(service_module, "MAX_CHUNK_MATCHERS", 4)
+    return CharacterizationService(shard_model)
 
 
 def assert_scores_equal(ours: BatchScores, theirs: BatchScores) -> None:

@@ -47,7 +47,7 @@ def _ingest_with_first_code(code) -> bytes:
 
 @pytest.fixture(scope="module")
 def server(shard_model):
-    fleet = ShardFleet(CharacterizationService(shard_model, chunk_size=4), 2, seed=1)
+    fleet = ShardFleet(CharacterizationService(shard_model), 2, seed=1)
     fleet.open(_SESSION, _TRACE.shape)
     yield OpsServer(fleet)
     fleet.close()
@@ -137,7 +137,7 @@ def test_non_integer_codes_are_caught_before_the_cast(shard_model, code, quarant
     a strict fleet, one ``malformed`` record on a screened one, never a
     silently truncated code or a cast warning."""
     fleet = ShardFleet(
-        CharacterizationService(shard_model, chunk_size=4), 2, seed=1,
+        CharacterizationService(shard_model), 2, seed=1,
         quarantine=True if quarantine else None,
     )
     try:

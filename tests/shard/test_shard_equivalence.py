@@ -12,6 +12,7 @@ sizes, rebalances and extraction runtimes.
 import numpy as np
 import pytest
 
+from repro.serve import service as service_module
 from repro.serve.service import CharacterizationService
 from repro.shard import ReplayDriver, ShardFleet, synthetic_traces
 from repro.stream.session import SessionManager
@@ -72,10 +73,11 @@ class TestShardedEquivalence:
             assert_scores_equal(fleet_final, oracle_final)
 
     @pytest.mark.parametrize("chunk_size", [2, 3, 5])
-    def test_extraction_chunk_size_does_not_matter(self, shard_model, chunk_size):
+    def test_extraction_chunk_size_does_not_matter(self, shard_model, chunk_size, monkeypatch):
         """The serving layer's chunk-equivalence contract survives sharding."""
+        monkeypatch.setattr(service_module, "MAX_CHUNK_MATCHERS", chunk_size)
         traces = synthetic_traces(9, seed=2, n_events=32, n_decisions=4)
-        service = CharacterizationService(shard_model, chunk_size=chunk_size)
+        service = CharacterizationService(shard_model)
         _, oracle_reports, _ = run_oracle(service, traces, steps=3)
         fleet, fleet_reports, _ = run_fleet(service, traces, n_shards=2, steps=3)
         with fleet:
@@ -93,8 +95,8 @@ class TestShardedEquivalence:
                     fleet.session(session_id), oracle.session(session_id)
                 )
 
-    @pytest.mark.parametrize("extract_runtime", ["thread:3", "process:2"])
-    def test_threaded_extraction_is_bitwise_identical(
+    @pytest.mark.parametrize("extract_runtime", ["process:2", "process:3"])
+    def test_parallel_extraction_is_bitwise_identical(
         self, shard_service, extract_runtime
     ):
         traces = synthetic_traces(12, seed=4, n_events=30, n_decisions=4)

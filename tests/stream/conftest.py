@@ -9,6 +9,7 @@ from repro.core.characterizer import MExICharacterizer, MExIVariant
 from repro.core.expert_model import characterize_population, labels_matrix
 from repro.serve.artifacts import ArtifactError, load_model, save_model
 from repro.serve.population import load_population, save_population
+from repro.serve import service as service_module
 from repro.serve.service import CharacterizationService
 from repro.simulation.dataset import build_dataset
 from repro.stream import CheckpointError, SessionManager, load_checkpoint, save_checkpoint
@@ -29,9 +30,10 @@ def stream_model():
 
 
 @pytest.fixture
-def stream_service(stream_model):
-    """A fresh service per test."""
-    return CharacterizationService(stream_model, chunk_size=4)
+def stream_service(stream_model, monkeypatch):
+    """A fresh service per test, extracting in chunks of ~4 matchers."""
+    monkeypatch.setattr(service_module, "MAX_CHUNK_MATCHERS", 4)
+    return CharacterizationService(stream_model)
 
 
 @pytest.fixture(scope="session")
@@ -45,14 +47,11 @@ def replayed_manager(stream_model, workload):
     """Every workload trace half streamed: committed and pending events,
     decisions and scores in every session (save it, never mutate it)."""
     manager = SessionManager(
-        CharacterizationService(stream_model, chunk_size=4),
-        reorder_window=1.0,
-        idle_timeout=500.0,
+        CharacterizationService(stream_model), reorder_window=1.0, idle_timeout=500.0
     )
-    _replay(
-        manager, workload, steps=6, report_every=3, runtime=None, chunk_size=4,
-        stop_after=3,
-    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(service_module, "MAX_CHUNK_MATCHERS", 4)
+        _replay(manager, workload, steps=6, report_every=3, runtime=None, stop_after=3)
     return manager
 
 

@@ -25,10 +25,7 @@ from tests.stream.conftest import jittered, random_trace
 def half_replayed(stream_service, workload):
     """A manager with every trace half streamed (some sessions scored)."""
     manager = SessionManager(stream_service, reorder_window=1.0, idle_timeout=500.0)
-    _replay(
-        manager, workload, steps=6, report_every=3, runtime=None, chunk_size=4,
-        stop_after=3,
-    )
+    _replay(manager, workload, steps=6, report_every=3, runtime=None, stop_after=3)
     return manager
 
 
@@ -79,16 +76,13 @@ class TestRoundTrip:
     ):
         """The acceptance property: checkpoint -> restore -> continue == one run."""
         uninterrupted = SessionManager(stream_service)
-        _replay(uninterrupted, workload, steps=6, report_every=3, runtime=None, chunk_size=4)
+        _replay(uninterrupted, workload, steps=6, report_every=3, runtime=None)
 
         first_half = SessionManager(stream_service)
-        _replay(
-            first_half, workload, steps=6, report_every=3, runtime=None, chunk_size=4,
-            stop_after=3,
-        )
+        _replay(first_half, workload, steps=6, report_every=3, runtime=None, stop_after=3)
         bundle = save_checkpoint(first_half, tmp_path / "half")
         resumed = load_checkpoint(bundle, stream_service)
-        _replay(resumed, workload, steps=6, report_every=3, runtime=None, chunk_size=4)
+        _replay(resumed, workload, steps=6, report_every=3, runtime=None)
 
         expected = uninterrupted.scores()
         actual = resumed.scores()

@@ -115,15 +115,13 @@ def _zero_start_matcher(matcher_id, shift):
 def test_replay_delivers_entries_at_time_zero(stream_model):
     """Events and decisions at t = 0.0 fall inside the first window."""
     workload = [_zero_start_matcher("m-0", 0.0), _zero_start_matcher("m-1", 3.0)]
-    manager = cli.SessionManager(CharacterizationService(stream_model, chunk_size=4))
-    cli._replay(
-        manager, workload, steps=2, report_every=1, runtime=None, chunk_size=4
-    )
+    manager = cli.SessionManager(CharacterizationService(stream_model))
+    cli._replay(manager, workload, steps=2, report_every=1, runtime=None)
     for matcher in workload:
         session = manager.session(matcher.matcher_id)
         assert len(session.buffer) == len(matcher.movement) == 3
         assert session.decisions == list(matcher.history.decisions)
-    cold = CharacterizationService(stream_model, chunk_size=4).score_batch(workload)
+    cold = CharacterizationService(stream_model).score_batch(workload)
     final = manager.scores()
     for row, matcher_id in enumerate(cold.matcher_ids):
         assert np.array_equal(final[matcher_id]["labels"], cold.labels[row])

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.features import cache as cache_module
 from repro.core.features import pipeline as pipeline_module
+from repro.serve import service as service_module
 from repro.serve.service import CharacterizationService
 from repro.stream import SessionManager
 from repro.stream.cli import _replay
@@ -167,31 +168,32 @@ class TestScoreDeterminism:
     ):
         """Streaming a trace chunk-by-chunk changes nothing about its scores."""
         manager = SessionManager(stream_service, reorder_window=0.0)
-        _replay(manager, workload, steps=7, report_every=100, runtime=None, chunk_size=4)
+        _replay(manager, workload, steps=7, report_every=100, runtime=None)
         for session_id in manager.session_ids():  # re-score everyone at once
             manager.session(session_id).dirty = True
-        streamed = manager.recharacterize(chunk_size=4)
+        streamed = manager.recharacterize()
         assert streamed.n_matchers == len(workload)
         # One-shot: the same behaviour scored directly through a fresh
         # service, in the same (LRU) order the manager scored it.
         matchers = [
             manager.session(session_id).matcher() for session_id in streamed.matcher_ids
         ]
-        direct = CharacterizationService(stream_model, chunk_size=4).score_batch(matchers)
+        direct = CharacterizationService(stream_model).score_batch(matchers)
         assert streamed.matcher_ids == direct.matcher_ids
         np.testing.assert_array_equal(streamed.labels, direct.labels)
         np.testing.assert_array_equal(streamed.probabilities, direct.probabilities)
 
-    @pytest.mark.parametrize("backend", ["serial", "thread:2", "process:2"])
-    def test_backends_bitwise_identical(self, stream_service, workload, backend):
+    @pytest.mark.parametrize("backend", ["serial", "process:2"])
+    def test_backends_bitwise_identical(self, stream_service, workload, backend, monkeypatch):
         """Live re-characterization is bitwise identical on every backend."""
+        monkeypatch.setattr(service_module, "MAX_CHUNK_MATCHERS", 2)
         manager = SessionManager(stream_service)
         for matcher in workload:
             _feed_full_trace(manager, matcher)
-        expected = manager.recharacterize(runtime="serial", chunk_size=2)
+        expected = manager.recharacterize(runtime="serial")
         for session in manager._sessions.values():  # re-dirty everything
             session.dirty = True
-        scores = manager.recharacterize(runtime=backend, chunk_size=2)
+        scores = manager.recharacterize(runtime=backend)
         assert scores.matcher_ids == expected.matcher_ids
         np.testing.assert_array_equal(scores.labels, expected.labels)
         np.testing.assert_array_equal(scores.probabilities, expected.probabilities)
