@@ -410,16 +410,18 @@ class _Sessions:
         self._by_raw: dict[str, int] = {}  # raw str cell -> code
 
     def codes(self, cells: list) -> np.ndarray:
-        known = self._by_raw.get
-        codes = [known(cell) if type(cell) is str else None for cell in cells]
-        for index, code in enumerate(codes):
-            if code is None:
-                codes[index] = self._intern(cells[index])
-        return np.array(codes, dtype=np.int64)
+        """Each cell's code, interning new ids in first-appearance order."""
+        known = self._by_raw
+        intern = self._intern
+        return np.array(
+            [
+                known[cell] if type(cell) is str and cell in known else intern(cell)
+                for cell in cells
+            ],
+            dtype=np.int64,
+        )
 
     def _intern(self, cell: object) -> int:
-        if type(cell) is str and cell in self._by_raw:
-            return self._by_raw[cell]
         name = session_text(cell)
         code = self._by_name.setdefault(name, len(self.names)) if name else -1
         if code == len(self.names):

@@ -168,6 +168,34 @@ class ReplayDriver:
         self.summary = ReplaySummary()
         self._is_fleet = isinstance(target, ShardFleet)
 
+    @property
+    def boundaries(self) -> np.ndarray:
+        """The window ends, one per step."""
+        return self._boundaries
+
+    @boundaries.setter
+    def boundaries(self, edges: np.ndarray) -> None:
+        """Set the window ends and every trace's goals for each of them.
+
+        Goal ``[i, k]`` is ``searchsorted(trace_i.t, edges[k], "right")``
+        (events) or the same over ``d_t`` (decisions), computed here once
+        per trace for all windows rather than per window per trace.
+        """
+        self._boundaries = np.asarray(edges, dtype=float)
+        shape = (len(self.traces), len(self._boundaries))
+
+        def goals(column: str) -> np.ndarray:
+            return np.array(
+                [
+                    np.searchsorted(getattr(trace, column), self._boundaries, side="right")
+                    for trace in self.traces
+                ],
+                dtype=np.int64,
+            ).reshape(shape)
+
+        self._event_goals = goals("t")
+        self._decision_goals = goals("d_t")
+
     # ------------------------------------------------------------------ #
     # Target adapters (fleet vs oracle)
     # ------------------------------------------------------------------ #
@@ -257,7 +285,7 @@ class ReplayDriver:
             start = rejected_at
         return sent_any
 
-    def _deliver_window(self, end: float) -> None:
+    def _deliver_window(self, step: int) -> None:
         """Deliver every trace's ``[cursor, goal)`` slices; repeat to converge.
 
         A round that dispatched anything is followed by another round
@@ -265,18 +293,14 @@ class ReplayDriver:
         cursors short of their goals and the next round re-delivers the
         difference.
         """
-        event_goals = [
-            int(np.searchsorted(trace.t, end, side="right")) for trace in self.traces
-        ]
-        decision_goals = [
-            int(np.searchsorted(trace.d_t, end, side="right")) for trace in self.traces
-        ]
+        event_goals = self._event_goals[:, step].tolist()
+        decision_goals = self._decision_goals[:, step].tolist()
         for _ in range(self.max_redelivery_rounds):
             if not self._deliver_round(event_goals, decision_goals):
                 return
             self.summary.redelivery_rounds += 1
         raise RuntimeError(
-            f"window {end} did not converge within "
+            f"window {float(self._boundaries[step])} did not converge within "
             f"{self.max_redelivery_rounds} delivery rounds"
         )
 
@@ -286,10 +310,10 @@ class ReplayDriver:
 
     def run(self) -> list[BatchScores]:
         """Replay the whole schedule; returns (and stores) the reports."""
-        for step, end in enumerate(self.boundaries, start=1):
+        for step in range(1, len(self._boundaries) + 1):
             if self._is_fleet:
                 self.target.tick()
-            self._deliver_window(float(end))
+            self._deliver_window(step - 1)
             self.summary.steps += 1
             if step % self.report_every == 0:
                 self.reports.append(self._recharacterize())

@@ -14,7 +14,11 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
+# The normal tail is the only SciPy function needed: importing scipy.stats
+# for norm.sf (which is ndtr(-x)) would add most of a second to every entry
+# point's start-up.  Module level on purpose, so the load is paid at import
+# and not inside the first timed call that computes a p-value.
+from scipy.special import ndtr
 
 
 def _content_seed(x: np.ndarray, y: np.ndarray) -> int:
@@ -107,7 +111,7 @@ def goodman_kruskal_gamma(
         se = np.sqrt(total / (n * (1 - gamma**2))) if abs(gamma) < 1.0 else np.inf
         if np.isfinite(se) and se > 0:
             z = gamma * se
-            p_value = float(2.0 * scipy_stats.norm.sf(abs(z)))
+            p_value = float(2.0 * ndtr(-abs(z)))
         else:
             p_value = 0.0 if n > 2 else 1.0
     else:

@@ -406,6 +406,7 @@ def load_checkpoint(
                 )
                 for entry in decisions[index].reshape(-1, 4)
             ]
+            session._history = None
 
             session.dirty = bool(arrays["flags"][index, 0])
             session.n_characterizations = int(arrays["flags"][index, 2])

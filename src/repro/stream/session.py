@@ -77,6 +77,7 @@ class MatcherSession:
         self._features = SessionFeatureState(self.screen)
         self.quarantine = quarantine
         self.decisions: list[Decision] = []
+        self._history: Optional[DecisionHistory] = None  # built from decisions on read
         self.dirty = False
         self.last_activity = 0.0  # event time of the newest ingest
         self.last_labels: Optional[np.ndarray] = None
@@ -152,6 +153,7 @@ class MatcherSession:
                 f"decision on pair {decision.pair} outside matrix of shape {self.shape}"
             )
         self.decisions.append(decision)
+        self._history = None
         self.last_activity = max(self.last_activity, decision.timestamp)
         self.dirty = True
 
@@ -169,11 +171,15 @@ class MatcherSession:
 
         The movement snapshot includes events still inside the reorder
         window (pending), so scoring always sees every ingested event.
+        The decision history is built once per change to ``decisions``
+        (:meth:`add_decision`, checkpoint restore) and shared by every
+        pass until then.
         """
-        history = DecisionHistory(self.decisions, shape=self.shape)
+        if self._history is None:
+            self._history = DecisionHistory(self.decisions, shape=self.shape)
         movement = MovementMap(screen=self.screen, data=self.buffer.snapshot())
         return HumanMatcher(
-            matcher_id=self.session_id, history=history, movement=movement
+            matcher_id=self.session_id, history=self._history, movement=movement
         )
 
     def report(self) -> dict:

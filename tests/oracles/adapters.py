@@ -232,3 +232,37 @@ def _assemble_trace(session_id, events, decisions, *, shape, screen) -> SessionT
         d_t=np.array([decisions[i]["t"] for i in decision_order], dtype=np.float64),
         screen=(int(screen[0]), int(screen[1])),
     )
+
+
+class LookupFirstSessions:
+    """The two-pass session interning ``_Sessions.codes`` replaced.
+
+    Each block is first looked up whole against the raw ids already
+    known; only then are the misses interned, one by one, in row order.
+    Production interns in one pass and must give the same codes and the
+    same ``names``.
+    """
+
+    def __init__(self) -> None:
+        self.names: list[str] = []
+        self._by_name: dict[str, int] = {}
+        self._by_raw: dict[str, int] = {}
+
+    def codes(self, cells: list) -> np.ndarray:
+        known = self._by_raw.get
+        codes = [known(cell) if type(cell) is str else None for cell in cells]
+        for index, code in enumerate(codes):
+            if code is None:
+                codes[index] = self._intern(cells[index])
+        return np.array(codes, dtype=np.int64)
+
+    def _intern(self, cell: object) -> int:
+        if type(cell) is str and cell in self._by_raw:
+            return self._by_raw[cell]
+        name = session_text(cell)
+        code = self._by_name.setdefault(name, len(self.names)) if name else -1
+        if code == len(self.names):
+            self.names.append(name)
+        if type(cell) is str:
+            self._by_raw[cell] = code
+        return code

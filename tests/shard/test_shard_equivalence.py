@@ -138,3 +138,22 @@ class TestShardedEquivalence:
                 driver.run()
             assert sorted(oracle.evict_idle(now=80.0)) == sorted(fleet.evict_idle(now=80.0))
             assert fleet.session_ids() == sorted(oracle.session_ids())
+
+
+class TestReplayGoals:
+    def test_each_window_delivers_up_to_its_searchsorted_goal(self, shard_service):
+        """Goals computed once per boundary set equal the per-window
+        ``searchsorted`` of each trace, also after ``boundaries`` is replaced."""
+        traces = synthetic_traces(6, seed=9, n_events=20, n_decisions=4)
+        manager = SessionManager(shard_service)
+        driver = ReplayDriver(manager, traces, steps=5)
+        full = driver.boundaries
+        for end in range(len(full)):
+            driver.boundaries = full[end : end + 1]
+            driver.run()
+            for trace in traces:
+                session = manager.session(trace.session_id)
+                assert len(session.buffer) == np.searchsorted(trace.t, full[end], "right")
+                assert len(session.decisions) == np.searchsorted(
+                    trace.d_t, full[end], "right"
+                )

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from repro.stats.gamma import goodman_kruskal_gamma
 
@@ -110,3 +112,35 @@ class TestGammaProperties:
         forward = goodman_kruskal_gamma(x, y, random_state=0).gamma
         backward = goodman_kruskal_gamma(x, flipped, random_state=0).gamma
         assert forward == pytest.approx(-backward)
+
+
+class TestNormalTail:
+    """``2 * ndtr(-|z|)`` is the p-value ``2 * norm.sf(|z|)`` gave, bitwise."""
+
+    @staticmethod
+    def _same_bits(a: float, b: float) -> bool:
+        return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+    @pytest.mark.parametrize(
+        "x", [0.0, 5e-324, 1e-300, 0.5, 1.96, 8.0, 37.5, 38.5, 40.0]
+    )
+    def test_grid(self, x):
+        assert self._same_bits(ndtr(-x), scipy.stats.norm.sf(x))
+
+    @given(st.floats(0.0, 40.0, allow_nan=False, allow_infinity=False))
+    @settings(max_examples=300, deadline=None)
+    def test_property(self, x):
+        assert self._same_bits(ndtr(-x), scipy.stats.norm.sf(x))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_gamma_p_value_matches_norm_sf(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(10, 80))
+        x = rng.random(n)
+        y = (rng.random(n) < x).astype(float)
+        result = goodman_kruskal_gamma(x, y)
+        total = result.concordant + result.discordant
+        gamma = (result.concordant - result.discordant) / total
+        z = gamma * np.sqrt(total / (n * (1 - gamma**2)))
+        expected = float(2.0 * scipy.stats.norm.sf(abs(z)))
+        assert self._same_bits(result.p_value, expected)

@@ -7,7 +7,7 @@ from repro.core.features import cache as cache_module
 from repro.core.features import pipeline as pipeline_module
 from repro.serve import service as service_module
 from repro.serve.service import CharacterizationService
-from repro.stream import SessionManager
+from repro.stream import SessionManager, load_checkpoint, save_checkpoint
 from repro.stream.cli import _replay
 
 
@@ -197,6 +197,80 @@ class TestScoreDeterminism:
         assert scores.matcher_ids == expected.matcher_ids
         np.testing.assert_array_equal(scores.labels, expected.labels)
         np.testing.assert_array_equal(scores.probabilities, expected.probabilities)
+
+
+def _open_with_events(manager, matcher):
+    """Open a session for ``matcher`` holding all of its events."""
+    manager.open(matcher.matcher_id, matcher.history.shape, screen=matcher.movement.screen)
+    data = matcher.movement.data
+    manager.ingest_events(matcher.matcher_id, data.x, data.y, data.codes, data.t)
+
+
+def _add_decisions(manager, matcher, window):
+    for decision in matcher.history.decisions[window]:
+        manager.add_decision(
+            matcher.matcher_id, decision.row, decision.col,
+            decision.confidence, decision.timestamp,
+        )
+
+
+def _assert_scores_equal(ours, theirs):
+    assert ours.matcher_ids == theirs.matcher_ids
+    np.testing.assert_array_equal(ours.labels, theirs.labels)
+    np.testing.assert_array_equal(ours.probabilities, theirs.probabilities)
+
+
+class TestHistoryMemo:
+    """A session builds its DecisionHistory once per change to its decisions."""
+
+    def test_history_is_reused_until_a_decision_arrives(self, stream_service, workload):
+        manager = SessionManager(stream_service)
+        matcher = workload[0]
+        _open_with_events(manager, matcher)
+        _add_decisions(manager, matcher, slice(0, 3))
+        session = manager.session(matcher.matcher_id)
+        first = session.matcher().history
+        assert session.matcher().history is first
+        _add_decisions(manager, matcher, slice(3, 4))
+        second = session.matcher().history
+        assert second is not first
+        assert second.decisions == matcher.history.decisions[:4]
+
+    def test_interleaved_decisions_and_restore_match_fresh_sessions(
+        self, stream_service, workload, tmp_path
+    ):
+        """Scores after interleaved add_decision/recharacterize calls, and
+        after a checkpoint restore, equal those of freshly built sessions."""
+        live = SessionManager(stream_service)
+        for matcher in workload:
+            _open_with_events(live, matcher)
+        delivered = 0
+        for step in (2, 3, 5):
+            for matcher in workload:
+                _add_decisions(live, matcher, slice(delivered, delivered + step))
+            delivered += step
+            live.recharacterize(order="id")
+            fresh = SessionManager(stream_service)
+            for matcher in workload:
+                _open_with_events(fresh, matcher)
+                _add_decisions(fresh, matcher, slice(0, delivered))
+            _assert_scores_equal(
+                live.recharacterize(order="id", force=True),
+                fresh.recharacterize(order="id", force=True),
+            )
+
+        restored = load_checkpoint(save_checkpoint(live, tmp_path / "ckpt"), stream_service)
+        _assert_scores_equal(
+            restored.recharacterize(order="id", force=True),
+            fresh.recharacterize(order="id", force=True),
+        )
+        for matcher in workload:
+            _add_decisions(restored, matcher, slice(delivered, delivered + 1))
+            _add_decisions(fresh, matcher, slice(delivered, delivered + 1))
+        _assert_scores_equal(
+            restored.recharacterize(order="id", force=True),
+            fresh.recharacterize(order="id", force=True),
+        )
 
 
 class TestReports:
