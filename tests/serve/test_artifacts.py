@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core.features.cache import matcher_fingerprint
+from repro.core.features.consensus import ConsensusModel
 from repro.io.bundle import MANIFEST_NAME
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.linear import LinearSVC, LogisticRegression
@@ -28,6 +29,7 @@ from repro.serve.artifacts import (
     read_manifest,
     save_model,
 )
+from repro.serve.artifacts import _TYPES  # the declaration table the forged cases come from
 from repro.serve.population import load_population, save_population
 
 from tests.oracles.bundles import forge_bundle, to_v1_bundle, write_legacy_population
@@ -686,3 +688,286 @@ def test_forest_bundle_with_retired_runtime_still_loads(classification_data, tmp
     assert not hasattr(loaded, "runtime")
     for data in (X, X_new):
         assert np.array_equal(loaded.predict_proba(data), forest.predict_proba(data))
+
+
+# --------------------------------------------------------------------- #
+# Forged values the hand-written decoders used to accept
+# --------------------------------------------------------------------- #
+
+
+def _spec_node(spec, tag):
+    """The first node of ``spec`` (pre-order) whose type tag is ``tag``."""
+    if isinstance(spec, dict):
+        if spec.get("__type__") == tag:
+            return spec
+        children = spec.values()
+    elif isinstance(spec, list):
+        children = spec
+    else:
+        return None
+    return next((node for child in children if (node := _spec_node(child, tag))), None)
+
+
+def _forge_node(tag, edit):
+    """A ``forge_bundle`` edit: ``edit(node, arrays)`` on the first ``tag`` node."""
+
+    def apply(manifest, arrays):
+        edit(_spec_node(manifest["spec"], tag), arrays)
+
+    return apply
+
+
+def _replace(reference_of, change):
+    """A node edit replacing the array behind ``reference_of(node)`` by ``change(array)``."""
+
+    def edit(node, arrays):
+        key = reference_of(node)["__array__"]
+        arrays[key] = change(arrays[key])
+
+    return edit
+
+
+def _load_forged(model, tmp_path, tag, edit):
+    bundle = save_model(model, tmp_path / "forged")
+    return load_model(forge_bundle(bundle, _forge_node(tag, edit), header_field="spec"))
+
+
+def test_network_rejects_dense_weight_cut_to_one_cell(tmp_path):
+    """A (1, 1) ``W`` used to broadcast into all of the layer's weights."""
+    edit = _replace(lambda node: node["layers"][0]["params"]["W"], lambda a: a[:1, :1])
+    with pytest.raises(ArtifactError, match="'W'"):
+        _load_forged(_dense_network(), tmp_path, "nn.sequential", edit)
+
+
+def test_network_rejects_missing_layer_param(tmp_path):
+    """A layer spec without ``W`` used to keep freshly initialised weights."""
+
+    def drop_weight(node, arrays):
+        del node["layers"][0]["params"]["W"]
+
+    with pytest.raises(ArtifactError, match="'W'"):
+        _load_forged(_dense_network(), tmp_path, "nn.sequential", drop_weight)
+
+
+def _consensus_edits():
+    def n_matchers(value):
+        def edit(node, arrays):
+            node["n_matchers"] = value
+
+        return edit
+
+    def counts(node):
+        return node["counts"]
+
+    return {
+        "counts-negated": (_replace(counts, np.negative), "counts"),
+        "counts-times-100": (_replace(counts, lambda a: a * 100), "counts"),
+        "n-matchers-negative": (n_matchers(-2), "n_matchers"),
+        "pairs-fractional": (_replace(lambda node: node["pairs"], lambda a: a + 0.5), "pairs"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_consensus_edits()))
+def test_consensus_rejects_forged_counts(serve_dataset, tmp_path, case):
+    """Negated or inflated counts gave agreements outside [0, 1]; pairs were truncated."""
+    edit, name = _consensus_edits()[case]
+    model = ConsensusModel().fit(serve_dataset.po_matchers)
+    with pytest.raises(ArtifactError, match=name) as raised:
+        _load_forged(model, tmp_path, "core.consensus", edit)
+    assert raised.type is ArtifactError
+
+
+def test_classifier_rejects_repeated_classes(classification_data, tmp_path):
+    """``classes`` forged to ``[0, 0]`` used to load and predict only label 0."""
+    X, y, _ = classification_data
+    edit = _replace(lambda node: node["classes"], lambda a: np.repeat(a[:1], a.size))
+    with pytest.raises(ArtifactError, match="'classes'"):
+        _load_forged(_logreg().fit(X, y), tmp_path, "ml.logistic_regression", edit)
+
+
+def test_forest_rejects_short_importances(classification_data, tmp_path):
+    X, y, _ = classification_data
+    forest = RandomForestClassifier(n_estimators=3, max_depth=3, random_state=0).fit(X, y)
+    edit = _replace(lambda node: node["importances"], lambda a: a[:1])
+    with pytest.raises(ArtifactError, match="'importances'"):
+        _load_forged(forest, tmp_path, "ml.random_forest", edit)
+
+
+def test_forest_rejects_tree_with_other_feature_count(classification_data, tmp_path):
+    """Each tree must take the forest's features (its own arrays are consistent)."""
+    X, y, _ = classification_data
+    forest = RandomForestClassifier(n_estimators=3, max_depth=3, random_state=0).fit(X, y)
+
+    def widen_tree(node, arrays):
+        tree = node["estimators"][0]
+        tree["n_features_in"] += 1
+        tree["importances"] = None
+
+    with pytest.raises(ArtifactError, match="n_features_in"):
+        _load_forged(forest, tmp_path, "ml.random_forest", widen_tree)
+
+
+@pytest.mark.parametrize(
+    "field,value", [("scaler_index", -1), ("constant_label", 0.5), ("selection_folds", 1e300)]
+)
+def test_characterizer_rejects_forged_label_model_scalars(offline_model, tmp_path, field, value):
+    """Cast scalars used to wrap (a negative index) or truncate (a fractional label)."""
+
+    def edit(node, arrays):
+        if field == "selection_folds":
+            node[field] = value
+        else:
+            node["label_models"][0][field] = value
+
+    with pytest.raises(ArtifactError, match=field):
+        _load_forged(offline_model, tmp_path, "core.mexi_characterizer", edit)
+
+
+# --------------------------------------------------------------------- #
+# Forged bundles generated from the declaration table
+# --------------------------------------------------------------------- #
+
+
+def _declarations():
+    return {declaration.tag: declaration for declaration in _TYPES}
+
+
+#: A fitted model of each declared type that stores arrays or counts,
+#: built from ``(X, y, matchers)``; its bundle's root node has that type.
+CARRIERS = {
+    "ml.decision_tree": lambda X, y, m: DecisionTreeClassifier(max_depth=3).fit(X, y),
+    "ml.random_forest": lambda X, y, m: RandomForestClassifier(
+        n_estimators=3, max_depth=3, random_state=0
+    ).fit(X, y),
+    "ml.logistic_regression": lambda X, y, m: _logreg().fit(X, y),
+    "ml.linear_svc": lambda X, y, m: LinearSVC(n_iterations=20).fit(X, y),
+    "ml.gaussian_nb": lambda X, y, m: GaussianNB().fit(X, y),
+    "ml.standard_scaler": lambda X, y, m: StandardScaler().fit(X),
+    "core.consensus": lambda X, y, m: ConsensusModel().fit(m),
+}
+
+
+def _first(value):
+    def edit(array):
+        array = np.array(array)
+        array.flat[0] = value
+        return array
+
+    return edit
+
+
+def _wrong_kind(kinds):
+    dtype = next(d for d in (np.int64, np.float64, np.complex128) if np.dtype(d).kind not in kinds)
+    return lambda array: np.asarray(array).astype(dtype)
+
+
+#: The value each rule must reject, by rule name (NaN only in float arrays).
+RULE_BREAKERS = {
+    "finite": {"nan": _first(np.nan)},
+    "nonnegative": {"nan": _first(np.nan), "negative": _first(-1)},
+    "positive": {"nan": _first(np.nan), "zero": _first(0), "negative": _first(-1)},
+    "increasing": {
+        "repeated": lambda a: np.repeat(a[:1], a.size),
+        "reversed": lambda a: np.array(a[::-1]),
+    },
+    "": {},
+}
+
+
+def _at(path):
+    """The node edit target: a ``/`` path inside a type's spec node."""
+    head, _, leaf = path.rpartition("/")
+    return lambda node: (node[head] if head else node)[leaf]
+
+
+def _generated_cases():
+    cases = {}
+    for tag, declaration in _declarations().items():
+        for array in declaration.arrays:
+            edits = {"cut": lambda a: np.array(a[:-1]), "kind": _wrong_kind(array.kinds)}
+            for name, breaker in RULE_BREAKERS[array.rule].items():
+                if name != "nan" or array.kinds == "f":
+                    edits[name] = breaker
+            if array.at_most:
+                edits["above-" + array.at_most] = _first(10**6)
+            for name, change in edits.items():
+                cases[f"{tag}:{array.key}:{name}"] = (tag, _replace(_at(array.key), change))
+        for key in declaration.counts:
+            values = {
+                "negative": lambda v: -2,
+                "fractional": lambda v: v + 0.5,
+                "huge": lambda v: 1e300,
+                "text": str,
+                "zero": lambda v: 0,
+            }
+            if any(key in array.shape for array in declaration.arrays):
+                values["plus-one"] = lambda v: v + 1
+            for name, change in values.items():
+
+                def edit(node, arrays, key=key, change=change):
+                    node[key] = change(node[key])
+
+                cases[f"{tag}:{key}:{name}"] = (tag, edit)
+    return cases
+
+
+GENERATED_CASES = _generated_cases()
+
+
+def test_every_declared_type_with_fitted_state_has_a_carrier():
+    """A new declaration with arrays or counts needs a carrier, or its cases go missing."""
+    stateful = {tag for tag, d in _declarations().items() if d.arrays or d.counts}
+    assert stateful == set(CARRIERS)
+
+
+@pytest.mark.parametrize("case", sorted(GENERATED_CASES))
+def test_load_rejects_forged_declared_value(classification_data, serve_dataset, tmp_path, case):
+    """Each declared array cut, of the wrong dtype kind or breaking its rule, and
+    each count re-signed, fails at load with an ArtifactError."""
+    tag, edit = GENERATED_CASES[case]
+    X, y, _ = classification_data
+    model = CARRIERS[tag](X, y, serve_dataset.po_matchers)
+    with pytest.raises(ArtifactError) as raised:
+        _load_forged(model, tmp_path, tag, edit)
+    assert raised.type is ArtifactError
+
+
+def _network_cases():
+    """Cases for every layer parameter and optimizer slot of ``_dense_network``.
+
+    A network's arrays follow from its layers, not from a declaration, so
+    the cases come from the network's own parameters.
+    """
+    network = _dense_network(dropout=0.0)
+    changes = {"cut": lambda a: np.array(a[:-1]), "kind": _wrong_kind("f"), "nan": _first(np.nan)}
+    cases = {}
+    for index, layer in enumerate(network.layers):
+        for param in layer.params:
+            place = (lambda i, p: lambda node: node["layers"][i]["params"][p])(index, param)
+            for name, change in changes.items():
+                cases[f"layer{index}/{param}:{name}"] = _replace(place, change)
+
+            def drop(node, arrays, i=index, p=param):
+                del node["layers"][i]["params"][p]
+
+            cases[f"layer{index}/{param}:missing"] = drop
+            for group in ("first_moment", "second_moment"):
+                slot = f"{index}:{param}"
+                place = (lambda g, s: lambda node: node["optimizer"]["state"][g][s])(group, slot)
+                for name, change in changes.items():
+                    cases[f"adam/{group}/{slot}:{name}"] = _replace(place, change)
+    return cases
+
+
+NETWORK_CASES = _network_cases()
+
+
+@pytest.mark.parametrize("case", sorted(NETWORK_CASES))
+def test_load_rejects_forged_network_array(tmp_path, case):
+    rng = np.random.default_rng(8)
+    X = rng.standard_normal((16, 5))
+    y = rng.integers(0, 2, size=(16, 2)).astype(float)
+    network = _dense_network(dropout=0.0).fit(X, y, epochs=1, batch_size=8)
+    with pytest.raises(ArtifactError) as raised:
+        _load_forged(network, tmp_path, "nn.sequential", NETWORK_CASES[case])
+    assert raised.type is ArtifactError
