@@ -145,9 +145,13 @@ def _cv_scores(
 
 @dataclass
 class _FittedLabelModel:
-    """The selected classifier (and scaler) for a single characteristic."""
+    """The selected classifier (and scaler) for a single characteristic.
 
-    classifier: BaseClassifier
+    A degenerate (constant) training label has no classifier: it predicts
+    ``constant_label``.
+    """
+
+    classifier: Optional[BaseClassifier]
     scaler: StandardScaler
     classifier_name: str
     cv_score: float
@@ -324,7 +328,7 @@ class MExICharacterizer:
                 # Degenerate training label: remember the constant.
                 self._label_models.append(
                     _FittedLabelModel(
-                        classifier=GaussianNB(),
+                        classifier=None,
                         scaler=scaler,
                         classifier_name="constant",
                         cv_score=1.0,

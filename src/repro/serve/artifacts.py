@@ -34,6 +34,7 @@ import repro
 from repro.core.characterizer import (
     MExICharacterizer, MExIVariant, _DefaultClassifierBank, _FittedLabelModel,
 )
+from repro.core.expert_model import EXPERT_CHARACTERISTICS
 from repro.core.features.behavioral import BehavioralFeatures
 from repro.core.features.consensus import ConsensusModel
 from repro.core.features.mouse import MouseFeatures
@@ -41,6 +42,7 @@ from repro.core.features.pipeline import FeaturePipeline
 from repro.core.features.predictors import LRSMFeatures
 from repro.core.features.sequential import SequentialFeatures
 from repro.core.features.spatial import SpatialFeatures
+from repro.ml.base import BaseClassifier
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.linear import LinearSVC, LogisticRegression
 from repro.ml.naive_bayes import GaussianNB
@@ -523,7 +525,8 @@ def _decode_sequential(spec: dict, decoder: _Decoder) -> Sequential:
 
 # Label models share scaler objects (a loaded model scales its features
 # once, like a fitted one), so the scalers are stored once and indexed,
-# and the pipeline is encoded after them.
+# and the pipeline is encoded after them.  A constant label stores no
+# classifier (null).
 def _encode_characterizer(model: MExICharacterizer, encoder: _Encoder) -> dict:
     _require_fitted(model, model.is_fitted)
     scalers: dict[int, int] = {}
@@ -533,7 +536,9 @@ def _encode_characterizer(model: MExICharacterizer, encoder: _Encoder) -> dict:
             scalers[id(label_model.scaler)] = len(scaler_specs)
             scaler_specs.append(encoder.encode(label_model.scaler))
         label_models.append({
-            "classifier": encoder.encode(label_model.classifier),
+            "classifier": (
+                None if label_model.classifier is None else encoder.encode(label_model.classifier)
+            ),
             "scaler_index": scalers[id(label_model.scaler)],
             "classifier_name": label_model.classifier_name,
             "cv_score": float(label_model.cv_score),
@@ -560,13 +565,40 @@ def _decode_characterizer(spec: dict, decoder: _Decoder) -> MExICharacterizer:
         selection_folds=_check_count(spec["selection_folds"], "selection_folds", where),
         random_state=spec["random_state"],
     )
+    # Every scaler and classifier takes the pipeline's output columns.
+    width = len(pipeline.feature_names_)
     scalers = [decoder.decode(scaler, StandardScaler) for scaler in spec["scalers"]]
-    for entry in spec["label_models"]:
+    for index, scaler in enumerate(scalers):
+        if scaler.mean_.shape[0] != width:
+            raise ArtifactError(
+                f"{where} stores scaler {index} of width {scaler.mean_.shape[0]}; "
+                f"the pipeline outputs {width} features"
+            )
+    if len(spec["label_models"]) != len(EXPERT_CHARACTERISTICS):
+        raise ArtifactError(
+            f"{where} stores {len(spec['label_models'])} label_models; "
+            f"expected one per characteristic ({len(EXPERT_CHARACTERISTICS)})"
+        )
+    for index, entry in enumerate(spec["label_models"]):
         constant = entry["constant_label"]
         if not (constant is None or type(constant) is int):
             raise ArtifactError(f"{where} stores constant_label {constant!r}, not an int or null")
+        # A constant label has no classifier; every other label has one.
+        if (constant is None) == (entry["classifier"] is None):
+            raise ArtifactError(
+                f"{where} label model {index} stores constant_label {constant!r} "
+                f"with classifier {'null' if entry['classifier'] is None else 'set'}"
+            )
+        classifier = None
+        if constant is None:
+            classifier = decoder.decode(entry["classifier"], BaseClassifier)
+            if classifier.n_features_in_ != width:
+                raise ArtifactError(
+                    f"{where} label model {index} stores a classifier with n_features_in="
+                    f"{classifier.n_features_in_}; the pipeline outputs {width} features"
+                )
         model._label_models.append(_FittedLabelModel(
-            classifier=decoder.decode(entry["classifier"]),
+            classifier=classifier,
             scaler=scalers[_check_count(entry["scaler_index"], "scaler_index", where)],
             classifier_name=entry["classifier_name"],
             cv_score=float(entry["cv_score"]),

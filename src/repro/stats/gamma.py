@@ -14,11 +14,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-# The normal tail is the only SciPy function needed: importing scipy.stats
-# for norm.sf (which is ndtr(-x)) would add most of a second to every entry
-# point's start-up.  Module level on purpose, so the load is paid at import
-# and not inside the first timed call that computes a p-value.
-from scipy.special import ndtr
+
+from repro.stats.normal import ndtr
 
 
 def _content_seed(x: np.ndarray, y: np.ndarray) -> int:
@@ -53,18 +50,18 @@ class GammaResult:
         return self.p_value < 0.05
 
 
-def _concordant_discordant(x: np.ndarray, y: np.ndarray) -> tuple[int, int]:
-    """Count concordant and discordant pairs (ties ignored)."""
-    n = x.size
-    concordant = 0
-    discordant = 0
-    for i in range(n):
-        dx = x[i + 1 :] - x[i]
-        dy = y[i + 1 :] - y[i]
-        product = dx * dy
-        concordant += int(np.count_nonzero(product > 0))
-        discordant += int(np.count_nonzero(product < 0))
-    return concordant, discordant
+def _pair_counts(x: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Concordant and discordant pair counts of ``x`` against each row of ``ys``.
+
+    Pair ``i < j`` is concordant when ``(x[j] - x[i]) * (y[j] - y[i])`` is
+    positive and discordant when it is negative (ties count as neither);
+    every row is classified in one broadcast over the ``n (n - 1) / 2``
+    pairs, so memory grows with ``n**2`` (a matcher's decisions on one
+    task number in the tens to hundreds).
+    """
+    i, j = np.triu_indices(x.size, 1)
+    product = (x[j] - x[i]) * (ys[:, j] - ys[:, i])
+    return np.count_nonzero(product > 0, axis=1), np.count_nonzero(product < 0, axis=1)
 
 
 def goodman_kruskal_gamma(
@@ -98,7 +95,7 @@ def goodman_kruskal_gamma(
     if x_array.ndim != 1:
         raise ValueError("x and y must be 1-D sequences")
 
-    concordant, discordant = _concordant_discordant(x_array, y_array)
+    concordant, discordant = (int(count[0]) for count in _pair_counts(x_array, y_array[None]))
     total = concordant + discordant
     if total == 0:
         return GammaResult(gamma=0.0, p_value=1.0, concordant=0, discordant=0)
@@ -110,8 +107,8 @@ def goodman_kruskal_gamma(
         # Asymptotic standard error under the null (Goodman & Kruskal 1963).
         se = np.sqrt(total / (n * (1 - gamma**2))) if abs(gamma) < 1.0 else np.inf
         if np.isfinite(se) and se > 0:
-            z = gamma * se
-            p_value = float(2.0 * ndtr(-abs(z)))
+            z = float(gamma * se)
+            p_value = 2.0 * ndtr(-abs(z))
         else:
             p_value = 0.0 if n > 2 else 1.0
     else:
@@ -119,14 +116,11 @@ def goodman_kruskal_gamma(
         if random_state is None:
             random_state = _content_seed(x_array, y_array)
         rng = np.random.default_rng(random_state)
-        extreme = 0
-        for _ in range(n_permutations):
-            permuted = rng.permutation(y_array)
-            c, d = _concordant_discordant(x_array, permuted)
-            t = c + d
-            permuted_gamma = 0.0 if t == 0 else (c - d) / t
-            if abs(permuted_gamma) >= abs(gamma) - 1e-12:
-                extreme += 1
+        permuted = np.array([rng.permutation(y_array) for _ in range(n_permutations)])
+        c, d = _pair_counts(x_array, permuted.reshape(n_permutations, n))
+        t = c + d
+        permuted_gamma = np.divide(c - d, t, out=np.zeros(n_permutations), where=t > 0)
+        extreme = int(np.count_nonzero(np.abs(permuted_gamma) >= abs(gamma) - 1e-12))
         p_value = (extreme + 1) / (n_permutations + 1)
 
     return GammaResult(

@@ -21,6 +21,8 @@ the reference path.
   per-line parsers of the three formats.
 * :mod:`tests.oracles.simulation` -- the scalar consumer of the mouse
   simulator's pre-drawn randomness blocks.
+* :mod:`tests.oracles.stats` -- the row-by-row concordant/discordant
+  pair count and the one-permutation-at-a-time gamma p-value.
 * :mod:`tests.oracles.bundles` -- writers of the bundle forms production
   no longer writes (format-version-1 ``arrays.npz`` bundles, legacy
   ``.npz`` population files) and a reference ``mmap-dir`` writer that

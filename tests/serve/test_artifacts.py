@@ -9,6 +9,7 @@ import shutil
 import numpy as np
 import pytest
 
+from repro.core.characterizer import MExICharacterizer, MExIVariant
 from repro.core.features.cache import matcher_fingerprint
 from repro.core.features.consensus import ConsensusModel
 from repro.io.bundle import MANIFEST_NAME
@@ -821,6 +822,75 @@ def test_characterizer_rejects_forged_label_model_scalars(offline_model, tmp_pat
 
     with pytest.raises(ArtifactError, match=field):
         _load_forged(offline_model, tmp_path, "core.mexi_characterizer", edit)
+
+
+def _drop_first_label_model(node, arrays):
+    del node["label_models"][0]
+
+
+def _repeat_last_label_model(node, arrays):
+    node["label_models"].append(node["label_models"][-1])
+
+
+def _cut_scalers(node, arrays):
+    for scaler in node["scalers"]:
+        for name in ("mean", "scale"):
+            key = scaler[name]["__array__"]
+            arrays[key] = arrays[key][:-1]
+
+
+def _cut_pipeline_and_scalers(node, arrays):
+    # The scalers agree with the narrowed pipeline; the classifiers do not.
+    node["pipeline"]["feature_names"] = node["pipeline"]["feature_names"][:-1]
+    _cut_scalers(node, arrays)
+
+
+def _null_classifier(node, arrays):
+    node["label_models"][0]["classifier"] = None
+
+
+def _constant_with_classifier(node, arrays):
+    node["label_models"][0]["constant_label"] = 1
+
+
+@pytest.mark.parametrize(
+    "edit,match",
+    [
+        (_drop_first_label_model, "label_models"),
+        (_repeat_last_label_model, "label_models"),
+        (_cut_scalers, "scaler 0 of width"),
+        (_cut_pipeline_and_scalers, "n_features_in"),
+        (_null_classifier, "classifier null"),
+        (_constant_with_classifier, "classifier set"),
+    ],
+    ids=[
+        "first-label-model-dropped", "label-model-repeated", "scaler-narrowed",
+        "classifier-wider-than-pipeline", "classifier-null", "constant-with-classifier",
+    ],
+)
+def test_characterizer_rejects_inconsistent_label_models(offline_model, tmp_path, edit, match):
+    """A dropped label model used to shift every characteristic onto its
+    neighbour's model; widths are checked against the pipeline's output."""
+    with pytest.raises(ArtifactError, match=match):
+        _load_forged(offline_model, tmp_path, "core.mexi_characterizer", edit)
+
+
+def test_characterizer_with_constant_label_roundtrips(serve_dataset, serve_labels, tmp_path):
+    """A degenerate (constant) label stores no classifier and round-trips bitwise."""
+    labels = np.array(serve_labels)
+    labels[:, 3] = 1
+    model = MExICharacterizer(
+        variant=MExIVariant.SUB_50, feature_sets=("lrsm", "beh", "mou"), random_state=5,
+    ).fit(serve_dataset.po_matchers, labels)
+    bundle = save_model(model, tmp_path / "constant")
+    entry = read_manifest(bundle)["spec"]["label_models"][3]
+    assert (entry["classifier"], entry["constant_label"]) == (None, 1)
+    loaded = load_model(bundle)
+    for cohort in (serve_dataset.po_matchers, serve_dataset.oaei_matchers):
+        assert np.array_equal(loaded.predict(cohort), model.predict(cohort))
+        assert loaded.predict_proba(cohort).tobytes() == model.predict_proba(cohort).tobytes()
+    assert loaded.selected_classifiers() == model.selected_classifiers()
+    assert model.selected_classifiers()["calibrated"] == "constant"
 
 
 # --------------------------------------------------------------------- #

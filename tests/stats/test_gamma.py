@@ -1,13 +1,18 @@
 """Tests for Goodman-Kruskal gamma (resolution)."""
 
+import math
+
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtr
 
-from repro.stats.gamma import goodman_kruskal_gamma
+from repro.stats import normal
+from repro.stats.gamma import _content_seed, _pair_counts, goodman_kruskal_gamma
+
+from tests.oracles.stats import concordant_discordant, permutation_p_value
 
 
 class TestGamma:
@@ -114,23 +119,44 @@ class TestGammaProperties:
         assert forward == pytest.approx(-backward)
 
 
+def _same_bits(a: float, b: float) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+#: Cephes switches branch at |x| = 1/sqrt(2) (erf or erfc), 1 (erfc's
+#: rational form) and 8 (its second form) after ndtr scales by 1/sqrt(2),
+#: and exp(-x^2/2) leaves the double range between 37.5 and 38.5.
+_BOUNDARIES = [1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0)]
+_TAIL_GRID = sorted(
+    {0.0, 5e-324, 1e-300, 0.5, 1.96, 8.0, 37.5, 38.5, 40.0, 1e300, math.inf}
+    | {v for b in _BOUNDARIES for v in (b, math.nextafter(b, 0.0), math.nextafter(b, 99.0))}
+    | set(np.linspace(37.5, 38.5, 41).tolist())
+)
+
+
 class TestNormalTail:
-    """``2 * ndtr(-|z|)`` is the p-value ``2 * norm.sf(|z|)`` gave, bitwise."""
+    """repro's Cephes port equals ``scipy.special.ndtr`` and ``norm.sf`` bitwise."""
 
-    @staticmethod
-    def _same_bits(a: float, b: float) -> bool:
-        return np.float64(a).tobytes() == np.float64(b).tobytes()
-
-    @pytest.mark.parametrize(
-        "x", [0.0, 5e-324, 1e-300, 0.5, 1.96, 8.0, 37.5, 38.5, 40.0]
-    )
+    @pytest.mark.parametrize("x", _TAIL_GRID)
     def test_grid(self, x):
-        assert self._same_bits(ndtr(-x), scipy.stats.norm.sf(x))
+        for value in (x, -x):
+            assert _same_bits(normal.ndtr(value), scipy.special.ndtr(value))
+            assert _same_bits(normal.ndtr(-value), scipy.stats.norm.sf(value))
 
-    @given(st.floats(0.0, 40.0, allow_nan=False, allow_infinity=False))
+    @pytest.mark.parametrize("x", [-0.0, math.nan, -math.inf, -1e300])
+    def test_signed_zero_nan_and_infinities(self, x):
+        assert _same_bits(normal.ndtr(x), scipy.special.ndtr(x))
+        assert _same_bits(normal.ndtr(-x), scipy.stats.norm.sf(x))
+        assert _same_bits(normal.erf(x), scipy.special.erf(x))
+        assert _same_bits(normal.erfc(x), scipy.special.erfc(x))
+
+    @given(st.floats(-40.0, 40.0, allow_nan=False, allow_infinity=False))
     @settings(max_examples=300, deadline=None)
     def test_property(self, x):
-        assert self._same_bits(ndtr(-x), scipy.stats.norm.sf(x))
+        assert _same_bits(normal.ndtr(x), scipy.special.ndtr(x))
+        assert _same_bits(normal.ndtr(-x), scipy.stats.norm.sf(x))
+        assert _same_bits(normal.erf(x), scipy.special.erf(x))
+        assert _same_bits(normal.erfc(x), scipy.special.erfc(x))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_gamma_p_value_matches_norm_sf(self, seed):
@@ -143,4 +169,45 @@ class TestNormalTail:
         gamma = (result.concordant - result.discordant) / total
         z = gamma * np.sqrt(total / (n * (1 - gamma**2)))
         expected = float(2.0 * scipy.stats.norm.sf(abs(z)))
-        assert self._same_bits(result.p_value, expected)
+        assert _same_bits(result.p_value, expected)
+
+
+#: Few distinct values, so draws repeat and tie; extremes and non-finite
+#: values keep products that overflow, underflow or are NaN in play.
+_PAIR_VALUES = st.one_of(
+    st.sampled_from([0.0, 0.25, 0.5, 1.0, -1.0]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+class TestPairCounts:
+    """One broadcast classifies every pair exactly as the row-by-row loop."""
+
+    @given(st.data(), st.integers(0, 12), st.integers(1, 5))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_row_loop(self, data, n, rows):
+        x = np.array(data.draw(st.lists(_PAIR_VALUES, min_size=n, max_size=n)), dtype=float)
+        ys = np.array(
+            [data.draw(st.lists(_PAIR_VALUES, min_size=n, max_size=n)) for _ in range(rows)],
+            dtype=float,
+        ).reshape(rows, n)
+        with np.errstate(all="ignore"):
+            concordant, discordant = _pair_counts(x, ys)
+            expected = [concordant_discordant(x, y) for y in ys]
+        assert expected == list(zip(concordant.tolist(), discordant.tolist()))
+
+    @given(
+        st.lists(st.sampled_from([0.1, 0.4, 0.4, 0.7, 0.9, 1.0]), min_size=2, max_size=9),
+        st.data(),
+        st.one_of(st.none(), st.integers(0, 2**32)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_permutation_p_value_matches_loop(self, x, data, seed):
+        y = data.draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=len(x), max_size=len(x)))
+        x_array, y_array = np.array(x), np.array(y)
+        result = goodman_kruskal_gamma(x, y, n_permutations=50, random_state=seed)
+        if result.concordant + result.discordant == 0:
+            return
+        state = _content_seed(x_array, y_array) if seed is None else seed
+        expected = permutation_p_value(x_array, y_array, result.gamma, 50, state)
+        assert _same_bits(result.p_value, expected)
